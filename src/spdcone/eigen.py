@@ -4,45 +4,54 @@ Everything downstream (distances, geodesics, the inductive mean) consumes
 only the smallest and largest eigenvalues (alpha, beta) of a pencil
 Y X^-1. Two backends compute them:
 
-* ``dense``   - full generalized eigendecomposition (LAPACK), the oracle.
-* ``iterative`` - restarted Lanczos with full reorthogonalization on the
-  whitened operator u -> L^-1 Y L^-T u, applied through two triangular
+* ``dense``   - the top eigenpair of the generalized problem (LAPACK), the oracle.
+* ``iterative`` - thick-restart Lanczos with full reorthogonalization on
+  the whitened operator u -> L^-1 Y L^-T u, applied through two triangular
   solves and a sparse or dense matrix-vector product per step; the pencil
-  Y X^-1 is never formed.
+  Y X^-1 is never formed. A restart keeps the leading Ritz vectors, so a
+  clustered top of the spectrum keeps its Krylov information.
 
 The smallest eigenvalue is always computed as the reciprocal of the
 largest eigenvalue of the swapped pencil X Y^-1, so the Krylov iteration
 only ever chases a largest eigenvalue, where its convergence is robust.
-Convergence is certified by the backward-error style residual
-``|Y v - lam X v| / (|Y v| + |lam| |X v|)`` evaluated in the original
-pencil, independent of any Ritz-value stagnation heuristic.
+The iteration stops once the cheap Ritz estimate |b_m s_m| says the top
+pair has converged. The only acceptance test is the backward-error style
+residual ``|Y v - lam X v| / (|Y v| + |lam| |X v|)`` in the original
+pencil, and a few steps from a fresh direction must then find no larger
+Ritz value. A solve may start from a given vector, e.g. an eigenvector of
+a nearby pencil; ``max_iter`` and iteration counts are operator applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, hessenberg
 
 from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims
 from .errors import NoConvergence
 
-_BLOCK = 48  # Krylov block length between restarts
+_BASIS = 40  # Krylov basis length that triggers a thick restart
+_KEEP = 20  # leading Ritz vectors kept across a restart
+_CHECK = 4  # steps between Ritz-estimate checks without a decay rate
+_WAIT_MAX = 16  # most steps between Ritz-estimate checks
+_GUARD = 8  # steps from a fresh direction before accepting a pair
 
 
 @dataclass
 class EigenStats:
     """Mutable accumulator for solver work, shared via EigenOptions."""
 
-    iterations: int = 0
+    iterations: int = 0  # operator applications
     solves: int = 0
 
 
 @dataclass
 class EigenOptions:
     tol: float = 1e-10
-    max_iter: int = 5000
+    max_iter: int = 5000  # operator applications per extreme; a started guard finishes
     backend: str = "auto"  # auto | dense | iterative
     seed: int = 0
     dense_ceiling: int = DEFAULT_DENSE_CEILING
@@ -69,7 +78,9 @@ class PencilExtremes:
     """(alpha, beta) = (lambda_min, lambda_max) of Y X^-1 with certificates.
 
     ``iterations`` and ``residuals`` are ordered (alpha solve, beta solve);
-    the dense backend reports zero iterations.
+    ``iterations`` counts operator applications, and the dense backend
+    reports zero. ``vectors`` holds the matching generalized eigenvectors,
+    a start for a nearby pencil; they take no part in comparison.
     """
 
     alpha: float
@@ -77,6 +88,7 @@ class PencilExtremes:
     iterations: tuple
     residuals: tuple
     backend: str
+    vectors: tuple = field(default=(None, None), compare=False, repr=False)
 
 
 def _density(M: SpdMatrix) -> float:
@@ -135,150 +147,197 @@ class _WhitenedOperator:
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else v
 
+    def pencil_to_whitened(self, v):
+        """Inverse of eigvec_to_pencil up to scale: u = L^T v[perm]."""
+        return self.f.L.T @ (v if self.q is None else np.asarray(v)[self.q])
 
-def _lanczos_largest(Y, X, opts):
-    """Restarted Lanczos for lambda_max(Y X^-1). Returns (lam, v, iters, resid)."""
+
+def _fresh(rng, B):
+    """Seeded random unit vector orthogonal to the rows of B, or None if they span."""
+    q = rng.uniform(-1.0, 1.0, B.shape[1])
+    size = np.linalg.norm(q)
+    q -= (B @ q) @ B
+    q -= (B @ q) @ B
+    nq = np.linalg.norm(q)
+    return q / nq if nq > 1e-8 * size else None
+
+
+def _lanczos_largest(Y, X, opts, seed, start=None):
+    """Thick-restart Lanczos for lambda_max(Y X^-1). Returns (lam, v, applies, resid).
+
+    The basis Q (one vector per row) and the tridiagonal T = (d, e) satisfy
+    A Q[:j].T = Q[:j].T T + e[j-1] Q[j] e_j^T at every step. A full basis
+    is cut back to its ``_KEEP`` leading Ritz vectors, rotated so that T
+    stays tridiagonal with the continuation coupled to the last one. A
+    candidate pair that passes the residual test is kept alone while
+    ``_GUARD`` steps from a seeded fresh direction look for a larger Ritz
+    value; the candidate is returned only if none shows up.
+    """
     op = _WhitenedOperator(Y, X)
     n = op.n
-    rng = np.random.default_rng(opts.seed)
-    start = rng.uniform(-1.0, 1.0, n)
-    start /= np.linalg.norm(start)
-    ritz = None
-    best = None  # (residual, lam, v)
-    total = 0
-    prev_resid = np.inf
-    stagnant = 0
-    while total < opts.max_iter:
-        m_cap = min(_BLOCK, n, opts.max_iter - total)
-        V = np.empty((n, m_cap))
-        diag = np.empty(m_cap)
-        off = np.empty(max(m_cap - 1, 0))
-        if ritz is None:
-            q = start
-        else:
-            # keep the Ritz direction; a fresh seeded vector re-enters the
-            # basis below if the recurrence breaks down early
-            q = ritz
-        m = 0
-        exhausted = False
-        while m < m_cap:
-            V[:, m] = q
-            w = op.apply(q)
-            a = float(q @ w)
-            diag[m] = a
-            w -= a * q
-            if m > 0:
-                w -= off[m - 1] * V[:, m - 1]
-            # full reorthogonalization, two passes for robust orthogonality
-            w -= V[:, : m + 1] @ (V[:, : m + 1].T @ w)
-            w -= V[:, : m + 1] @ (V[:, : m + 1].T @ w)
-            total += 1
-            m += 1
-            if m == m_cap:
-                break
-            b = np.linalg.norm(w)
-            if b <= 1e-13 * max(abs(a), 1.0):
-                # invariant subspace hit: continue with a seeded random
-                # direction orthogonalized against the basis built so far
-                refresh = rng.uniform(-1.0, 1.0, n)
-                refresh -= V[:, :m] @ (V[:, :m].T @ refresh)
-                nb = np.linalg.norm(refresh)
-                if nb <= 1e-12:
-                    exhausted = True
-                    break
-                off[m - 1] = 0.0
-                q = refresh / nb
-                continue
-            off[m - 1] = b
-            q = w / b
-        theta, S = eigh_tridiagonal(diag[:m], off[: m - 1])
-        u = V[:, :m] @ S[:, -1]
-        u /= np.linalg.norm(u)
-        lam = float(theta[-1])
-        v = op.eigvec_to_pencil(u)
-        resid = pencil_residual(Y, X, lam, v)
-        if best is None or lam > best[1] or (lam == best[1] and resid < best[0]):
-            best = (resid, lam, v)
-        if resid <= opts.tol:
-            # a tiny residual certifies (lam, u) is near an eigenpair, not
-            # that lam is the largest; a short probe sweep from a fresh
-            # direction guards against a start vector that was numerically
-            # deficient in the top eigenspace
-            missed = _probe_for_larger(op, u, lam, opts.tol, rng, min(8, n))
-            if missed is None:
-                return lam, v, total, resid
-            total += min(8, n)
-            ritz = missed
+    rng = np.random.default_rng(seed)
+    m = min(_BASIS, n)
+    keep = min(_KEEP, m - 1)
+    Q = np.empty((m + 1, n))
+    d = np.empty(m)
+    e = np.zeros(m)  # e[i] couples basis rows i and i + 1
+    q = None if start is None else op.pencil_to_whitened(start)
+    if q is None or not np.linalg.norm(q) > 0:
+        q = _fresh(rng, Q[:0])
+    Q[0] = q / np.linalg.norm(q)
+    j = 0  # basis length
+    ritz_tol = opts.tol  # Ritz-estimate threshold relative to the Ritz value
+    applies = 0
+    wait = _CHECK if start is None else 1  # steps to the next Ritz-estimate check
+    last = None  # (applies, estimate) at the previous check
+    candidate = None  # (lam, v, resid) waiting for the guard's verdict
+    best = None  # (resid, lam, v)
+    scale = 0.0  # largest Rayleigh quotient seen, for the breakdown test
+    while True:
+        if j == m:
+            j = _thick_restart(Q, d, e, m, keep)
+        w = op.apply(Q[j])
+        applies += 1
+        h = Q[: j + 1] @ w
+        d[j] = h[j]
+        scale = max(scale, abs(d[j]))
+        w -= h @ Q[: j + 1]
+        w -= (Q[: j + 1] @ w) @ Q[: j + 1]  # second pass: robust orthogonality
+        b = math.sqrt(w @ w)
+        j += 1
+        if b > 1e-13 * scale:
+            e[j - 1], Q[j] = b, w / b
+        else:  # invariant subspace: continue from a fresh direction
+            w, e[j - 1] = _fresh(rng, Q[:j]), 0.0
+            if w is not None:
+                Q[j] = w
+        exhausted = w is None
+        wait -= 1
+        spent = applies >= opts.max_iter and candidate is None  # a guard runs to its end
+        if wait > 0 and not (exhausted or spent):
             continue
-        if exhausted:
-            break
-        # restarting cannot push the residual below its rounding floor;
-        # three restarts without meaningful progress means we are there
-        stagnant = stagnant + 1 if resid > 0.5 * prev_resid else 0
-        prev_resid = min(prev_resid, resid)
-        if stagnant >= 3:
-            break
-        ritz = u
+        theta, s = eigh_tridiagonal(d[:j], e[: j - 1], select="i", select_range=(j - 1, j - 1),
+                                    check_finite=False)
+        theta, s = float(theta[0]), s[:, 0]
+        if candidate is not None:
+            lam, v, resid = candidate
+            if theta <= lam * (1.0 + 10.0 * opts.tol) + 10.0 * opts.tol:
+                return lam, v, applies, resid
+            candidate = None  # the guard found a larger Ritz value: iterate on
+        est = abs(e[j - 1] * s[-1])
+        if est <= ritz_tol * abs(theta) or exhausted or spent:
+            u = s @ Q[:j]
+            v = op.eigvec_to_pencil(u / np.linalg.norm(u))
+            resid = pencil_residual(Y, X, theta, v)
+            if best is None or resid < best[0]:
+                best = (resid, theta, v)
+            if resid <= opts.tol:
+                if exhausted:  # the basis spans everything: theta is the top
+                    return theta, v, applies, resid
+                # keep the pair alone and restart from a fresh direction
+                candidate = (theta, v, resid)
+                Q[0] = u / np.linalg.norm(u)
+                d[0], e[0] = theta, 0.0
+                Q[1] = _fresh(rng, Q[:1])
+                j, wait = 1, min(_GUARD, n - 1)
+                continue
+            if exhausted or spent or est <= np.finfo(float).eps * abs(theta):
+                break  # out of budget, or converged to working precision
+            ritz_tol = 0.1 * est / abs(theta)
+        wait = _next_check(est, ritz_tol * abs(theta), applies, last)
+        last = (applies, est)
     resid, lam, v = best
-    if resid > opts.tol:
-        raise NoConvergence(
-            f"extreme eigenvalue iteration stopped after {total} steps "
-            f"with residual {resid:.3e} > tol {opts.tol:.3e}",
-            best=(lam, v),
-            residual=resid,
-            iterations=total,
-        )
-    return lam, v, total, resid
+    raise NoConvergence(
+        f"extreme eigenvalue iteration stopped after {applies} operator applications "
+        f"with residual {resid:.3e} > tol {opts.tol:.3e}",
+        best=(lam, v), residual=resid, iterations=applies)
 
 
-def _probe_for_larger(op, u, lam, tol, rng, steps):
-    """Short Lanczos sweep checking for an eigenvalue above lam.
+def _next_check(est, target, applies, last):
+    """Steps to the next Ritz-estimate check, in [1, _WAIT_MAX].
 
-    Starts from a seeded random vector orthogonalized against the
-    converged direction u. Returns a better starting vector if a Ritz
-    value exceeds lam beyond tolerance, else None.
+    Half the number of steps in which the geometric decay since the last
+    check would take the estimate to its target: a slow solve is checked
+    rarely, a fast one again on the step it is predicted to converge.
     """
-    n = u.shape[0]
-    q = rng.uniform(-1.0, 1.0, n)
-    q -= u * (u @ q)
-    nq = np.linalg.norm(q)
-    if nq <= 1e-12:
-        return None
-    q /= nq
-    V = np.empty((n, steps))
-    diag = np.empty(steps)
-    off = np.empty(max(steps - 1, 0))
-    m = 0
-    while m < steps:
-        V[:, m] = q
-        w = op.apply(q)
-        a = float(q @ w)
-        diag[m] = a
-        w -= a * q
-        if m > 0:
-            w -= off[m - 1] * V[:, m - 1]
-        w -= V[:, : m + 1] @ (V[:, : m + 1].T @ w)
-        m += 1
-        if m == steps:
-            break
-        b = np.linalg.norm(w)
-        if b <= 1e-13 * max(abs(a), 1.0):
-            break
-        off[m - 1] = b
-        q = w / b
-    theta, S = eigh_tridiagonal(diag[:m], off[: m - 1])
-    if theta[-1] > lam * (1.0 + 10.0 * tol) + 10.0 * tol:
-        return V[:, :m] @ S[:, -1]
-    return None
+    if last is None or not 0 < est < last[1]:
+        return _CHECK
+    rate = math.log(est / last[1]) / (applies - last[0])
+    return int(min(max(0.5 * math.log(target / est) / rate, 1), _WAIT_MAX))
+
+
+def _thick_restart(Q, d, e, m, keep):
+    """Cut a full basis back to its ``keep`` leading Ritz vectors, in place.
+
+    The kept Ritz vectors couple to the continuation Q[m] through
+    b = e[m-1] S[m-1, :]. Reducing the arrowhead [[0, b^T], [b, diag(theta)]]
+    to tridiagonal form, the continuation fixed, rotates them so that T is
+    tridiagonal again with only the last coupled to the continuation.
+    """
+    # all pairs: faster than a subset of half of them
+    theta, S = eigh_tridiagonal(d[:m], e[: m - 1], check_finite=False)
+    theta, S = theta[-keep:], S[:, -keep:]
+    arrow = np.diag(np.concatenate(([0.0], theta[::-1])))
+    arrow[0, 1:] = arrow[1:, 0] = e[m - 1] * S[-1, ::-1]
+    H, P = hessenberg(arrow, calc_q=True, check_finite=False)
+    # new basis row t is the reduction's vector keep - t
+    rot = S[:, ::-1] @ P[1:, :0:-1]
+    Q[:keep] = rot.T @ Q[:m]
+    Q[keep] = Q[m]
+    d[:keep] = np.diag(H)[:0:-1]
+    e[: keep - 1] = np.diag(H, -1)[:0:-1]
+    e[keep - 1] = H[1, 0]
+    return keep
 
 
 def _dense_largest(Y, X):
-    w, U = eigh(Y.dense(), X.dense())
-    lam = float(w[-1])
-    v = U[:, -1]
-    v = v / np.linalg.norm(v)
-    resid = pencil_residual(Y, X, lam, v)
-    return lam, v, 0, resid
+    n = X.n
+    w, U = eigh(Y.dense(), X.dense(), subset_by_index=[n - 1, n - 1])
+    if w.size == 0:
+        # LAPACK's bisection can miss a top eigenvalue of high multiplicity
+        # (a scalar pencil); the full decomposition cannot
+        w, U = eigh(Y.dense(), X.dense())
+    lam, v = float(w[-1]), U[:, -1] / np.linalg.norm(U[:, -1])
+    return lam, v, 0, pencil_residual(Y, X, lam, v)
+
+
+def _largest(Y, X, backend, opts, seed, start=None):
+    """lambda_max of (Y, X) on the given backend: (lam, v, iters, resid)."""
+    if backend == "dense":
+        return _dense_largest(Y, X)
+    return _lanczos_largest(Y, X, opts, seed, start)
+
+
+def _smallest(Y, X, backend, opts, seed, start=None):
+    """lambda_min of (Y, X) as 1 / lambda_max(X Y^-1): (lam, v, iters, resid).
+
+    The swapped formulation keeps lambda_min relatively accurate for
+    wide-spread pencils, where the low end of one dense decomposition only
+    has absolute accuracy on the lambda_max scale.
+    """
+    try:
+        mu, v, iters, _ = _largest(X, Y, backend, opts, seed, start)
+    except NoConvergence as exc:
+        mu, v = exc.best
+        raise NoConvergence(str(exc), best=(1.0 / mu, v), residual=exc.residual,
+                            iterations=exc.iterations) from exc
+    lam = 1.0 / mu
+    return lam, v, iters, pencil_residual(Y, X, lam, v)
+
+
+def _record(opts, iters, solves):
+    if opts.stats is not None:
+        opts.stats.iterations += iters
+        opts.stats.solves += solves
+
+
+def _one_extreme(solve, Y, X, opts):
+    opts = opts or EigenOptions()
+    _check_dims(Y, X)
+    backend = _resolve_backend(Y, X, opts)
+    lam, v, iters, resid = solve(Y, X, backend, opts, opts.seed)
+    _record(opts, iters, 1)
+    return lam, v, SolveInfo(iters, resid, backend)
 
 
 def lambda_max_pencil(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions | None = None):
@@ -288,17 +347,7 @@ def lambda_max_pencil(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions | None = No
     generalized eigenvector in the original coordinates and the residual
     in SolveInfo is the relative backward error, at most ``opts.tol``.
     """
-    opts = opts or EigenOptions()
-    _check_dims(Y, X)
-    backend = _resolve_backend(Y, X, opts)
-    if backend == "dense":
-        lam, v, iters, resid = _dense_largest(Y, X)
-    else:
-        lam, v, iters, resid = _lanczos_largest(Y, X, opts)
-    if opts.stats is not None:
-        opts.stats.iterations += iters
-        opts.stats.solves += 1
-    return lam, v, SolveInfo(iters, resid, backend)
+    return _one_extreme(_largest, Y, X, opts)
 
 
 def lambda_min_pencil(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions | None = None):
@@ -307,80 +356,30 @@ def lambda_min_pencil(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions | None = No
     Both extremes are thereby "largest" problems, where Krylov
     convergence from above is robust.
     """
-    opts = opts or EigenOptions()
-    _check_dims(Y, X)
-    backend = _resolve_backend(Y, X, opts)
-    try:
-        if backend == "dense":
-            # the swapped formulation keeps lambda_min relatively accurate
-            # for wide-spread pencils, where reading the low end of one full
-            # decomposition only has absolute accuracy on the lambda_max scale
-            mu, v, iters, _ = _dense_largest(X, Y)
-        else:
-            mu, v, iters, _ = _lanczos_largest(X, Y, opts)
-    except NoConvergence as exc:
-        if exc.best is not None:
-            mu_best, v_best = exc.best
-            raise NoConvergence(
-                str(exc),
-                best=(1.0 / mu_best, v_best),
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
-        raise
-    lam = 1.0 / mu
-    resid = pencil_residual(Y, X, lam, v)
-    if opts.stats is not None:
-        opts.stats.iterations += iters
-        opts.stats.solves += 1
-    return lam, v, SolveInfo(iters, resid, backend)
+    return _one_extreme(_smallest, Y, X, opts)
 
 
-def extreme_pair(X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None) -> PencilExtremes:
+def extreme_pair(
+    X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None, start=(None, None)
+) -> PencilExtremes:
     """(alpha, beta) = extreme eigenvalues of Y X^-1 with residual certificates.
 
     Both backends compute both extremes as largest-eigenvalue problems
     (beta from the pencil (Y, X), alpha as the reciprocal of the swapped
     pencil's maximum), so the two routes agree to rounding even on very
     wide pencils. Iterative per-solve seeds derive from ``opts.seed``.
+    ``start`` optionally gives (alpha, beta) start vectors in the original
+    coordinates, e.g. the ``vectors`` of a nearby pencil's result; the
+    dense backend ignores it.
     """
     opts = opts or EigenOptions()
     _check_dims(X, Y)
     backend = _resolve_backend(Y, X, opts)
-    if backend == "dense":
-        beta, vb, _, rb = _dense_largest(Y, X)
-        mu, va, _, _ = _dense_largest(X, Y)
-        alpha = 1.0 / mu
-        ra = pencil_residual(Y, X, alpha, va)
-        iters = (0, 0)
-        if opts.stats is not None:
-            opts.stats.solves += 2
-    else:
-        seeds = np.random.SeedSequence(opts.seed).generate_state(2)
-        opts_b = _reseed(opts, int(seeds[0]))
-        opts_a = _reseed(opts, int(seeds[1]))
-        beta, vb, it_b, rb = _lanczos_largest(Y, X, opts_b)
-        mu, va, it_a, _ = _lanczos_largest(X, Y, opts_a)
-        alpha = 1.0 / mu
-        ra = pencil_residual(Y, X, alpha, va)
-        iters = (it_a, it_b)
-        if opts.stats is not None:
-            opts.stats.iterations += it_a + it_b
-            opts.stats.solves += 2
+    seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
+    beta, vb, it_b, rb = _largest(Y, X, backend, opts, seed_b, start[1])
+    alpha, va, it_a, ra = _smallest(Y, X, backend, opts, seed_a, start[0])
+    _record(opts, it_a + it_b, 2)
     # solver noise can invert a scalar pencil's extremes by an ulp
     if alpha > beta:
         alpha = beta = (alpha + beta) / 2.0
-    return PencilExtremes(
-        alpha=alpha, beta=beta, iterations=iters, residuals=(ra, rb), backend=backend
-    )
-
-
-def _reseed(opts: EigenOptions, seed: int) -> EigenOptions:
-    return EigenOptions(
-        tol=opts.tol,
-        max_iter=opts.max_iter,
-        backend=opts.backend,
-        seed=seed,
-        dense_ceiling=opts.dense_ceiling,
-        stats=None,
-    )
+    return PencilExtremes(alpha, beta, (it_a, it_b), (ra, rb), backend, (va, vb))

@@ -92,24 +92,28 @@ def inductive_step(
     return star_geodesic(X, Yj, 1.0 / (i + 1.0), opts)
 
 
-def _derivative_sums(points, X, opts):
-    """Per-point (m_j, o_j) derivative pairs for the pencils (Y_j, X)."""
-    pairs = []
-    for Yj in points:
-        ext = extreme_pair(X, Yj, opts)
-        pairs.append(coefficient_derivatives(ext.alpha, ext.beta))
-    return pairs
+def _solve_all(points, X, opts, starts=None):
+    """extreme_pair for every pencil (Y_j, X), each optionally warm-started.
 
-
-def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
-    """Residual field E(X) and its normalized Frobenius norm.
-
-    E(X) = sum_j m_j Y_j + (sum_j o_j) X vanishes exactly at the mean;
-    the returned norm is |E|_F / (k |X|_F). The matrix comes back raw
-    (ndarray or sparse): it is a tangent-space object, not SPD.
+    ``starts`` are the ``vectors`` of a previous call at a nearby X, passed
+    explicitly so that nothing outlives one mean computation.
     """
-    opts = opts or EigenOptions()
-    pairs = _derivative_sums(points, X, opts)
+    starts = starts or [(None, None)] * len(points)
+    return [extreme_pair(X, Yj, opts, s) for Yj, s in zip(points, starts)]
+
+
+def _derivative_sums(extremes, c=1.0):
+    """Per-point (m_j, o_j) derivative pairs for the pencils (Y_j, c X).
+
+    ``extremes`` are the pencils' results at X: by homogeneity, (Y_j, c X)
+    has the extremes of (Y_j, X) divided by c, with the same eigenvectors
+    and backward errors, so no new solve is needed for c X.
+    """
+    return [coefficient_derivatives(e.alpha / c, e.beta / c) for e in extremes]
+
+
+def _residual_field(points, X, pairs):
+    """E(X) and |E|_F / (k |X|_F) from the derivative pairs at X."""
     osum = sum(o for _, o in pairs)
     if all(p.is_sparse for p in points) and X.is_sparse:
         E = osum * X.raw()
@@ -124,39 +128,61 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     return E, norm / (len(points) * X.norm_fro())
 
 
-def _hilbert_displacement(A, B, opts):
-    ext = extreme_pair(A, B, opts)
-    return math.log(ext.beta) - math.log(ext.alpha)
+def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
+    """Residual field E(X) and its normalized Frobenius norm.
+
+    E(X) = sum_j m_j Y_j + (sum_j o_j) X vanishes exactly at the mean;
+    the returned norm is |E|_F / (k |X|_F). The matrix comes back raw
+    (ndarray or sparse): it is a tangent-space object, not SPD.
+    """
+    exts = _solve_all(points, X, opts or EigenOptions())
+    return _residual_field(points, X, _derivative_sums(exts))
 
 
-def _radial_correction(points, X, opts):
-    """Scale X so the residual vanishes along its ray: c = exp((sum m + sum o)/k)."""
-    pairs = _derivative_sums(points, X, opts)
-    msum = sum(m for m, _ in pairs)
-    osum = sum(o for _, o in pairs)
-    return X.scaled(math.exp((msum + osum) / len(points)))
+def _hilbert_displacement(A, B, opts, start=(None, None)):
+    """Hilbert distance of A and B, and the pencil's eigenvectors."""
+    ext = extreme_pair(A, B, opts, start)
+    return math.log(ext.beta) - math.log(ext.alpha), ext.vectors
+
+
+def _radial_correction(points, X, opts, starts=None):
+    """Scale X so the residual vanishes along its ray: c = exp((sum m + sum o)/k).
+
+    Returns (c X, residual norm at c X); the certificate reuses the solves
+    at X.
+    """
+    exts = _solve_all(points, X, opts, starts)
+    c = math.exp(sum(m + o for m, o in _derivative_sums(exts)) / len(points))
+    Xc = X.scaled(c)
+    return Xc, _residual_field(points, Xc, _derivative_sums(exts, c))[1]
 
 
 def _fixed_point(points, start, opts, displacement_tol, max_rounds=_FP_MAX_ROUNDS):
     """Iterate F to projective convergence, then radially correct.
 
     F is scale-invariant, so progress is measured in the Hilbert
-    (projective) metric. Returns (corrected point, rounds, last
-    displacement); raises FixedPointStalled if the displacement target
-    is not met within max_rounds.
+    (projective) metric. Each round's solves start from the previous
+    round's eigenvectors. Returns (corrected point, rounds, last
+    displacement, residual norm at the corrected point); raises
+    FixedPointStalled if the displacement target is not met within
+    max_rounds.
     """
     X = start
     disp = math.inf
+    vectors, disp_vectors = None, (None, None)
     for rounds in range(1, max_rounds + 1):
-        pairs = _derivative_sums(points, X, opts)
+        exts = _solve_all(points, X, opts, vectors)
+        vectors = [e.vectors for e in exts]
+        pairs = _derivative_sums(exts)
         msum = sum(m for m, _ in pairs)
         Xn = combine([(m / msum, Yj) for (m, _), Yj in zip(pairs, points)])
-        disp = _hilbert_displacement(X, Xn, opts)
+        disp, disp_vectors = _hilbert_displacement(X, Xn, opts, disp_vectors)
         X = Xn
         if disp < displacement_tol:
-            return _radial_correction(points, X, opts), rounds, disp
+            X, rnorm = _radial_correction(points, X, opts, vectors)
+            return X, rounds, disp, rnorm
     raise FixedPointStalled(
-        best=_radial_correction(points, X, opts),
+        best=_radial_correction(points, X, opts, vectors)[0],
         displacement=disp,
         iterations=max_rounds,
     )
@@ -172,7 +198,7 @@ def fixed_point_init(points, opts: EigenOptions | None = None) -> SpdMatrix:
     its residual certifies.
     """
     opts = opts or EigenOptions()
-    X, _, _ = _fixed_point(points, arithmetic_mean(points), opts, opts.tol)
+    X, _, _, _ = _fixed_point(points, arithmetic_mean(points), opts, opts.tol)
     return X
 
 
@@ -300,16 +326,15 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
         return MeanResult(X, cycles, disp, rnorm, certified)
 
     if opts.strategy == "fixed-point":
-        X, _, disp = _fixed_point(points, start, eigen, eigen.tol)
-        _, rnorm = residual(points, X, eigen)
+        X, _, disp, rnorm = _fixed_point(points, start, eigen, eigen.tol)
         return MeanResult(X, 0, disp, rnorm, rnorm <= opts.residual_tol)
 
     # hybrid
     try:
-        X, _, disp = _fixed_point(points, start, eigen, eigen.tol)
+        X, _, disp, rnorm = _fixed_point(points, start, eigen, eigen.tol)
     except FixedPointStalled as stalled:
         X, disp = stalled.best, stalled.displacement
-    _, rnorm = residual(points, X, eigen)
+        _, rnorm = residual(points, X, eigen)
     if rnorm <= opts.residual_tol:
         return MeanResult(X, 0, disp, rnorm, True)
     scale = max(1.0, _diameter_estimate(points, eigen))

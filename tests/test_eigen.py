@@ -1,10 +1,15 @@
 """Extreme generalized eigenvalue solver against the dense oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import eigh
 
 from spdcone import (
     EigenOptions,
+    SpdMatrix,
     EigenStats,
     extreme_pair,
     lambda_max_pencil,
@@ -14,9 +19,10 @@ from spdcone import (
     random_spd,
     spectrum_dense,
 )
+from spdcone import eigen
 from spdcone.errors import DimensionMismatch, NoConvergence
 
-from conftest import spd_pair
+from conftest import sparse_pair, spd_pair
 
 
 def iter_opts(seed=0, tol=1e-10):
@@ -141,6 +147,18 @@ class TestExtremePair:
         assert e.beta == pytest.approx(3.0, rel=1e-8)
         assert max(e.residuals) <= 1e-10
 
+    def test_dense_matches_full_spectrum(self, rng):
+        for n in (5, 11, 48, 130):
+            X, Y = spd_pair(rng, n)
+            w = spectrum_dense(X, Y)
+            e = extreme_pair(X, Y, EigenOptions(backend="dense"))
+            assert e.beta == pytest.approx(w.max, rel=1e-13)
+            assert e.alpha == pytest.approx(w.min, rel=1e-13)
+            # a top eigenvalue of multiplicity n: LAPACK's index subset can
+            # come back empty here, and the full decomposition takes over
+            s = extreme_pair(X, X.scaled(2.0), EigenOptions(backend="dense"))
+            assert (s.alpha, s.beta) == (pytest.approx(2.0), pytest.approx(2.0))
+
     def test_alpha_le_beta(self, rng):
         for seed in range(5):
             X = random_spd(6, rng)
@@ -153,6 +171,8 @@ class TestExtremePair:
         e1 = extreme_pair(X, Y, iter_opts(seed=11))
         e2 = extreme_pair(X, Y, iter_opts(seed=11))
         assert e1 == e2
+        # the eigenvectors ride along but take no part in comparison
+        assert e1 == dataclasses.replace(e1, vectors=(None, None))
 
     def test_stats_accumulate(self, rng):
         stats = EigenStats()
@@ -207,3 +227,86 @@ class TestResidualDefinition:
         e = extreme_pair(X, Y, EigenOptions(seed=3, tol=1e-10))
         assert max(e.residuals) <= 1e-10
         assert e.iterations[0] > 0 and e.iterations[1] > 0
+
+
+def grid_laplacian(m):
+    T = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    I = sp.identity(m)
+    return (sp.kron(I, T) + sp.kron(T, I)).tocsr()
+
+
+def banded_toeplitz(n, coeffs, margin):
+    c = np.asarray(coeffs)
+    k = np.arange(1, len(c) + 1)
+    diagonals = [np.full(n - j, v) for j, v in zip(k, c)]
+    c0 = 2.0 * np.abs(c).sum() + margin
+    return sp.diags(diagonals * 2 + [np.full(n, c0)], list(-k) + list(k) + [0]).tocoo()
+
+
+class TestClusteredExtremes:
+    def test_grid_pencil_closed_form(self):
+        # (L + 0.1 I, L + I) on a 64 x 64 grid: both extremes sit in
+        # clusters of Laplacian eigenvalues, 1e-4 apart relative at the
+        # low end; a restart that drops the Krylov basis stalls here
+        m = 64
+        L = grid_laplacian(m)
+        I = sp.identity(m * m)
+        X, Y = SpdMatrix(L + 0.1 * I), SpdMatrix(L + I)
+        e = extreme_pair(X, Y, iter_opts())
+        s = 4.0 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+        lo, hi = 2 * s[0], 2 * s[-1]
+        assert e.beta == pytest.approx((lo + 1.0) / (lo + 0.1), rel=1e-8)
+        assert e.alpha == pytest.approx((hi + 1.0) / (hi + 0.1), rel=1e-8)
+        assert max(e.residuals) <= 1e-10
+
+    def test_banded_toeplitz_pair(self):
+        X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
+        Y = SpdMatrix(banded_toeplitz(1000, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
+        e = extreme_pair(X, Y, iter_opts())
+        w = eigh(Y.dense(), X.dense(), eigvals_only=True)
+        assert e.alpha == pytest.approx(w[0], rel=1e-8)
+        assert e.beta == pytest.approx(w[-1], rel=1e-8)
+        assert max(e.residuals) <= 1e-10
+
+
+class TestWorkAndStarts:
+    def test_iterations_count_operator_applies(self, rng, monkeypatch):
+        applies = []
+        original = eigen._WhitenedOperator.apply
+
+        def counting(self, u):
+            applies.append(1)
+            return original(self, u)
+
+        monkeypatch.setattr(eigen._WhitenedOperator, "apply", counting)
+        X, Y = sparse_pair(rng, 300, density=0.01)
+        e = extreme_pair(X, Y, iter_opts(seed=2))
+        assert sum(e.iterations) == len(applies)
+
+    def test_easy_pencil_stops_when_converged(self):
+        X = random_sparse_spd(1000, 0.003, np.random.default_rng(1))
+        Y = random_sparse_spd(1000, 0.003, np.random.default_rng(2))
+        e = extreme_pair(X, Y, iter_opts())
+        # the guard's eight applies included
+        assert max(e.iterations) <= 48
+        assert max(e.residuals) <= 1e-10
+
+    def test_warm_start_from_own_vectors(self, rng):
+        X, Y = sparse_pair(rng, 400, density=0.01)
+        cold = extreme_pair(X, Y, iter_opts(seed=3))
+        warm = extreme_pair(X, Y, iter_opts(seed=3), start=cold.vectors)
+        assert warm.alpha == pytest.approx(cold.alpha, rel=1e-10)
+        assert warm.beta == pytest.approx(cold.beta, rel=1e-10)
+        assert max(warm.residuals) <= 1e-10
+        assert max(warm.iterations) < min(cold.iterations)
+
+    def test_start_deficient_in_top_eigenspace(self, rng):
+        # the second eigenvector of the pencil is exactly X-orthogonal to
+        # the first: a Krylov space grown from it alone never sees beta
+        X, Y = sparse_pair(rng, 200, density=0.03)
+        w, V = eigh(Y.dense(), X.dense())
+        assert w[-1] > w[-2] * (1.0 + 1e-3)
+        for lo in (None, V[:, 1]):
+            e = extreme_pair(X, Y, iter_opts(seed=4), start=(lo, V[:, -2]))
+            assert e.beta == pytest.approx(w[-1], rel=1e-10)
+            assert e.alpha == pytest.approx(w[0], rel=1e-10)

@@ -186,6 +186,16 @@ class TestInductiveMean:
         _, rn_tight = residual(pts, res.mean, EigenOptions(tol=5e-11))
         assert rn_tight <= 2.0 * opts.residual_tol
 
+    def test_certificate_from_homogeneity(self, rng):
+        # the reported residual reuses the radial correction's solves at X
+        # for c X; fresh solves at the returned mean must agree
+        pts = [random_sparse_spd(150, 0.03, rng) for _ in range(4)]
+        for strategy in ("fixed-point", "hybrid"):
+            res = inductive_mean(MeanProblem(pts, opts=MeanOptions(strategy=strategy)))
+            _, fresh = residual(pts, res.mean)
+            assert res.certified and fresh <= MeanOptions().residual_tol
+            assert res.residual_norm == pytest.approx(fresh, abs=1e-10)
+
     def test_structure_preservation_toeplitz(self, rng):
         def toeplitz_spd(n):
             c = np.zeros(n)
