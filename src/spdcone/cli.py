@@ -35,13 +35,7 @@ from .metrics import (
     riemannian_distance,
     thompson_distance,
 )
-from .mmio import read_spd, write_matrix
-
-_SIG = ".16e"  # 17 significant digits
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _SIG)
+from .mmio import _fmt, read_spd, write_matrix
 
 
 class _Run:

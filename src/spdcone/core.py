@@ -4,8 +4,9 @@ An :class:`SpdMatrix` is immutable and certified positive definite at
 construction: the Cholesky factorization that performs the certification
 is cached on the instance and reused by every downstream pencil solve.
 Dense matrices are stored as full symmetric arrays (mirrored exactly from
-the lower triangle); sparse matrices are stored canonically as the lower
-triangle in sorted coordinate form plus a full CSR mirror for products.
+the lower triangle); sparse matrices as full CSR matrices with sorted
+indices, mirrored the same way, whose lower triangle is the canonical
+pattern.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, get_lapack_funcs, solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpotrs
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import (
     AsymmetricInput,
     DenseLimitExceeded,
     DimensionMismatch,
+    InvalidMatrix,
     NotPositiveDefinite,
     NumericalBreakdown,
 )
@@ -31,65 +34,86 @@ SYMMETRY_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-14
 
 
-def _as_coo(mat):
-    return sp.coo_matrix(mat)
-
-
 class CholeskyFactor:
-    """Lower-triangular factor of an SPD matrix.
+    """Certifying Cholesky factorization of an SPD matrix X.
 
     Dense: ``X = L @ L.T`` with ``perm is None``.
     Sparse: ``X[perm][:, perm] = L @ L.T`` where ``perm`` is the
-    fill-reducing permutation chosen by the factorization.
+    fill-reducing permutation chosen by the factorization, whose SuperLU
+    object is kept: :meth:`solve` reuses it, so X is factored once.
     """
 
-    def __init__(self, L, perm=None):
-        self.L = L
+    def __init__(self, L=None, perm=None, lu=None):
+        self._L = L
         self.perm = perm
-        self.is_sparse = sp.issparse(L)
-        if self.is_sparse:
-            # splu of a triangular matrix in natural order reduces to a
-            # native substitution sweep; far faster than spsolve_triangular.
-            opts = dict(SymmetricMode=True)
-            self._lsolve = splu(
-                L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts
-            )
-            self._iperm = np.argsort(perm)
+        self._lu = lu
+        self.is_sparse = lu is not None
 
     @property
-    def n(self):
-        return self.L.shape[0]
+    def L(self):
+        """The lower-triangular factor; sparse: built from the SuperLU factors
+        on each access, since no solve needs it."""
+        if self.is_sparse:
+            # U = diag(U) @ L.T up to roundoff in symmetric mode
+            return (self._lu.L @ sp.diags(np.sqrt(self._lu.U.diagonal()))).tocsc()
+        return self._L
+
+    def solve(self, b):
+        """Solve X y = b in original coordinates."""
+        if self.is_sparse:
+            return self._lu.solve(np.asarray(b, dtype=float))
+        return dpotrs(self.L, b, lower=1)[0]
 
     def solve_lower(self, b):
         """Solve L y = b (b in permuted coordinates for sparse)."""
         if self.is_sparse:
-            return self._lsolve.solve(np.asarray(b, dtype=float))
+            return spsolve_triangular(self.L.tocsr(), b, lower=True)
         return solve_triangular(self.L, b, lower=True)
 
     def solve_lower_t(self, b):
         """Solve L^T y = b (permuted coordinates for sparse)."""
         if self.is_sparse:
-            return self._lsolve.solve(np.asarray(b, dtype=float), trans="T")
+            return spsolve_triangular(self.L.T.tocsr(), b, lower=False)
         return solve_triangular(self.L, b, lower=True, trans="T")
 
-    def solve(self, b):
-        """Solve X y = b in original coordinates."""
-        if self.perm is None:
-            return self.solve_lower_t(self.solve_lower(b))
-        bp = np.asarray(b, dtype=float)[self.perm]
-        yp = self.solve_lower_t(self.solve_lower(bp))
-        y = np.empty_like(yp)
-        y[self.perm] = yp
-        return y
-
     def reconstruction_error(self, X):
-        """Relative Frobenius error of L L^T against (permuted) X."""
+        """Relative Frobenius error of L L^T against (permuted) X.
+
+        Both are divided by max |X| first, so that the squares summed in
+        the norms cannot overflow at any scale.
+        """
         if self.is_sparse:
-            Xp = X.tocsr()[self.perm][:, self.perm]
-            diff = self.L @ self.L.T - Xp
-            return sp.linalg.norm(diff) / max(sp.linalg.norm(Xp), 1e-300)
-        diff = self.L @ self.L.T - X
-        return np.linalg.norm(diff) / max(np.linalg.norm(X), 1e-300)
+            X = X.tocsr()[self.perm][:, self.perm]
+            norm, scale = sp.linalg.norm, abs(X).max()
+        else:
+            norm, scale = np.linalg.norm, np.max(np.abs(X))
+        scale = scale or 1.0
+        L = self.L
+        return norm((L @ L.T - X) / scale) / max(norm(X / scale), 1e-300)
+
+
+def _check_breakdown(f, pivots, diagonal):
+    """Raise NumericalBreakdown on a near-singular matrix.
+
+    The threshold is relative to the largest diagonal entry and never
+    subnormal. Every pivot must clear it, and so must lambda_min: a pivot
+    only bounds it from above, so a matrix indefinite below the rounding
+    of the factorization can pass every pivot. Two steps of inverse
+    iteration from a fixed vector bound lambda_min from above.
+    """
+    threshold = max(BREAKDOWN_RTOL * diagonal.max(), np.finfo(float).tiny)
+    small = np.nonzero(pivots < threshold)[0]
+    if small.size:
+        i = int(small[0])
+        raise NumericalBreakdown(i + 1, float(pivots[i]), float(threshold))
+    scale = diagonal.max()
+    x = np.cos(np.arange(diagonal.size))  # a fixed start spread over [-1, 1]
+    for _ in range(2):
+        # (X / scale)^-1 of a unit vector: in range at any scale X certifies at
+        x = f.solve(x / np.linalg.norm(x) * scale)
+        estimate = scale / np.linalg.norm(x)
+        if not estimate >= threshold:
+            raise NumericalBreakdown(-1, float(estimate), float(threshold))
 
 
 def _factor_dense(A):
@@ -100,13 +124,9 @@ def _factor_dense(A):
         raise NotPositiveDefinite(pivot_index=int(info))
     if info < 0:
         raise ValueError(f"internal LAPACK error in potrf: info={info}")
-    pivots = np.diag(L) ** 2
-    threshold = BREAKDOWN_RTOL * np.max(np.diag(A))
-    small = np.nonzero(pivots < threshold)[0]
-    if small.size:
-        i = int(small[0])
-        raise NumericalBreakdown(i + 1, float(pivots[i]), float(threshold))
-    return CholeskyFactor(L)
+    f = CholeskyFactor(L)
+    _check_breakdown(f, np.diag(L) ** 2, np.diag(A))
+    return f
 
 
 def _factor_sparse(A_csc):
@@ -126,51 +146,68 @@ def _factor_sparse(A_csc):
         )
     except RuntimeError as exc:  # exactly singular
         raise NotPositiveDefinite(pivot_index=-1, detail=str(exc)) from exc
+    # q[k] is the row and column eliminated at step k; SuperLU swaps rows
+    # only on a zero pivot, which an SPD matrix never has
+    q = np.argsort(lu.perm_c)
+    swapped = np.nonzero(np.argsort(lu.perm_r) != q)[0]
+    if swapped.size:
+        raise NotPositiveDefinite(pivot_index=int(swapped[0]) + 1, detail="zero pivot")
     pivots = lu.U.diagonal()
     bad = np.nonzero(~(pivots > 0))[0]
     if bad.size:
         raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1)
-    threshold = BREAKDOWN_RTOL * A_csc.diagonal().max()
-    small = np.nonzero(pivots < threshold)[0]
-    if small.size:
-        i = int(small[0])
-        raise NumericalBreakdown(i + 1, float(pivots[i]), float(threshold))
-    L = (lu.L @ sp.diags(np.sqrt(pivots))).tocsc()
     # scipy convention: Pr @ X @ Pc = L @ U with perm_r == perm_c here,
-    # which reads X[q][:, q] = L @ L.T for q = argsort(perm_c).
-    q = np.argsort(lu.perm_c)
-    return CholeskyFactor(L, perm=q)
+    # which reads X[q][:, q] = L @ L.T
+    f = CholeskyFactor(perm=q, lu=lu)
+    _check_breakdown(f, pivots, A_csc.diagonal())
+    return f
+
+
+def _check_entries(n, values):
+    """Reject what no SPD matrix can be: an empty matrix or a non-finite entry."""
+    if n == 0:
+        raise InvalidMatrix("empty (0 x 0)")
+    if not np.isfinite(values).all():
+        raise InvalidMatrix("non-finite entry (nan or inf)")
+
+
+def _sparse_input(matrix):
+    """Square float COO with duplicates summed and entries checked."""
+    coo = sp.coo_matrix(matrix).astype(float)
+    if coo.shape[0] != coo.shape[1]:
+        raise DimensionMismatch(coo.shape[0], coo.shape[1])
+    coo.sum_duplicates()
+    _check_entries(coo.shape[0], coo.data)
+    return coo
 
 
 class SpdMatrix:
     """Certified symmetric positive definite matrix, dense or sparse.
 
     Construction symmetrizes exactly (the lower triangle is the source of
-    truth) and runs a Cholesky factorization; failure raises
-    :class:`NotPositiveDefinite` or :class:`NumericalBreakdown` rather
-    than producing an invalid instance. Instances are immutable.
+    truth) and runs a Cholesky factorization. An empty matrix or a
+    non-finite entry raises :class:`InvalidMatrix`; a failed certification
+    raises :class:`NotPositiveDefinite` or :class:`NumericalBreakdown`
+    rather than producing an invalid instance. Instances are immutable.
     """
 
-    __slots__ = ("_full", "_lower", "_is_sparse", "_factor", "certified")
+    __slots__ = ("_full", "_is_sparse", "_factor", "certified")
 
     def __init__(self, matrix, *, _certify=True):
         if sp.issparse(matrix):
-            coo = _as_coo(matrix).astype(float)
-            if coo.shape[0] != coo.shape[1]:
-                raise DimensionMismatch(coo.shape[0], coo.shape[1])
-            coo.sum_duplicates()
+            coo = _sparse_input(matrix)
             self._check_symmetry_sparse(coo)
             lower = sp.tril(coo, format="coo")
             self._set_from_lower_sparse(lower, certify=_certify)
         else:
             A = np.asarray(matrix, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise DimensionMismatch(A.shape[0], A.shape[-1] if A.ndim else 0)
+                raise DimensionMismatch(A.shape[0] if A.ndim else 0, A.shape[-1] if A.ndim else 0)
+            _check_entries(A.shape[0], A)
             self._check_symmetry_dense(A)
             full = np.tril(A) + np.tril(A, -1).T
             full.setflags(write=False)
             self._full = full
-            self._lower = None
             self._is_sparse = False
             self._factor = None
             self.certified = False
@@ -179,15 +216,12 @@ class SpdMatrix:
 
     # -- construction helpers ------------------------------------------------
 
-    def _set_from_lower_sparse(self, lower_coo, *, certify):
-        lower = lower_coo.tocsr().tocoo()  # sorts and canonicalizes indices
+    def _set_from_lower_sparse(self, lower, *, certify):
         strict = sp.tril(lower, k=-1, format="coo")
         full = (lower + strict.T).tocsr()
         full.sort_indices()
         full.data.setflags(write=False)
-        lower.data.setflags(write=False)
         self._full = full
-        self._lower = lower
         self._is_sparse = True
         self._factor = None
         self.certified = False
@@ -197,10 +231,7 @@ class SpdMatrix:
     @classmethod
     def from_lower_sparse(cls, lower, *, _certify=True):
         """Build from a lower-triangle-only sparse matrix (no symmetry check)."""
-        coo = _as_coo(lower).astype(float)
-        if coo.shape[0] != coo.shape[1]:
-            raise DimensionMismatch(coo.shape[0], coo.shape[1])
-        coo.sum_duplicates()
+        coo = _sparse_input(lower)
         if np.any(coo.row < coo.col):
             raise AsymmetricInput(np.inf, 0.0)
         self = object.__new__(cls)
@@ -235,6 +266,9 @@ class SpdMatrix:
 
     def _certify(self):
         if self._factor is None:
+            bad = np.nonzero(~(self._full.diagonal() > 0))[0]
+            if bad.size:
+                raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1, detail="diagonal entry")
             if self._is_sparse:
                 self._factor = _factor_sparse(self._full.tocsc())
             else:
@@ -271,7 +305,8 @@ class SpdMatrix:
     def lower_pattern(self):
         """Canonical lower-triangle pattern as (rows, cols) index arrays."""
         if self._is_sparse:
-            return self._lower.row.copy(), self._lower.col.copy()
+            lower = sp.tril(self._full, format="coo")
+            return lower.row, lower.col
         r, c = np.nonzero(np.tril(self._full))
         return r, c
 
@@ -354,11 +389,7 @@ def whiten(X: SpdMatrix, Y: SpdMatrix) -> np.ndarray:
     """
     _check_dims(X, Y)
     f = X.chol()
-    if f.perm is not None:
-        q = f.perm
-        Yp = Y.raw().tocsr()[q][:, q].toarray() if Y.is_sparse else Y.dense()[np.ix_(q, q)]
-    else:
-        Yp = Y.dense()
+    Yp = Y.dense() if f.perm is None else Y.dense()[np.ix_(f.perm, f.perm)]
     Z = f.solve_lower(Yp)
     W = f.solve_lower(Z.T)
     return (W + W.T) / 2.0

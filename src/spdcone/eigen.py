@@ -6,9 +6,10 @@ Y X^-1. Two backends compute them:
 
 * ``dense``   - the top eigenpair of the generalized problem (LAPACK), the oracle.
 * ``iterative`` - thick-restart Lanczos with full reorthogonalization on
-  the whitened operator u -> L^-1 Y L^-T u, applied through two triangular
-  solves and a sparse or dense matrix-vector product per step; the pencil
-  Y X^-1 is never formed. A restart keeps the leading Ritz vectors, so a
+  the operator q -> X^-1 (Y q), self-adjoint in the X inner product,
+  applied through one product with Y, one with X and one solve with the
+  certifying factorization of X per step; the pencil Y X^-1 is never
+  formed and Y is never copied. A restart keeps the leading Ritz vectors, so a
   clustered top of the spectrum keeps its Krylov information.
 
 The smallest eigenvalue is always computed as the reciprocal of the
@@ -115,76 +116,44 @@ def pencil_residual(Y: SpdMatrix, X: SpdMatrix, lam: float, v: np.ndarray) -> fl
     return float(num / den) if den > 0 else 0.0
 
 
-class _WhitenedOperator:
-    """u -> L^-1 Y' L^-T u for X = P^T L L^T P, isospectral with Y X^-1."""
-
-    def __init__(self, Y: SpdMatrix, X: SpdMatrix):
-        f = X.chol()
-        self.f = f
-        self.n = X.n
-        if f.perm is not None:
-            q = f.perm
-            if Y.is_sparse:
-                self.Yp = Y.raw().tocsr()[q][:, q]
-            else:
-                self.Yp = Y.dense()[np.ix_(q, q)]
-            self.q = q
-        else:
-            self.Yp = Y.raw()
-            self.q = None
-
-    def apply(self, u):
-        t = self.f.solve_lower_t(u)
-        return self.f.solve_lower(self.Yp @ t)
-
-    def eigvec_to_pencil(self, u):
-        """Map a whitened-space vector to the generalized eigenvector of (Y, X)."""
-        v = self.f.solve_lower_t(u)
-        if self.q is not None:
-            w = np.empty_like(v)
-            w[self.q] = v
-            v = w
-        nv = np.linalg.norm(v)
-        return v / nv if nv > 0 else v
-
-    def pencil_to_whitened(self, v):
-        """Inverse of eigvec_to_pencil up to scale: u = L^T v[perm]."""
-        return self.f.L.T @ (v if self.q is None else np.asarray(v)[self.q])
+def _x_norm(X, q):
+    """X-norm sqrt(q . X q), clipped at zero against rounding."""
+    return math.sqrt(max(q @ X.matvec(q), 0.0))
 
 
-def _fresh(rng, B):
-    """Seeded random unit vector orthogonal to the rows of B, or None if they span."""
-    q = rng.uniform(-1.0, 1.0, B.shape[1])
-    size = np.linalg.norm(q)
-    q -= (B @ q) @ B
-    q -= (B @ q) @ B
-    nq = np.linalg.norm(q)
+def _fresh(rng, X, B):
+    """Seeded random vector of unit X-norm, X-orthogonal to the rows of B, or None if they span."""
+    q = rng.uniform(-1.0, 1.0, X.n)
+    size = _x_norm(X, q)
+    for _ in range(2):  # second pass: robust orthogonality
+        q -= (B @ X.matvec(q)) @ B
+    nq = _x_norm(X, q)
     return q / nq if nq > 1e-8 * size else None
 
 
 def _lanczos_largest(Y, X, opts, seed, start=None):
     """Thick-restart Lanczos for lambda_max(Y X^-1). Returns (lam, v, applies, resid).
 
-    The basis Q (one vector per row) and the tridiagonal T = (d, e) satisfy
-    A Q[:j].T = Q[:j].T T + e[j-1] Q[j] e_j^T at every step. A full basis
-    is cut back to its ``_KEEP`` leading Ritz vectors, rotated so that T
-    stays tridiagonal with the continuation coupled to the last one. A
-    candidate pair that passes the residual test is kept alone while
-    ``_GUARD`` steps from a seeded fresh direction look for a larger Ritz
-    value; the candidate is returned only if none shows up.
+    The operator A = X^-1 Y is self-adjoint in the X inner product. The
+    basis Q (one vector per row, Q X Q^T = I) and the tridiagonal
+    T = (d, e) satisfy A Q[:j].T = Q[:j].T T + e[j-1] Q[j] e_j^T at every
+    step, and Ritz vectors are generalized eigenvectors of (Y, X) as they
+    stand. A full basis is cut back to its ``_KEEP`` leading Ritz vectors,
+    rotated so that T stays tridiagonal with the continuation coupled to
+    the last one. A candidate pair that passes the residual test is kept
+    alone while ``_GUARD`` steps from a seeded fresh direction look for a
+    larger Ritz value; the candidate is returned only if none shows up.
     """
-    op = _WhitenedOperator(Y, X)
-    n = op.n
+    f = X.chol()
+    n = X.n
     rng = np.random.default_rng(seed)
     m = min(_BASIS, n)
     keep = min(_KEEP, m - 1)
     Q = np.empty((m + 1, n))
     d = np.empty(m)
     e = np.zeros(m)  # e[i] couples basis rows i and i + 1
-    q = None if start is None else op.pencil_to_whitened(start)
-    if q is None or not np.linalg.norm(q) > 0:
-        q = _fresh(rng, Q[:0])
-    Q[0] = q / np.linalg.norm(q)
+    nq = 0.0 if start is None else _x_norm(X, start)
+    Q[0] = start / nq if nq > 0 else _fresh(rng, X, Q[:0])
     j = 0  # basis length
     ritz_tol = opts.tol  # Ritz-estimate threshold relative to the Ritz value
     applies = 0
@@ -196,19 +165,23 @@ def _lanczos_largest(Y, X, opts, seed, start=None):
     while True:
         if j == m:
             j = _thick_restart(Q, d, e, m, keep)
-        w = op.apply(Q[j])
+        y = Y.matvec(Q[j])
+        w = f.solve(y)
         applies += 1
-        h = Q[: j + 1] @ w
+        h = Q[: j + 1] @ y  # X inner products with w = X^-1 y
         d[j] = h[j]
         scale = max(scale, abs(d[j]))
         w -= h @ Q[: j + 1]
-        w -= (Q[: j + 1] @ w) @ Q[: j + 1]  # second pass: robust orthogonality
-        b = math.sqrt(w @ w)
+        # X w afresh, not w . y - |h|^2, which cancels on near-identity
+        # pencils; the second pass only moves w by rounding, so b stays exact
+        xw = X.matvec(w)
+        w -= (Q[: j + 1] @ xw) @ Q[: j + 1]  # second pass: robust orthogonality
+        b = math.sqrt(max(w @ xw, 0.0))
         j += 1
         if b > 1e-13 * scale:
             e[j - 1], Q[j] = b, w / b
         else:  # invariant subspace: continue from a fresh direction
-            w, e[j - 1] = _fresh(rng, Q[:j]), 0.0
+            w, e[j - 1] = _fresh(rng, X, Q[:j]), 0.0
             if w is not None:
                 Q[j] = w
         exhausted = w is None
@@ -227,7 +200,7 @@ def _lanczos_largest(Y, X, opts, seed, start=None):
         est = abs(e[j - 1] * s[-1])
         if est <= ritz_tol * abs(theta) or exhausted or spent:
             u = s @ Q[:j]
-            v = op.eigvec_to_pencil(u / np.linalg.norm(u))
+            v = u / np.linalg.norm(u)
             resid = pencil_residual(Y, X, theta, v)
             if best is None or resid < best[0]:
                 best = (resid, theta, v)
@@ -236,9 +209,9 @@ def _lanczos_largest(Y, X, opts, seed, start=None):
                     return theta, v, applies, resid
                 # keep the pair alone and restart from a fresh direction
                 candidate = (theta, v, resid)
-                Q[0] = u / np.linalg.norm(u)
+                Q[0] = u / _x_norm(X, u)
                 d[0], e[0] = theta, 0.0
-                Q[1] = _fresh(rng, Q[:1])
+                Q[1] = _fresh(rng, X, Q[:1])
                 j, wait = 1, min(_GUARD, n - 1)
                 continue
             if exhausted or spent or est <= np.finfo(float).eps * abs(theta):

@@ -34,12 +34,21 @@ class AsymmetricInput(InputError):
         )
 
 
+class InvalidMatrix(InputError):
+    """Input matrix that no SPD matrix can be: empty, or with a non-finite entry."""
+
+    def __init__(self, reason):
+        super().__init__(f"invalid matrix: {reason}")
+
+
 class NotPositiveDefinite(NumericalError):
     """Cholesky certification failed: a pivot was not positive.
 
     ``pivot_index`` is the 1-based elimination step at which the failure
-    occurred (in the fill-reducing permuted order for sparse input);
-    -1 when the factorization aborted before reporting a pivot.
+    occurred (in the fill-reducing permuted order for sparse input), or
+    the 1-based index of the first nonpositive diagonal entry, which no
+    elimination order can accept; -1 when the factorization aborted
+    before reporting a pivot.
     """
 
     def __init__(self, pivot_index, detail=""):
@@ -51,13 +60,16 @@ class NotPositiveDefinite(NumericalError):
 
 
 class NumericalBreakdown(NumericalError):
-    """Cholesky pivot fell below 1e-14 * max diagonal: near-singular input."""
+    """A Cholesky pivot, or (``pivot_index`` -1) the estimated smallest
+    eigenvalue, fell below 1e-14 * max diagonal or into the subnormal
+    range: near-singular input, or too small a scale to certify."""
 
     def __init__(self, pivot_index, pivot, threshold):
         self.pivot_index = pivot_index
         self.pivot = pivot
+        what = f"pivot {pivot_index}" if pivot_index > 0 else "smallest eigenvalue at most"
         super().__init__(
-            f"near-singular matrix: pivot {pivot_index} = {pivot:.3e} "
+            f"near-singular matrix: {what} = {pivot:.3e} "
             f"below breakdown threshold {threshold:.3e}"
         )
 

@@ -16,64 +16,49 @@ from .core import SpdMatrix
 from .errors import ParseError
 
 _HEADER_PREFIX = "%%MatrixMarket"
+_VALUE = "%.16e"  # 17 significant digits
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
+    return _VALUE % float(x)
 
 
 def write_matrix(path, X: SpdMatrix) -> None:
     """Write an SPD matrix in Matrix Market format (symmetric, lower triangle)."""
-    n = X.n
-    with open(path, "w") as fh:
-        if X.is_sparse:
-            lower = X.raw().tocoo()
-            mask = lower.row >= lower.col
-            r, c, v = lower.row[mask], lower.col[mask], lower.data[mask]
-            order = np.lexsort((r, c))
-            fh.write(f"{_HEADER_PREFIX} matrix coordinate real symmetric\n")
-            fh.write(f"{n} {n} {len(v)}\n")
-            for i in order:
-                fh.write(f"{r[i] + 1} {c[i] + 1} {_fmt(v[i])}\n")
-        else:
-            A = X.dense()
-            fh.write(f"{_HEADER_PREFIX} matrix array real symmetric\n")
-            fh.write(f"{n} {n}\n")
-            for j in range(n):
-                for i in range(j, n):
-                    fh.write(f"{_fmt(A[i, j])}\n")
+    write_symmetric(path, X.raw())
 
 
 def write_symmetric(path, A) -> None:
-    """Write a plain symmetric matrix (ndarray or sparse), no SPD requirement.
+    """Write a symmetric matrix (ndarray or sparse) as its lower triangle.
 
-    Used for geodesic extrapolation outputs that may leave the cone.
+    There is no SPD requirement: geodesic extrapolation outputs may leave
+    the cone. Sparse entries are written column by column.
     """
     n = A.shape[0]
+    if sp.issparse(A):
+        lower = sp.tril(A, format="coo")
+        order = np.lexsort((lower.row, lower.col))
+        header = f"coordinate real symmetric\n{n} {n} {lower.nnz}"
+        lines = map(f"%d %d {_VALUE}\n".__mod__, zip((lower.row[order] + 1).tolist(),
+                                                     (lower.col[order] + 1).tolist(),
+                                                     lower.data[order].tolist()))
+    else:
+        j, i = np.triu_indices(n)  # the lower triangle in column-major order
+        header = f"array real symmetric\n{n} {n}"
+        lines = map(f"{_VALUE}\n".__mod__, np.asarray(A, dtype=float)[i, j].tolist())
     with open(path, "w") as fh:
-        if sp.issparse(A):
-            lower = sp.tril(A, format="coo")
-            order = np.lexsort((lower.row, lower.col))
-            fh.write(f"{_HEADER_PREFIX} matrix coordinate real symmetric\n")
-            fh.write(f"{n} {n} {lower.nnz}\n")
-            for i in order:
-                fh.write(
-                    f"{lower.row[i] + 1} {lower.col[i] + 1} {_fmt(lower.data[i])}\n"
-                )
-        else:
-            fh.write(f"{_HEADER_PREFIX} matrix array real symmetric\n")
-            fh.write(f"{n} {n}\n")
-            for j in range(n):
-                for i in range(j, n):
-                    fh.write(f"{_fmt(A[i, j])}\n")
+        fh.write(f"{_HEADER_PREFIX} matrix {header}\n")
+        fh.writelines(lines)
 
 
 def read_matrix(path):
     """Read a Matrix Market file.
 
     Returns an ndarray for array format or a COO matrix for coordinate
-    format, with symmetric/skew storage expanded to the full matrix.
-    Raises :class:`ParseError` with the offending line number.
+    format, with symmetric storage expanded to the full matrix. Raises
+    :class:`ParseError` with the offending line number, also for a
+    non-finite value and for a skew-symmetric header, since such a
+    matrix can never be positive definite.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -90,7 +75,7 @@ def read_matrix(path):
         raise ParseError(path, 1, f"unsupported format {fmt!r}")
     if field not in ("real", "integer"):
         raise ParseError(path, 1, f"unsupported field {field!r} (need real/integer)")
-    if symmetry not in ("general", "symmetric", "skew-symmetric"):
+    if symmetry not in ("general", "symmetric"):  # skew-symmetric is never SPD
         raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
     # first non-comment line after the header carries the sizes
@@ -133,13 +118,11 @@ def read_matrix(path):
             count += 1
         if count != nnz:
             raise ParseError(path, len(lines), f"declared {nnz} entries, found {count}")
+        _check_finite(path, lines, idx + 1, vals)
         A = sp.coo_matrix((vals, (rows, cols)), shape=(nrow, ncol))
         if symmetry == "symmetric":
             strict = sp.tril(A, k=-1, format="coo")
             A = (A + strict.T).tocoo()
-        elif symmetry == "skew-symmetric":
-            strict = sp.tril(A, k=-1, format="coo")
-            A = (A - strict.T).tocoo()
         return A
 
     if len(size_tokens) != 2:
@@ -169,20 +152,23 @@ def read_matrix(path):
         count += 1
     if count != expected:
         raise ParseError(path, len(lines), f"expected {expected} values, found {count}")
-    A = np.zeros((nrow, ncol))
-    pos = 0
+    _check_finite(path, lines, idx + 1, values)
     if symmetry == "general":
-        for j in range(ncol):
-            A[:, j] = values[pos:pos + nrow]
-            pos += nrow
-    else:
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        for j in range(ncol):
-            block = values[pos:pos + (nrow - j)]
-            A[j:, j] = block
-            A[j, j:] = sign * block
-            pos += nrow - j
+        return values.reshape(ncol, nrow).T.copy()
+    A = np.zeros((nrow, ncol))
+    j, i = np.triu_indices(nrow)  # the lower triangle in column-major order
+    A[i, j] = A[j, i] = values
     return A
+
+
+def _check_finite(path, lines, first, values):
+    """ParseError at the data line, from index ``first`` on, of the first nan or inf."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        data = [k for k in range(first, len(lines))
+                if lines[k].strip() and not lines[k].lstrip().startswith("%")]
+        k = data[bad[0]]
+        raise ParseError(path, k + 1, f"non-finite value in {lines[k].strip()!r}")
 
 
 def read_spd(path) -> SpdMatrix:

@@ -6,9 +6,20 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
 
-from spdcone import make_spd, random_sparse_spd, random_spd, read_spd, write_matrix
+from spdcone import (
+    make_spd,
+    random_sparse_spd,
+    random_spd,
+    read_spd,
+    write_matrix,
+    write_symmetric,
+)
 from spdcone.cli import main
+from spdcone.errors import SpdConeError
+
+from test_certification import symmetric_inputs
 
 
 @pytest.fixture
@@ -300,3 +311,20 @@ class TestManifestDeterminism:
         out1 = invoke(runner, *args).output
         out2 = invoke(runner, *args).output
         assert out1 == out2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(A=symmetric_inputs())
+def test_adversarial_files_exit_2_or_3(runner, tmp_path, A):
+    # a file that is not a certifiable SPD matrix is an input error (2) or
+    # a numerical failure (3), never a traceback (1)
+    p = tmp_path / "a.mtx"
+    write_symmetric(p, A)
+    try:
+        read_spd(p)
+        spd = True
+    except SpdConeError:
+        spd = False
+    r = runner.invoke(main, ["spectrum", str(p), str(p)])
+    assert r.exit_code in ((0,) if spd else (2, 3)), r.output

@@ -138,6 +138,14 @@ class TestWhiten:
         with pytest.raises(DimensionMismatch):
             whiten(random_spd(3, rng), random_spd(4, rng))
 
+    def test_sparse_matches_dense(self, rng):
+        from spdcone import random_sparse_spd
+
+        X, Y = random_sparse_spd(30, 0.1, rng), random_sparse_spd(30, 0.1, rng)
+        sparse = np.linalg.eigvalsh(whiten(X, Y))
+        dense = np.linalg.eigvalsh(whiten(make_spd(X.dense()), make_spd(Y.dense())))
+        np.testing.assert_allclose(sparse, dense, rtol=1e-12)
+
 
 class TestSpectrumDense:
     def test_diagonal(self):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from spdcone import (
+    CholeskyFactor,
     EigenOptions,
     SpdMatrix,
     EigenStats,
@@ -19,7 +20,6 @@ from spdcone import (
     random_spd,
     spectrum_dense,
 )
-from spdcone import eigen
 from spdcone.errors import DimensionMismatch, NoConvergence
 
 from conftest import sparse_pair, spd_pair
@@ -271,15 +271,16 @@ class TestClusteredExtremes:
 
 class TestWorkAndStarts:
     def test_iterations_count_operator_applies(self, rng, monkeypatch):
-        applies = []
-        original = eigen._WhitenedOperator.apply
-
-        def counting(self, u):
-            applies.append(1)
-            return original(self, u)
-
-        monkeypatch.setattr(eigen._WhitenedOperator, "apply", counting)
+        # each apply of q -> X^-1 (Y q) is one solve with X's factorization
         X, Y = sparse_pair(rng, 300, density=0.01)
+        applies = []
+        original = CholeskyFactor.solve
+
+        def counting(self, b):
+            applies.append(1)
+            return original(self, b)
+
+        monkeypatch.setattr(CholeskyFactor, "solve", counting)
         e = extreme_pair(X, Y, iter_opts(seed=2))
         assert sum(e.iterations) == len(applies)
 
