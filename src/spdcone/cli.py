@@ -246,6 +246,7 @@ def mean(run, files, strategy, out):
     outputs = {
         "mean_file": str(out),
         "cycles": result.cycles_used,
+        "rounds": result.rounds,
         "displacement": result.final_displacement,
         "residual": result.residual_norm,
         "certified": result.certified,

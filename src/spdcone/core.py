@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, get_lapack_funcs, solve_triangular
+from scipy.linalg import eigh, get_lapack_funcs, norm, solve_triangular
 from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import splu, spsolve_triangular
 
@@ -32,6 +32,22 @@ DEFAULT_DENSE_CEILING = 2048
 
 SYMMETRY_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-14
+
+
+def fro_norm(a):
+    """Frobenius norm of an array or sparse matrix (2-norm of a vector).
+
+    Taken in one BLAS ``nrm2`` pass, which scales as it sums, so the
+    result neither overflows nor underflows to 0 when the norm itself is
+    in range.
+    """
+    if sp.issparse(a):
+        a = a.tocsr()
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        a = a.data
+    return float(norm(np.ravel(a), check_finite=False))
 
 
 class CholeskyFactor:
@@ -79,17 +95,13 @@ class CholeskyFactor:
     def reconstruction_error(self, X):
         """Relative Frobenius error of L L^T against (permuted) X.
 
-        Both are divided by max |X| first, so that the squares summed in
-        the norms cannot overflow at any scale.
+        The norms are taken by :func:`fro_norm`, so they neither overflow
+        nor underflow at any scale.
         """
         if self.is_sparse:
             X = X.tocsr()[self.perm][:, self.perm]
-            norm, scale = sp.linalg.norm, abs(X).max()
-        else:
-            norm, scale = np.linalg.norm, np.max(np.abs(X))
-        scale = scale or 1.0
         L = self.L
-        return norm((L @ L.T - X) / scale) / max(norm(X / scale), 1e-300)
+        return fro_norm(L @ L.T - X) / fro_norm(X)
 
 
 def _check_breakdown(f, pivots, diagonal):
@@ -314,9 +326,7 @@ class SpdMatrix:
         return self._full @ v
 
     def norm_fro(self):
-        if self._is_sparse:
-            return sp.linalg.norm(self._full)
-        return float(np.linalg.norm(self._full))
+        return fro_norm(self._full)
 
     def chol(self):
         """Certifying Cholesky factor (cached)."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, hessenberg
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims
+from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, fro_norm
 from .errors import NoConvergence
 
 _BASIS = 40  # Krylov basis length that triggers a thick restart
@@ -108,12 +108,15 @@ def _resolve_backend(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions) -> str:
 
 
 def pencil_residual(Y: SpdMatrix, X: SpdMatrix, lam: float, v: np.ndarray) -> float:
-    """Relative backward-error residual of (lam, v) for the pencil (Y, X)."""
+    """Relative backward-error residual of (lam, v) for the pencil (Y, X).
+
+    The norms are scale-safe; a zero or non-finite denominator gives inf,
+    which fails every acceptance test.
+    """
     yv = Y.matvec(v)
     xv = X.matvec(v)
-    num = np.linalg.norm(yv - lam * xv)
-    den = np.linalg.norm(yv) + abs(lam) * np.linalg.norm(xv)
-    return float(num / den) if den > 0 else 0.0
+    den = fro_norm(yv) + abs(lam) * fro_norm(xv)
+    return fro_norm(yv - lam * xv) / den if 0.0 < den < math.inf else math.inf
 
 
 def _x_norm(X, q):

@@ -126,15 +126,17 @@ class DegeneratePencil(NumericalError):
 
 
 class FixedPointStalled(NumericalError):
-    """Fixed-point pre-iteration failed to settle. Carries the best iterate."""
+    """Fixed-point pre-iteration failed to settle. Carries the best iterate,
+    its residual norm and the displacement of the step into it."""
 
-    def __init__(self, best, displacement, iterations):
+    def __init__(self, best, displacement, iterations, residual):
         self.best = best
         self.displacement = displacement
         self.iterations = iterations
+        self.residual = residual
         super().__init__(
             f"fixed-point iteration stalled after {iterations} steps "
-            f"(last displacement {displacement:.3e})"
+            f"(best residual {residual:.3e})"
         )
 
 

@@ -12,14 +12,18 @@ field
 where (m_j, o_j) are the t = 0 derivatives of the geodesic coefficients
 for the pencil (Y_j, X). The raw recurrence converges like 1/p in the
 cycle count p, far too slowly to reach tight tolerances on its own, so
-the default strategy first drives a fast fixed-point map
+the default strategy first iterates the fixed-point map
 
-    F(X) = (sum_j m_j(X) Y_j) / (sum_j m_j(X))
+    F(X) = (sum_j m_j(X) Y_j) / (sum_j m_j(X)).
 
-to convergence, applies the exponential radial correction that makes the
-residual vanish on the ray of the fixed point, and only then falls back
-to certified inductive cycles if the residual certificate is not met.
-The certificate, not the displacement, is ground truth throughout.
+Every F iterate is a convex combination sum_j w_j Y_j, so F acts on the
+k weights, and Anderson mixing of the weights (Walker & Ni, SINUM 49(4),
+2011) makes it converge superlinearly. By homogeneity, each round's k
+pencil solves also give the exponential radial correction c that makes
+the residual vanish on the iterate's ray, and the residual at c X; F
+stops when that certificate is met and returns c X. Certified
+inductive cycles follow only if the certificate stays above
+``residual_tol``. The certificate is the only stopping rule of F.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import SpdMatrix, arithmetic_mean, combine
+from .core import SpdMatrix, arithmetic_mean, combine, fro_norm
 from .eigen import EigenOptions, extreme_pair
 from .errors import FixedPointStalled, NoConvergence, NonPositiveR
 from .geodesics import coefficient_derivatives, star_geodesic
@@ -64,11 +67,25 @@ class MeanProblem:
 
 @dataclass(frozen=True)
 class MeanResult:
+    """A mean with its work counts and certificate.
+
+    ``cycles_used`` counts inductive cycles and ``rounds`` F rounds (0
+    under the ``inductive`` strategy); each F round solves k pencils.
+    ``final_displacement`` is the last inductive cycle's Thompson
+    displacement, or, when F's iterate is returned, log(max_j(w'_j/w_j) /
+    min_j(w'_j/w_j)) over the weights w -> w' of the F step into it: by the
+    Loewner sandwich min(w'/w) X <= X' <= max(w'/w) X, an upper bound on
+    that step's Hilbert displacement that needs no solve.
+    ``residual_norm`` is |E|_F / (k |X|_F) at the mean and ``certified``
+    says it is at most ``residual_tol``.
+    """
+
     mean: SpdMatrix
     cycles_used: int
     final_displacement: float
     residual_norm: float
     certified: bool
+    rounds: int = 0
 
 
 def contraction_factor(R: float, t: float) -> float:
@@ -112,20 +129,18 @@ def _derivative_sums(extremes, c=1.0):
     return [coefficient_derivatives(e.alpha / c, e.beta / c) for e in extremes]
 
 
-def _residual_field(points, X, pairs):
-    """E(X) and |E|_F / (k |X|_F) from the derivative pairs at X."""
-    osum = sum(o for _, o in pairs)
+def _residual_field(points, X, pairs, c=1.0):
+    """E(c X) and |E|_F / (k |c X|_F) from the derivative pairs at c X."""
+    osum = c * sum(o for _, o in pairs)
     if all(p.is_sparse for p in points) and X.is_sparse:
         E = osum * X.raw()
         for (m, _), Yj in zip(pairs, points):
             E = E + m * Yj.raw()
-        norm = sp.linalg.norm(E)
     else:
         E = osum * X.dense()
         for (m, _), Yj in zip(pairs, points):
             E = E + m * Yj.dense()
-        norm = float(np.linalg.norm(E))
-    return E, norm / (len(points) * X.norm_fro())
+    return E, fro_norm(E) / (len(points) * c * X.norm_fro())
 
 
 def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
@@ -139,66 +154,101 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     return _residual_field(points, X, _derivative_sums(exts))
 
 
-def _hilbert_displacement(A, B, opts, start=(None, None)):
-    """Hilbert distance of A and B, and the pencil's eigenvectors."""
-    ext = extreme_pair(A, B, opts, start)
-    return math.log(ext.beta) - math.log(ext.alpha), ext.vectors
+def _anderson(ws, gs):
+    """Type-II Anderson step on the weights (Walker & Ni, SINUM 49(4), 2011).
 
-
-def _radial_correction(points, X, opts, starts=None):
-    """Scale X so the residual vanishes along its ray: c = exp((sum m + sum o)/k).
-
-    Returns (c X, residual norm at c X); the certificate reuses the solves
-    at X.
+    ``ws`` are iterate weights and ``gs`` their F weights, oldest first;
+    all lie in the open simplex. Returns ``(w, mixed)``: the weights whose
+    residual g - w the history extrapolates to zero, or the plain F
+    weights ``gs[-1]`` with ``mixed`` False when there is no history yet
+    or an extrapolated entry is not positive.
     """
-    exts = _solve_all(points, X, opts, starts)
-    c = math.exp(sum(m + o for m, o in _derivative_sums(exts)) / len(points))
-    Xc = X.scaled(c)
-    return Xc, _residual_field(points, Xc, _derivative_sums(exts, c))[1]
+    if len(ws) < 2:
+        return gs[-1], False
+    G = np.asarray(gs)
+    F = G - np.asarray(ws)
+    dF, dG = np.diff(F, axis=0), np.diff(G, axis=0)
+    gamma = np.linalg.lstsq(dF.T, F[-1], rcond=None)[0]
+    w = G[-1] - gamma @ dG
+    if np.all(w > 0):
+        return w / w.sum(), True
+    return gs[-1], False
 
 
-def _fixed_point(points, start, opts, displacement_tol, max_rounds=_FP_MAX_ROUNDS):
-    """Iterate F to projective convergence, then radially correct.
+def _fixed_point(points, init, opts, tol, max_rounds=_FP_MAX_ROUNDS):
+    """Iterate F until the radially corrected iterate certifies.
 
-    F is scale-invariant, so progress is measured in the Hilbert
-    (projective) metric. Each round's solves start from the previous
-    round's eigenvectors. Returns (corrected point, rounds, last
-    displacement, residual norm at the corrected point); raises
-    FixedPointStalled if the displacement target is not met within
-    max_rounds.
+    Every iterate after ``init`` (the arithmetic mean when None) is
+    sum_j w_j Y_j with w in the open simplex, and F maps it to the
+    weights g = m / sum m. Each round solves the k pencils (Y_j, X),
+    warm-started from the previous round's eigenvectors; by homogeneity
+    they give the scale c and the residual at c X, which stops the
+    iteration at ``tol``. Otherwise the next weights are the Anderson
+    mix of the last k weight pairs (depth k - 1, the dimension of the
+    simplex), or plain F weights with the history restarted when the mix
+    leaves the simplex; either way the iterate stays SPD by convexity and
+    inside the union pattern.
+
+    Returns (c X, rounds, displacement, residual norm at c X), where the
+    displacement bounds the Hilbert distance of the last step by the
+    Loewner sandwich: log(max_j(w'_j/w_j) / min_j(w'_j/w_j)); it is 0 if
+    no step was taken and inf if the only step left a given ``init``.
+    Raises FixedPointStalled with the best corrected iterate, its
+    residual and the displacement of the step into it, after
+    ``max_rounds`` rounds.
     """
-    X = start
-    disp = math.inf
-    vectors, disp_vectors = None, (None, None)
+    k = len(points)
+    if init is None:
+        w = np.full(k, 1.0 / k)
+        X = arithmetic_mean(points)
+    else:
+        w, X = None, init
+    ws, gs = [], []
+    vectors = None
+    disp = 0.0
+    best = (math.inf, 1.0, X, disp)
     for rounds in range(1, max_rounds + 1):
         exts = _solve_all(points, X, opts, vectors)
         vectors = [e.vectors for e in exts]
         pairs = _derivative_sums(exts)
-        msum = sum(m for m, _ in pairs)
-        Xn = combine([(m / msum, Yj) for (m, _), Yj in zip(pairs, points)])
-        disp, disp_vectors = _hilbert_displacement(X, Xn, opts, disp_vectors)
-        X = Xn
-        if disp < displacement_tol:
-            X, rnorm = _radial_correction(points, X, opts, vectors)
-            return X, rounds, disp, rnorm
+        # the radial correction: E(c X) = c (sum m) (F(X) - X)
+        c = math.exp(sum(m + o for m, o in pairs) / k)
+        rnorm = _residual_field(points, X, _derivative_sums(exts, c), c)[1]
+        if rnorm <= tol:
+            return X.scaled(c), rounds, disp, rnorm
+        if rnorm < best[0]:
+            best = (rnorm, c, X, disp)
+        m = np.array([m for m, _ in pairs])
+        g = m / m.sum()
+        if w is None:
+            w_next, disp = g, math.inf
+        else:
+            ws, gs = (ws + [w])[-k:], (gs + [g])[-k:]
+            w_next, mixed = _anderson(ws, gs)
+            if not mixed:
+                ws, gs = ws[-1:], gs[-1:]
+            ratio = w_next / w
+            disp = math.log(ratio.max() / ratio.min())
+        w = w_next
+        X = combine(list(zip(w, points)))
+    rnorm, c, X, disp = best
     raise FixedPointStalled(
-        best=_radial_correction(points, X, opts, vectors)[0],
-        displacement=disp,
-        iterations=max_rounds,
+        best=X.scaled(c), displacement=disp, iterations=max_rounds, residual=rnorm
     )
 
 
 def fixed_point_init(points, opts: EigenOptions | None = None) -> SpdMatrix:
     """Brouwer-style initialization: F-iteration from the arithmetic mean.
 
-    Iterates X <- F(X) until the Hilbert displacement drops below
+    Iterates F with Anderson mixing on the weights of the inputs until
+    the radially corrected iterate's residual certificate drops to
     ``opts.tol`` (or 200 rounds, raising FixedPointStalled with the best
-    iterate), then applies the radial correction. Serves as a warm start
-    for the inductive cycles, or as the full fixed-point strategy when
-    its residual certifies.
+    corrected iterate), and returns that corrected iterate. Serves as a
+    warm start for the inductive cycles, or as the full fixed-point
+    strategy when its residual certifies.
     """
     opts = opts or EigenOptions()
-    X, _, _, _ = _fixed_point(points, arithmetic_mean(points), opts, opts.tol)
+    X, _, _, _ = _fixed_point(points, None, opts, opts.tol)
     return X
 
 
@@ -286,9 +336,9 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     Returns
     -------
     MeanResult
-        Converged mean with cycle count, final displacement, the
-        normalized residual norm, and the ``certified`` verdict
-        (residual_norm <= residual_tol).
+        Converged mean with cycle and F-round counts, final
+        displacement, the normalized residual norm, and the
+        ``certified`` verdict (residual_norm <= residual_tol).
 
     Raises
     ------
@@ -316,9 +366,8 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
             certified=rnorm <= opts.residual_tol,
         )
 
-    start = problem.init if problem.init is not None else arithmetic_mean(points)
-
     if opts.strategy == "inductive":
+        start = problem.init if problem.init is not None else arithmetic_mean(points)
         scale = max(1.0, _diameter_estimate(points, eigen))
         X, cycles, disp, rnorm, certified = _run_cycles(
             points, start, opts, scale, check_certificate=False
@@ -326,19 +375,19 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
         return MeanResult(X, cycles, disp, rnorm, certified)
 
     if opts.strategy == "fixed-point":
-        X, _, disp, rnorm = _fixed_point(points, start, eigen, eigen.tol)
-        return MeanResult(X, 0, disp, rnorm, rnorm <= opts.residual_tol)
+        X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen, eigen.tol)
+        return MeanResult(X, 0, disp, rnorm, rnorm <= opts.residual_tol, rounds)
 
     # hybrid
     try:
-        X, _, disp, rnorm = _fixed_point(points, start, eigen, eigen.tol)
+        X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen, eigen.tol)
     except FixedPointStalled as stalled:
-        X, disp = stalled.best, stalled.displacement
-        _, rnorm = residual(points, X, eigen)
+        X, rounds = stalled.best, stalled.iterations
+        disp, rnorm = stalled.displacement, stalled.residual
     if rnorm <= opts.residual_tol:
-        return MeanResult(X, 0, disp, rnorm, True)
+        return MeanResult(X, 0, disp, rnorm, True, rounds)
     scale = max(1.0, _diameter_estimate(points, eigen))
     X, cycles, disp, rnorm, certified = _run_cycles(
         points, X, opts, scale, check_certificate=True
     )
-    return MeanResult(X, cycles, disp, rnorm, certified)
+    return MeanResult(X, cycles, disp, rnorm, certified, rounds)

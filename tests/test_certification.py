@@ -8,10 +8,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spdcone.core
-from spdcone import EigenOptions, SpdMatrix, extreme_pair, random_sparse_spd
+from spdcone import (
+    EigenOptions,
+    MeanProblem,
+    SpdMatrix,
+    extreme_pair,
+    inductive_mean,
+    random_sparse_spd,
+    random_spd,
+)
 from spdcone.errors import InvalidMatrix, NotPositiveDefinite, NumericalBreakdown, SpdConeError
 
-from conftest import sparse_pair
+from conftest import sparse_pair, spd_pair
 
 
 def _sparse(A):
@@ -87,14 +95,46 @@ class TestOneFactorization:
         assert max(e.residuals) <= 1e-10
 
     def test_near_identity_pencil(self, rng):
-        # the displacement pencil late in a mean: every eigenvalue within
-        # 1e-8 of one, so b = |w|_X is far below |h|
+        # every eigenvalue within 1e-8 of one, so b = |w|_X is far below |h|
         for X, E in [sparse_pair(rng, 300, density=0.02),
                      (random_sparse_spd(50, 1.0, rng), random_sparse_spd(50, 1.0, rng))]:
             Y = SpdMatrix(X.raw() + 1e-9 * E.raw())
             e = extreme_pair(X, Y, EigenOptions(backend="iterative", seed=2, tol=1e-10))
             assert max(e.residuals) <= 1e-10
             assert 1.0 <= e.alpha <= e.beta <= 1.0 + 1e-8
+
+
+class TestScaleSafeCertificates:
+    """Residual certificates of certified inputs at any representable scale."""
+
+    @pytest.mark.parametrize("backend", ["dense", "iterative"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+    def test_pair_residuals_scale_free(self, rng, backend, scale):
+        X, Y = spd_pair(rng, 6)
+        opts = EigenOptions(backend=backend)
+        ref = extreme_pair(X, Y, opts)
+        e = extreme_pair(SpdMatrix(X.raw() * scale), SpdMatrix(Y.raw() * scale), opts)
+        # an underflowed denominator once read as a zero residual
+        assert 0.0 < min(e.residuals) and max(e.residuals) <= opts.tol
+        np.testing.assert_allclose(e.residuals, ref.residuals, rtol=0, atol=1e-15)
+        assert (e.alpha, e.beta) == pytest.approx((ref.alpha, ref.beta), rel=1e-13)
+
+    @pytest.mark.parametrize("backend", ["dense", "iterative"])
+    def test_huge_textbook_pencil(self, backend):
+        A = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]) * 1e300)
+        e = extreme_pair(A, A, EigenOptions(backend=backend))
+        assert 0.0 < min(e.residuals) and max(e.residuals) <= 1e-10
+        assert (e.alpha, e.beta) == pytest.approx((1.0, 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_mean_of_scaled_family(self, rng, scale):
+        pts = [random_spd(6, rng) for _ in range(3)]
+        ref = inductive_mean(MeanProblem(pts))
+        res = inductive_mean(MeanProblem([SpdMatrix(p.raw() * scale) for p in pts]))
+        assert res.certified and ref.certified
+        assert res.residual_norm == pytest.approx(ref.residual_norm, rel=0, abs=1e-14)
+        M, M1 = res.mean.dense() / scale, ref.mean.dense()
+        assert np.linalg.norm(M - M1) <= 1e-12 * np.linalg.norm(M1)
 
 
 def _exact_lambda_min(A):

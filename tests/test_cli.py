@@ -189,6 +189,7 @@ class TestMeanCommand:
         # manifest written next to the output file
         m = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
         assert m["outputs"]["residual"] <= 1e-8
+        assert m["outputs"]["rounds"] >= 1
 
 
 class TestSpectrumCommand:

@@ -25,7 +25,9 @@ from spdcone import (
     star_geodesic,
     thompson_distance,
 )
+import spdcone.mean
 from spdcone.errors import NonPositiveR
+from spdcone.mean import _anderson
 
 from conftest import spd_pair
 
@@ -166,6 +168,8 @@ class TestInductiveMean:
         h = inductive_mean(MeanProblem(pts, opts=MeanOptions(strategy="hybrid")))
         f = inductive_mean(MeanProblem(pts, opts=MeanOptions(strategy="fixed-point")))
         assert thompson_distance(h.mean, f.mean) <= 1e-8
+        assert h.rounds == f.rounds > 0
+        assert 0.0 <= f.final_displacement < math.inf
         i = inductive_mean(
             MeanProblem(pts, opts=MeanOptions(strategy="inductive", tol=1e-4, max_cycles=50_000))
         )
@@ -173,6 +177,7 @@ class TestInductiveMean:
         # is coarse but the certificate reports that honestly
         assert thompson_distance(h.mean, i.mean) <= 0.1
         assert i.residual_norm < 0.1
+        assert i.rounds == 0
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
@@ -239,6 +244,58 @@ class TestInductiveMean:
             assert dh_after <= factor * dh_before + 1e-6
 
 
+class TestFixedPointRounds:
+    @pytest.mark.parametrize("family, max_rounds", [("random sparse", 9), ("dense", 7)])
+    def test_rounds_solve_only_input_pencils(self, family, max_rounds, monkeypatch):
+        # the certificate at c X comes from the round's own k solves, so
+        # no other pencil is ever solved; Anderson mixing keeps rounds few
+        rng = np.random.default_rng(0)
+        if family == "dense":
+            pts = [random_spd(48, rng) for _ in range(3)]
+        else:
+            pts = [random_sparse_spd(100, 0.03, rng) for _ in range(5)]
+        seen = []
+        solve = spdcone.mean.extreme_pair
+
+        def spy(X, Y, *args):
+            seen.append(Y)
+            return solve(X, Y, *args)
+
+        monkeypatch.setattr(spdcone.mean, "extreme_pair", spy)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and res.cycles_used == 0
+        assert all(any(Y is p for p in pts) for Y in seen)
+        assert len(seen) == len(pts) * res.rounds
+        assert res.rounds <= max_rounds
+
+
+class TestAnderson:
+    def test_extrapolation_outside_simplex_gives_plain_weights(self):
+        ws = [np.array([0.5, 0.5]), np.array([0.4, 0.6])]
+        gs = [np.array([0.4, 0.6]), np.array([0.31, 0.69])]
+        # the secant through these residuals extrapolates to (-0.5, 1.5)
+        w, mixed = _anderson(ws, gs)
+        assert not mixed and w is gs[-1]
+
+    def test_affine_map_solved_from_k_iterates(self):
+        # depth k - 1 spans the simplex: k iterates of an affine F whose
+        # fixed point p is interior determine p
+        k = 3
+        p = np.array([0.2, 0.3, 0.5])
+        C = np.random.default_rng(1).uniform(-0.3, 0.3, (k, k))
+        B = (np.eye(k) - 1.0 / k) @ C  # columns sum to zero: F keeps sum w = 1
+
+        def F(w):
+            return p + B @ (w - p)
+
+        ws = [np.full(k, 1.0 / k)]
+        for _ in range(k - 1):
+            ws.append(F(ws[-1]))
+        w, mixed = _anderson(ws, [F(x) for x in ws])
+        assert mixed
+        np.testing.assert_allclose(w, p, rtol=0, atol=1e-12)
+
+
 class TestFailurePayloads:
     def test_no_convergence_carries_best_iterate(self, rng):
         from spdcone.errors import NoConvergence
@@ -254,7 +311,7 @@ class TestFailurePayloads:
         from spdcone.errors import FixedPointStalled
 
         pts = points(rng, 3, 5)
-        # an unattainable displacement target forces a stall after 200 rounds
+        # an unattainable residual target forces a stall after 200 rounds
         with pytest.raises(FixedPointStalled) as exc:
             fixed_point_init(pts, EigenOptions(tol=1e-30))
         assert isinstance(exc.value.best, SpdMatrix)
@@ -263,8 +320,28 @@ class TestFailurePayloads:
         _, rn = residual(pts, exc.value.best)
         assert rn <= 1e-8
 
+    def test_stalled_payload_carries_its_residual(self, rng):
+        from spdcone.errors import FixedPointStalled
+
+        pts = points(rng, 3, 5)
+        with pytest.raises(FixedPointStalled) as exc:
+            fixed_point_init(pts, EigenOptions(tol=1e-30))
+        _, rn = residual(pts, exc.value.best)
+        assert exc.value.residual == pytest.approx(rn, abs=1e-12)
+
+    def test_stalled_displacement_belongs_to_best(self, rng):
+        from spdcone.errors import FixedPointStalled
+        from spdcone.mean import _fixed_point
+
+        # one round: the best is the arithmetic-mean start, reached by no
+        # step, although a step was taken after it
+        pts = points(rng, 3, 5)
+        with pytest.raises(FixedPointStalled) as exc:
+            _fixed_point(pts, None, EigenOptions(), 1e-30, max_rounds=1)
+        assert exc.value.displacement == 0.0
+
     def test_hybrid_recovers_from_stall(self, rng):
-        # displacement target 1e-30 is unattainable, so the warm start
+        # residual target 1e-30 is unattainable, so the warm start
         # stalls; hybrid must still certify through the residual
         pts = points(rng, 3, 5)
         opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
