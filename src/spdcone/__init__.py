@@ -42,7 +42,6 @@ from .mean import (
     MeanProblem,
     MeanResult,
     contraction_factor,
-    fixed_point_init,
     inductive_mean,
     inductive_step,
     residual,
@@ -81,7 +80,6 @@ __all__ = [
     "diamond_geodesic",
     "errors",
     "extreme_pair",
-    "fixed_point_init",
     "geodesic_coefficients",
     "hilbert_distance",
     "inductive_mean",

@@ -26,7 +26,13 @@ from .core import (
     spectrum_dense,
 )
 from .eigen import EigenOptions, EigenStats, extreme_pair
-from .errors import InputError, NotPositiveDefinite, NumericalError, SpdConeError
+from .errors import (
+    InputError,
+    NotPositiveDefinite,
+    NumericalError,
+    SpdConeError,
+    require_positive_finite,
+)
 from .geodesics import diamond_geodesic, riemannian_geodesic, star_geodesic
 from .mean import MeanOptions, MeanProblem, inductive_mean
 from .metrics import (
@@ -41,14 +47,14 @@ from .mmio import _fmt, read_spd, write_matrix
 class _Run:
     """Shared per-invocation state: options, stats, manifest assembly."""
 
-    def __init__(self, tol, residual_tol, max_cycles, backend, seed,
+    def __init__(self, tol, residual_tol, backend, seed,
                  as_json, allow_extrapolation, dense_ceiling):
+        require_positive_finite("residual_tol", residual_tol)
         self.stats = EigenStats()
         self.seed = seed
         self.as_json = as_json
         self.allow_extrapolation = allow_extrapolation
         self.residual_tol = residual_tol
-        self.max_cycles = max_cycles
         self.eigen = EigenOptions(
             tol=tol,
             backend=backend,
@@ -56,21 +62,20 @@ class _Run:
             dense_ceiling=dense_ceiling,
             stats=self.stats,
         )
-        self.mean_opts_base = dict(
-            tol=tol, residual_tol=residual_tol, max_cycles=max_cycles
-        )
         self.t0 = time.perf_counter()
 
     def options_dict(self):
         return {
             "tol": self.eigen.tol,
             "residual_tol": self.residual_tol,
-            "max_cycles": self.max_cycles,
             "backend": self.eigen.backend,
             "seed": self.seed,
             "dense_ceiling": self.eigen.dense_ceiling,
             "allow_extrapolation": self.allow_extrapolation,
         }
+
+    def mean_options(self):
+        return MeanOptions(residual_tol=self.residual_tol, eigen=self.eigen)
 
     def manifest(self, command, inputs, outputs, extra_options=None):
         options = self.options_dict()
@@ -126,8 +131,6 @@ def _guard(fn):
               help="Eigensolver relative residual target.")
 @click.option("--residual-tol", type=float, default=1e-8, show_default=True,
               help="Mean residual certificate threshold.")
-@click.option("--max-cycles", type=int, default=10 ** 6, show_default=True,
-              help="Cap on inductive mean cycles.")
 @click.option("--backend", type=click.Choice(["auto", "dense", "iterative"]),
               default="auto", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -138,14 +141,15 @@ def _guard(fn):
 @click.option("--dense-ceiling", type=int, default=DEFAULT_DENSE_CEILING,
               show_default=True, help="Largest n for dense-spectrum operations.")
 @click.pass_context
-def main(ctx, tol, residual_tol, max_cycles, backend, seed, as_json,
+@_guard
+def main(ctx, tol, residual_tol, backend, seed, as_json,
          allow_extrapolation, dense_ceiling):
     """Thompson/Hilbert geometry of SPD matrices from extreme eigenvalues.
 
     Options can also be set through SPDCONE_* environment variables
     (flags win over the environment).
     """
-    ctx.obj = _Run(tol, residual_tol, max_cycles, backend, seed, as_json,
+    ctx.obj = _Run(tol, residual_tol, backend, seed, as_json,
                    allow_extrapolation, dense_ceiling)
 
 
@@ -232,26 +236,23 @@ def geodesic(run, file_x, file_y, family, ts, outdir):
 @main.command()
 @click.argument("files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--strategy", type=click.Choice(["inductive", "fixed-point", "hybrid"]),
-              default="hybrid", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.pass_obj
 @_guard
-def mean(run, files, strategy, out):
+def mean(run, files, out):
     """Inductive Thompson mean of one or more SPD matrices."""
+    opts = run.mean_options()
     points = [_load(f) for f in files]
-    opts = MeanOptions(eigen=run.eigen, strategy=strategy, **run.mean_opts_base)
     result = inductive_mean(MeanProblem(points, opts=opts))
     write_matrix(out, result.mean)
     outputs = {
         "mean_file": str(out),
-        "cycles": result.cycles_used,
         "rounds": result.rounds,
         "displacement": result.final_displacement,
         "residual": result.residual_norm,
         "certified": result.certified,
     }
-    manifest = run.manifest("mean", list(files), outputs, {"strategy": strategy})
+    manifest = run.manifest("mean", list(files), outputs)
     outputs_with_time = dict(outputs, wall_time_ms=manifest["wall_time_ms"])
     with open(str(out) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -351,7 +352,7 @@ def bench(run, suite, sizes, density, n_points):
             for _ in range(n_points):
                 pts.append(_bench_pair(n, density, rng)[0])
             row["nnz_inputs"] = max(p.nnz for p in pts)
-            opts = MeanOptions(eigen=run.eigen, strategy="hybrid", **run.mean_opts_base)
+            opts = run.mean_options()
             result, ms = _timed(lambda: inductive_mean(MeanProblem(pts, opts=opts)))
             row.update(mean_ms=ms, residual=result.residual_norm,
                        certified=result.certified, mean_nnz=result.mean.nnz,

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, hessenberg
 
 from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, fro_norm
-from .errors import NoConvergence
+from .errors import InvalidOption, NoConvergence, require_positive_finite
 
 _BASIS = 40  # Krylov basis length that triggers a thick restart
 _KEEP = 20  # leading Ritz vectors kept across a restart
@@ -59,12 +59,11 @@ class EigenOptions:
     stats: EigenStats | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        require_positive_finite("tol", self.tol)
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise InvalidOption("max_iter", self.max_iter, "must be at least 1")
         if self.backend not in ("auto", "dense", "iterative"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+            raise InvalidOption("backend", self.backend, "is not auto, dense or iterative")
 
 
 @dataclass(frozen=True)

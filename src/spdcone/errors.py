@@ -5,6 +5,8 @@ Input problems (bad files, shapes, parameters) and numerical failures
 the CLI can map them to distinct exit codes.
 """
 
+import math
+
 
 class SpdConeError(Exception):
     """Base class for all spdcone errors."""
@@ -16,6 +18,21 @@ class InputError(SpdConeError):
 
 class NumericalError(SpdConeError):
     """Numerically meaningful failure on valid input."""
+
+
+class InvalidOption(InputError, ValueError):
+    """An option value outside its domain, rejected where it is set."""
+
+    def __init__(self, name, value, requirement):
+        self.name = name
+        self.value = value
+        super().__init__(f"option {name} = {value!r} {requirement}")
+
+
+def require_positive_finite(name, value):
+    """Raise InvalidOption unless 0 < value < inf; nan fails that test too."""
+    if not 0.0 < value < math.inf:
+        raise InvalidOption(name, value, "must be finite and positive")
 
 
 class DimensionMismatch(InputError):
@@ -126,7 +143,7 @@ class DegeneratePencil(NumericalError):
 
 
 class FixedPointStalled(NumericalError):
-    """Fixed-point pre-iteration failed to settle. Carries the best iterate,
+    """The mean's F iteration did not certify. Carries the best iterate,
     its residual norm and the displacement of the step into it."""
 
     def __init__(self, best, displacement, iterations, residual):

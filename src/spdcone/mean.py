@@ -2,17 +2,18 @@
 
 The mean of (Y_1, ..., Y_k) is the limit of the harmonic-step recurrence
 
-    X_{i+1} = X_i *_{1/(i+1)} Y_j,    j cycling through 1..k,
+    X_{i+1} = X_i *_{1/(i+1)} Y_j,    j cycling through 1..k.
 
-and is equivalently characterized as the unique SPD root of the residual
-field
+The limit exists and is unique, so it is the unique SPD root of the
+residual field
 
     E(X) = sum_j m_j(X) Y_j + (sum_j o_j(X)) X,
 
 where (m_j, o_j) are the t = 0 derivatives of the geodesic coefficients
-for the pencil (Y_j, X). The raw recurrence converges like 1/p in the
-cycle count p, far too slowly to reach tight tolerances on its own, so
-the default strategy first iterates the fixed-point map
+for the pencil (Y_j, X). The recurrence (``inductive_step``) converges
+like 1/p in the cycle count p, far too slowly to reach tight
+tolerances, so ``inductive_mean`` finds that root with the fixed-point
+map
 
     F(X) = (sum_j m_j(X) Y_j) / (sum_j m_j(X)).
 
@@ -21,9 +22,8 @@ k weights, and Anderson mixing of the weights (Walker & Ni, SINUM 49(4),
 2011) makes it converge superlinearly. By homogeneity, each round's k
 pencil solves also give the exponential radial correction c that makes
 the residual vanish on the iterate's ray, and the residual at c X; F
-stops when that certificate is met and returns c X. Certified
-inductive cycles follow only if the certificate stays above
-``residual_tol``. The certificate is the only stopping rule of F.
+stops when that certificate is met and returns c X. The certificate is
+the only stopping rule.
 """
 
 from __future__ import annotations
@@ -35,27 +35,33 @@ import numpy as np
 
 from .core import SpdMatrix, arithmetic_mean, combine, fro_norm
 from .eigen import EigenOptions, extreme_pair
-from .errors import FixedPointStalled, NoConvergence, NonPositiveR
+from .errors import FixedPointStalled, InvalidOption, NonPositiveR, require_positive_finite
 from .geodesics import coefficient_derivatives, star_geodesic
-from .metrics import thompson_distance
 
 _FP_MAX_ROUNDS = 200
-_PROGRESS_WINDOW = 10_000  # cycles between displacement progress checks
 
 
 @dataclass
 class MeanOptions:
-    tol: float = 1e-10            # per-cycle Thompson displacement target
-    residual_tol: float = 1e-8    # certificate threshold on |E|_F / (k |X|_F)
-    max_cycles: int = 10 ** 6
+    """Options of ``inductive_mean``.
+
+    ``residual_tol`` is the certificate threshold on |E|_F / (k |X|_F).
+    F stops when its certificate is at most ``eigen.tol``, the pencil
+    solves' residual target, so ``residual_tol`` may not be below it: a
+    residual computed from solves at ``eigen.tol`` cannot vouch for less.
+    """
+
+    residual_tol: float = 1e-8
     eigen: EigenOptions = field(default_factory=EigenOptions)
-    strategy: str = "hybrid"      # inductive | fixed-point | hybrid
 
     def __post_init__(self):
-        if self.tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.strategy not in ("inductive", "fixed-point", "hybrid"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        require_positive_finite("residual_tol", self.residual_tol)
+        if self.residual_tol < self.eigen.tol:
+            raise InvalidOption(
+                "residual_tol", self.residual_tol,
+                f"is below the eigensolver tol {self.eigen.tol!r}, "
+                "which bounds what the certificate can vouch for",
+            )
 
 
 @dataclass
@@ -69,15 +75,15 @@ class MeanProblem:
 class MeanResult:
     """A mean with its work counts and certificate.
 
-    ``cycles_used`` counts inductive cycles and ``rounds`` F rounds (0
-    under the ``inductive`` strategy); each F round solves k pencils.
-    ``final_displacement`` is the last inductive cycle's Thompson
-    displacement, or, when F's iterate is returned, log(max_j(w'_j/w_j) /
-    min_j(w'_j/w_j)) over the weights w -> w' of the F step into it: by the
-    Loewner sandwich min(w'/w) X <= X' <= max(w'/w) X, an upper bound on
-    that step's Hilbert displacement that needs no solve.
-    ``residual_norm`` is |E|_F / (k |X|_F) at the mean and ``certified``
-    says it is at most ``residual_tol``.
+    ``rounds`` counts F rounds; each solves k pencils. ``cycles_used`` is
+    always 0: no inductive cycle runs, and the field stays for readers
+    that count cycles. ``final_displacement`` is log(max_j(w'_j/w_j) /
+    min_j(w'_j/w_j)) over the weights w -> w' of the F step into the
+    returned mean: by the Loewner sandwich min(w'/w) X <= X' <= max(w'/w) X,
+    an upper bound on that step's Hilbert displacement that needs no
+    solve. ``residual_norm`` is |E|_F / (k |X|_F) at the mean and
+    ``certified`` says it is at most ``residual_tol``; ``inductive_mean``
+    returns a mean of two or more points only when it is.
     """
 
     mean: SpdMatrix
@@ -175,7 +181,7 @@ def _anderson(ws, gs):
     return gs[-1], False
 
 
-def _fixed_point(points, init, opts, tol, max_rounds=_FP_MAX_ROUNDS):
+def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     """Iterate F until the radially corrected iterate certifies.
 
     Every iterate after ``init`` (the arithmetic mean when None) is
@@ -183,7 +189,7 @@ def _fixed_point(points, init, opts, tol, max_rounds=_FP_MAX_ROUNDS):
     weights g = m / sum m. Each round solves the k pencils (Y_j, X),
     warm-started from the previous round's eigenvectors; by homogeneity
     they give the scale c and the residual at c X, which stops the
-    iteration at ``tol``. Otherwise the next weights are the Anderson
+    iteration at ``opts.tol``. Otherwise the next weights are the Anderson
     mix of the last k weight pairs (depth k - 1, the dimension of the
     simplex), or plain F weights with the history restarted when the mix
     leaves the simplex; either way the iterate stays SPD by convexity and
@@ -214,7 +220,7 @@ def _fixed_point(points, init, opts, tol, max_rounds=_FP_MAX_ROUNDS):
         # the radial correction: E(c X) = c (sum m) (F(X) - X)
         c = math.exp(sum(m + o for m, o in pairs) / k)
         rnorm = _residual_field(points, X, _derivative_sums(exts, c), c)[1]
-        if rnorm <= tol:
+        if rnorm <= opts.tol:
             return X.scaled(c), rounds, disp, rnorm
         if rnorm < best[0]:
             best = (rnorm, c, X, disp)
@@ -237,126 +243,43 @@ def _fixed_point(points, init, opts, tol, max_rounds=_FP_MAX_ROUNDS):
     )
 
 
-def fixed_point_init(points, opts: EigenOptions | None = None) -> SpdMatrix:
-    """Brouwer-style initialization: F-iteration from the arithmetic mean.
-
-    Iterates F with Anderson mixing on the weights of the inputs until
-    the radially corrected iterate's residual certificate drops to
-    ``opts.tol`` (or 200 rounds, raising FixedPointStalled with the best
-    corrected iterate), and returns that corrected iterate. Serves as a
-    warm start for the inductive cycles, or as the full fixed-point
-    strategy when its residual certifies.
-    """
-    opts = opts or EigenOptions()
-    X, _, _, _ = _fixed_point(points, None, opts, opts.tol)
-    return X
-
-
-def _diameter_estimate(points, opts):
-    """Thompson-diameter estimate of the inputs (exact pairwise for small k)."""
-    k = len(points)
-    if k <= 1:
-        return 0.0
-    if k <= 12:
-        return max(
-            thompson_distance(points[a], points[b], opts)
-            for a in range(k)
-            for b in range(a + 1, k)
-        )
-    reach = max(thompson_distance(points[0], p, opts) for p in points[1:])
-    return 2.0 * reach
-
-
-def _run_cycles(points, X, opts: MeanOptions, scale, check_certificate):
-    """Inductive cycles with displacement, certificate, and progress rules.
-
-    Returns (X, cycles_used, displacement, residual_norm, certified).
-    """
-    k = len(points)
-    eigen = opts.eigen
-    i = 1
-    displacement = math.inf
-    window_best = math.inf
-    rnorm = math.inf
-    for p in range(opts.max_cycles):
-        X_prev = X
-        for j in range(k):
-            X = star_geodesic(X, points[j], 1.0 / (i + 1.0), eigen)
-            i += 1
-        displacement = thompson_distance(X_prev, X, eigen)
-        if check_certificate:
-            _, rnorm = residual(points, X, eigen)
-            if rnorm <= opts.residual_tol:
-                return X, p + 1, displacement, rnorm, True
-        if displacement <= opts.tol * scale:
-            _, rnorm = residual(points, X, eigen)
-            return X, p + 1, displacement, rnorm, rnorm <= opts.residual_tol
-        # harmonic steps shrink like 1/i; if the displacement has stopped
-        # halving across a long window, the certificate decides
-        window_best = min(window_best, displacement)
-        if (p + 1) % _PROGRESS_WINDOW == 0:
-            _, rnorm = residual(points, X, eigen)
-            if displacement > 0.5 * window_best and rnorm <= 10.0 * opts.residual_tol:
-                return X, p + 1, displacement, rnorm, rnorm <= opts.residual_tol
-            window_best = math.inf
-    _, rnorm = residual(points, X, eigen)
-    if rnorm <= opts.residual_tol:
-        return X, opts.max_cycles, displacement, rnorm, True
-    raise NoConvergence(
-        f"inductive mean hit max_cycles={opts.max_cycles} with cycle "
-        f"displacement {displacement:.3e} and residual {rnorm:.3e}",
-        best=X,
-        residual=rnorm,
-        iterations=opts.max_cycles,
-    )
-
-
 def inductive_mean(problem: MeanProblem) -> MeanResult:
     """Inductive Thompson mean of the problem's points.
 
-    Strategies:
-
-    * ``inductive``   - the plain harmonic-step recurrence with the
-      per-cycle displacement stopping rule; honest but slow near tight
-      tolerances.
-    * ``fixed-point`` - the F-map iteration with radial correction.
-    * ``hybrid`` (default) - fixed-point warm start, accepted if the
-      residual certificate holds, otherwise refined by certified
-      inductive cycles.
-
-    Any initialization converges to the same limit; ``problem.init``
-    defaults to the arithmetic mean of the points.
+    Iterates F with Anderson mixing from ``problem.init`` (the arithmetic
+    mean of the points when None; any initialization converges to the
+    same limit) until the radially corrected iterate's residual is at
+    most ``eigen.tol``. If F stalls, its best iterate is returned when
+    that residual is at most ``residual_tol``.
 
     Parameters
     ----------
     problem : MeanProblem
         Points (k >= 1, equal dimensions), optional initialization, and
-        MeanOptions (tolerances, cycle cap, eigensolver options, strategy).
+        MeanOptions (certificate threshold, eigensolver options).
 
     Returns
     -------
     MeanResult
-        Converged mean with cycle and F-round counts, final
-        displacement, the normalized residual norm, and the
+        The certified mean with its F-round count, the displacement of
+        the step into it, the normalized residual norm, and the
         ``certified`` verdict (residual_norm <= residual_tol).
 
     Raises
     ------
-    NoConvergence
-        Cycle cap reached with the stopping rules unmet; the payload
-        carries the last iterate, displacement, and residual.
     FixedPointStalled
-        Only under ``strategy="fixed-point"`` when the F-iteration fails
-        to settle; the payload carries the radially corrected best iterate.
+        F did not certify within 200 rounds and its best iterate does not
+        meet ``residual_tol``; the payload carries that radially
+        corrected iterate, its residual and displacement. A pencil
+        solve's own failure propagates unchanged.
     """
     points = list(problem.points)
     if not points:
         raise ValueError("mean of an empty family is undefined")
     opts = problem.opts
     eigen = opts.eigen
-    k = len(points)
 
-    if k == 1:
+    if len(points) == 1:
         _, rnorm = residual(points, points[0], eigen)
         return MeanResult(
             mean=points[0],
@@ -366,28 +289,11 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
             certified=rnorm <= opts.residual_tol,
         )
 
-    if opts.strategy == "inductive":
-        start = problem.init if problem.init is not None else arithmetic_mean(points)
-        scale = max(1.0, _diameter_estimate(points, eigen))
-        X, cycles, disp, rnorm, certified = _run_cycles(
-            points, start, opts, scale, check_certificate=False
-        )
-        return MeanResult(X, cycles, disp, rnorm, certified)
-
-    if opts.strategy == "fixed-point":
-        X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen, eigen.tol)
-        return MeanResult(X, 0, disp, rnorm, rnorm <= opts.residual_tol, rounds)
-
-    # hybrid
     try:
-        X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen, eigen.tol)
+        X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
     except FixedPointStalled as stalled:
+        if not stalled.residual <= opts.residual_tol:
+            raise
         X, rounds = stalled.best, stalled.iterations
         disp, rnorm = stalled.displacement, stalled.residual
-    if rnorm <= opts.residual_tol:
-        return MeanResult(X, 0, disp, rnorm, True, rounds)
-    scale = max(1.0, _diameter_estimate(points, eigen))
-    X, cycles, disp, rnorm, certified = _run_cycles(
-        points, X, opts, scale, check_certificate=True
-    )
-    return MeanResult(X, cycles, disp, rnorm, certified, rounds)
+    return MeanResult(X, 0, disp, rnorm, True, rounds)

@@ -177,9 +177,18 @@ class TestMeanCommand:
             assert np.max(np.abs(diag - diag[0])) <= 1e-9
 
     def test_no_convergence_exit_code(self, runner, files, tmp_path):
-        r = runner.invoke(main, ["--max-cycles", "1", "mean", "--strategy", "inductive",
+        # an unattainable certificate: F stalls after 200 rounds
+        r = runner.invoke(main, ["--tol", "1e-30", "--residual-tol", "1e-30", "mean",
                                  files["r6a"], files["r6b"], "--out", str(tmp_path / "m.mtx")])
         assert r.exit_code == 3
+
+    def test_certificate_finer_than_solves_rejected(self, runner, files, tmp_path):
+        # --residual-tol defaults to 1e-8, below solves at --tol 1e-6
+        out = tmp_path / "m.mtx"
+        r = runner.invoke(main, ["--tol", "1e-6", "mean", files["r6a"], files["r6b"],
+                                 files["s20a"], "--out", str(out)])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert "residual_tol" in r.output and not out.exists()
 
     def test_manifest_file(self, runner, files, tmp_path):
         import pathlib
@@ -288,6 +297,18 @@ class TestExitCodesAndEnv:
         r = runner.invoke(main, ["distance", files["i2"], str(bad)])
         assert r.exit_code == 3
         assert "indefinite.mtx" in r.output or "indefinite.mtx" in (r.stderr or "")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--residual-tol", "nan"),
+    ])
+    @pytest.mark.parametrize("command", ["distance", "mean"])
+    def test_bad_tolerance_exit_2(self, runner, files, tmp_path, flag, value, command):
+        args = [files["r6a"], files["r6b"]]
+        if command == "mean":
+            args += ["--out", str(tmp_path / "m.mtx")]
+        r = runner.invoke(main, [flag, value, command, *args])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert "input error" in r.output and "Traceback" not in r.output
 
     def test_env_var_seed(self, runner, files):
         r = invoke(runner, "--json", "distance", files["r6a"], files["r6b"],

@@ -20,7 +20,7 @@ from spdcone import (
     random_spd,
     spectrum_dense,
 )
-from spdcone.errors import DimensionMismatch, NoConvergence
+from spdcone.errors import DimensionMismatch, InvalidOption, NoConvergence
 
 from conftest import sparse_pair, spd_pair
 
@@ -199,6 +199,9 @@ class TestOptionsValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             EigenOptions(tol=0.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(InvalidOption):
+                EigenOptions(tol=tol)
         with pytest.raises(ValueError):
             EigenOptions(max_iter=0)
         with pytest.raises(ValueError):

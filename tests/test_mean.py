@@ -1,4 +1,4 @@
-"""Inductive Thompson mean: steps, residual certificate, strategies."""
+"""Inductive Thompson mean: steps, residual certificate, the F iteration."""
 
 import math
 
@@ -14,7 +14,6 @@ from spdcone import (
     MeanProblem,
     SpdMatrix,
     contraction_factor,
-    fixed_point_init,
     hilbert_distance,
     inductive_mean,
     inductive_step,
@@ -26,8 +25,9 @@ from spdcone import (
     thompson_distance,
 )
 import spdcone.mean
-from spdcone.errors import NonPositiveR
-from spdcone.mean import _anderson
+from spdcone.core import arithmetic_mean
+from spdcone.errors import FixedPointStalled, InvalidOption, NonPositiveR
+from spdcone.mean import _anderson, _fixed_point
 
 from conftest import spd_pair
 
@@ -87,19 +87,21 @@ class TestResidual:
 
 
 class TestFixedPointInit:
+    # F from its own start, the arithmetic mean; inductive_mean never
+    # runs it on a single point
     def test_single_point(self, rng):
         Y = random_spd(5, rng)
-        X = fixed_point_init([Y])
+        X = _fixed_point([Y], None, EigenOptions())[0]
         np.testing.assert_allclose(X.dense(), Y.dense(), rtol=1e-10)
 
     def test_all_equal(self, rng):
         Y = random_spd(6, rng)
-        X = fixed_point_init([Y, Y, Y])
+        X = _fixed_point([Y, Y, Y], None, EigenOptions())[0]
         np.testing.assert_allclose(X.dense(), Y.dense(), rtol=1e-10)
 
     def test_pair_residual(self, rng):
         Y1, Y2 = spd_pair(rng, 8)
-        X = fixed_point_init([Y1, Y2])
+        X = _fixed_point([Y1, Y2], None, EigenOptions())[0]
         _, rn = residual([Y1, Y2], X)
         assert rn <= 1e-6
 
@@ -163,21 +165,23 @@ class TestInductiveMean:
         moved = inductive_mean(MeanProblem(perturbed)).mean
         assert thompson_distance(base, moved) <= 1e-3
 
-    def test_strategies_agree(self, rng):
+    def test_recurrence_agrees(self, rng):
+        # F's root is the limit of the defining recurrence: 50 cycles of
+        # harmonic steps from the arithmetic mean come close, at the 1/p
+        # rate, on non-diagonal inputs
         pts = points(rng, 3, 7)
-        h = inductive_mean(MeanProblem(pts, opts=MeanOptions(strategy="hybrid")))
-        f = inductive_mean(MeanProblem(pts, opts=MeanOptions(strategy="fixed-point")))
-        assert thompson_distance(h.mean, f.mean) <= 1e-8
-        assert h.rounds == f.rounds > 0
-        assert 0.0 <= f.final_displacement < math.inf
-        i = inductive_mean(
-            MeanProblem(pts, opts=MeanOptions(strategy="inductive", tol=1e-4, max_cycles=50_000))
-        )
-        # the displacement rule stops the raw recurrence early; the result
-        # is coarse but the certificate reports that honestly
-        assert thompson_distance(h.mean, i.mean) <= 0.1
-        assert i.residual_norm < 0.1
-        assert i.rounds == 0
+        res = inductive_mean(MeanProblem(pts))
+        assert res.rounds > 0 and res.cycles_used == 0
+        assert 0.0 <= res.final_displacement < math.inf
+        X = arithmetic_mean(pts)
+        assert thompson_distance(res.mean, X) > 0.1
+        i = 1
+        for _ in range(50):
+            for Yj in pts:
+                X = inductive_step(X, Yj, i)
+                i += 1
+        assert thompson_distance(res.mean, X) <= 0.1
+        assert residual(pts, X)[1] < 0.1
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
@@ -195,11 +199,10 @@ class TestInductiveMean:
         # the reported residual reuses the radial correction's solves at X
         # for c X; fresh solves at the returned mean must agree
         pts = [random_sparse_spd(150, 0.03, rng) for _ in range(4)]
-        for strategy in ("fixed-point", "hybrid"):
-            res = inductive_mean(MeanProblem(pts, opts=MeanOptions(strategy=strategy)))
-            _, fresh = residual(pts, res.mean)
-            assert res.certified and fresh <= MeanOptions().residual_tol
-            assert res.residual_norm == pytest.approx(fresh, abs=1e-10)
+        res = inductive_mean(MeanProblem(pts))
+        _, fresh = residual(pts, res.mean)
+        assert res.certified and fresh <= MeanOptions().residual_tol
+        assert res.residual_norm == pytest.approx(fresh, abs=1e-10)
 
     def test_structure_preservation_toeplitz(self, rng):
         def toeplitz_spd(n):
@@ -242,6 +245,23 @@ class TestInductiveMean:
                 i += 1
             dh_after = hilbert_distance(X, Xp)
             assert dh_after <= factor * dh_before + 1e-6
+
+
+class TestMeanOptions:
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
+    def test_residual_tol_positive_finite(self, value):
+        with pytest.raises(InvalidOption):
+            MeanOptions(residual_tol=value)
+
+    def test_certificate_no_finer_than_solves(self, rng):
+        # a residual from solves at eigen.tol cannot vouch for less
+        with pytest.raises(InvalidOption):
+            MeanOptions(eigen=EigenOptions(tol=1e-6))
+        pts = [random_spd(8, rng) for _ in range(3)]
+        loose = MeanOptions(residual_tol=1e-6, eigen=EigenOptions(tol=1e-6))
+        res = inductive_mean(MeanProblem(pts, opts=loose))
+        assert res.certified and res.residual_norm <= 1e-6
+        assert res.rounds <= 10
 
 
 class TestFixedPointRounds:
@@ -296,24 +316,15 @@ class TestAnderson:
         np.testing.assert_allclose(w, p, rtol=0, atol=1e-12)
 
 
+UNATTAINABLE = MeanOptions(residual_tol=1e-30, eigen=EigenOptions(tol=1e-30))
+
+
 class TestFailurePayloads:
-    def test_no_convergence_carries_best_iterate(self, rng):
-        from spdcone.errors import NoConvergence
-
-        pts = points(rng, 2, 5)
-        opts = MeanOptions(strategy="inductive", max_cycles=1)
-        with pytest.raises(NoConvergence) as exc:
-            inductive_mean(MeanProblem(pts, opts=opts))
-        assert isinstance(exc.value.best, SpdMatrix)
-        assert exc.value.residual is not None
-
     def test_fixed_point_stalled_payload(self, rng):
-        from spdcone.errors import FixedPointStalled
-
         pts = points(rng, 3, 5)
         # an unattainable residual target forces a stall after 200 rounds
         with pytest.raises(FixedPointStalled) as exc:
-            fixed_point_init(pts, EigenOptions(tol=1e-30))
+            inductive_mean(MeanProblem(pts, opts=UNATTAINABLE))
         assert isinstance(exc.value.best, SpdMatrix)
         assert exc.value.iterations == 200
         # the stalled payload is still an excellent iterate
@@ -321,28 +332,23 @@ class TestFailurePayloads:
         assert rn <= 1e-8
 
     def test_stalled_payload_carries_its_residual(self, rng):
-        from spdcone.errors import FixedPointStalled
-
         pts = points(rng, 3, 5)
         with pytest.raises(FixedPointStalled) as exc:
-            fixed_point_init(pts, EigenOptions(tol=1e-30))
+            inductive_mean(MeanProblem(pts, opts=UNATTAINABLE))
         _, rn = residual(pts, exc.value.best)
         assert exc.value.residual == pytest.approx(rn, abs=1e-12)
 
     def test_stalled_displacement_belongs_to_best(self, rng):
-        from spdcone.errors import FixedPointStalled
-        from spdcone.mean import _fixed_point
-
         # one round: the best is the arithmetic-mean start, reached by no
         # step, although a step was taken after it
         pts = points(rng, 3, 5)
         with pytest.raises(FixedPointStalled) as exc:
-            _fixed_point(pts, None, EigenOptions(), 1e-30, max_rounds=1)
+            _fixed_point(pts, None, EigenOptions(tol=1e-30), max_rounds=1)
         assert exc.value.displacement == 0.0
 
     def test_hybrid_recovers_from_stall(self, rng):
-        # residual target 1e-30 is unattainable, so the warm start
-        # stalls; hybrid must still certify through the residual
+        # residual target 1e-30 is unattainable, so F stalls; its best
+        # iterate still meets residual_tol and is returned
         pts = points(rng, 3, 5)
         opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
         res = inductive_mean(MeanProblem(pts, opts=opts))
