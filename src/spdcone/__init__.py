@@ -23,10 +23,7 @@ from .eigen import (
     EigenOptions,
     EigenStats,
     PencilExtremes,
-    SolveInfo,
     extreme_pair,
-    lambda_max_pencil,
-    lambda_min_pencil,
     pencil_residual,
 )
 from .geodesics import (
@@ -69,7 +66,6 @@ __all__ = [
     "MeanProblem",
     "MeanResult",
     "PencilExtremes",
-    "SolveInfo",
     "SpdMatrix",
     "Spectrum",
     "arithmetic_mean",
@@ -84,8 +80,6 @@ __all__ = [
     "hilbert_distance",
     "inductive_mean",
     "inductive_step",
-    "lambda_max_pencil",
-    "lambda_min_pencil",
     "make_spd",
     "pencil_residual",
     "phi_distance",

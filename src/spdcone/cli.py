@@ -17,14 +17,8 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .core import (
-    DEFAULT_DENSE_CEILING,
-    random_sparse_spd,
-    random_spd,
-    spectrum_dense,
-)
+from .core import DEFAULT_DENSE_CEILING, spectrum_dense
 from .eigen import EigenOptions, EigenStats, extreme_pair
 from .errors import (
     InputError,
@@ -134,7 +128,7 @@ def _guard(fn):
 @click.option("--backend", type=click.Choice(["auto", "dense", "iterative"]),
               default="auto", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for eigensolver starting vectors and bench inputs.")
+              help="Seed for eigensolver starting vectors.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON manifest on stdout.")
 @click.option("--allow-extrapolation", is_flag=True,
               help="Permit geodesic parameters outside [0, 1].")
@@ -206,14 +200,15 @@ def geodesic(run, file_x, file_y, family, ts, outdir):
         )
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    # one call per path: the pencil is solved once for all samples
+    if family == "star":
+        points = star_geodesic(X, Y, t_values, run.eigen)
+    elif family == "diamond":
+        points = diamond_geodesic(X, Y, t_values, run.eigen)
+    else:
+        points = riemannian_geodesic(X, Y, t_values, dense_ceiling=run.eigen.dense_ceiling)
     samples = []
-    for idx, t in enumerate(t_values):
-        if family == "star":
-            G = star_geodesic(X, Y, t, run.eigen)
-        elif family == "diamond":
-            G = diamond_geodesic(X, Y, t, run.eigen)
-        else:
-            G = riemannian_geodesic(X, Y, t, dense_ceiling=run.eigen.dense_ceiling)
+    for idx, (t, G) in enumerate(zip(t_values, points)):
         path = out / f"{family}_{idx:03d}.mtx"
         write_matrix(path, G)
         samples.append(
@@ -289,90 +284,6 @@ def spectrum(run, file_x, file_y, mode):
         lines = [_fmt(v) for v in spec.eigenvalues]
     manifest = run.manifest("spectrum", [file_x, file_y], outputs, {"mode": mode})
     _emit(run, manifest, lines)
-
-
-def _bench_pair(n, density, rng):
-    if density < 0.25:
-        return random_sparse_spd(n, density, rng), random_sparse_spd(n, density, rng)
-    return random_spd(n, rng), random_spd(n, rng)
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    value = fn()
-    return value, (time.perf_counter() - t0) * 1000.0
-
-
-@main.command()
-@click.option("--suite", type=click.Choice(["mean", "distance", "geodesic"]),
-              required=True)
-@click.option("--sizes", default="64,128", show_default=True,
-              help="Comma-separated matrix dimensions.")
-@click.option("--density", type=float, default=0.05, show_default=True,
-              help="Input density; below 0.25 inputs are generated sparse.")
-@click.option("--points", "n_points", type=int, default=3, show_default=True,
-              help="Family size for the mean suite.")
-@click.pass_obj
-@_guard
-def bench(run, suite, sizes, density, n_points):
-    """Benchmark Thompson-path operations against dense Riemannian ones."""
-    size_list = [int(tok) for tok in sizes.split(",") if tok.strip()]
-    rows = []
-    for n in size_list:
-        rng = np.random.default_rng(run.seed + n)
-        row = {"n": n, "density": density}
-        before = run.stats.iterations
-        if suite == "distance":
-            X, Y = _bench_pair(n, density, rng)
-            row["nnz_x"] = X.nnz
-            value, ms = _timed(lambda: thompson_distance(X, Y, run.eigen))
-            row.update(thompson=value, thompson_ms=ms,
-                       thompson_iters=run.stats.iterations - before)
-            if n <= run.eigen.dense_ceiling:
-                value, ms = _timed(
-                    lambda: riemannian_distance(X, Y, dense_ceiling=run.eigen.dense_ceiling)
-                )
-                row.update(riemannian=value, riemannian_ms=ms)
-        elif suite == "geodesic":
-            X, Y = _bench_pair(n, density, rng)
-            if X.is_sparse:
-                row["nnz_union"] = int(((X.raw() != 0) + (Y.raw() != 0)).nnz)
-            else:
-                row["nnz_union"] = int(np.count_nonzero((X.dense() != 0) | (Y.dense() != 0)))
-            G, ms = _timed(lambda: star_geodesic(X, Y, 0.5, run.eigen))
-            row.update(star_ms=ms, star_nnz=G.nnz,
-                       star_iters=run.stats.iterations - before)
-            if n <= run.eigen.dense_ceiling:
-                G, ms = _timed(
-                    lambda: riemannian_geodesic(X, Y, 0.5, dense_ceiling=run.eigen.dense_ceiling)
-                )
-                row.update(riemannian_ms=ms, riemannian_nnz=G.nnz)
-        else:  # mean
-            pts = []
-            for _ in range(n_points):
-                pts.append(_bench_pair(n, density, rng)[0])
-            row["nnz_inputs"] = max(p.nnz for p in pts)
-            opts = run.mean_options()
-            result, ms = _timed(lambda: inductive_mean(MeanProblem(pts, opts=opts)))
-            row.update(mean_ms=ms, residual=result.residual_norm,
-                       certified=result.certified, mean_nnz=result.mean.nnz,
-                       mean_iters=run.stats.iterations - before)
-        rows.append(row)
-    manifest = run.manifest(
-        "bench", [], {"rows": rows},
-        {"suite": suite, "sizes": size_list, "density": density},
-    )
-    if run.as_json:
-        click.echo(json.dumps(manifest, indent=2, sort_keys=True))
-    else:
-        keys = sorted({k for row in rows for k in row})
-        click.echo(" | ".join(f"{k:>14}" for k in keys))
-        for row in rows:
-            cells = []
-            for k in keys:
-                v = row.get(k, "")
-                cells.append(f"{v:14.6g}" if isinstance(v, float) else f"{v!s:>14}")
-            click.echo(" | ".join(cells))
 
 
 if __name__ == "__main__":

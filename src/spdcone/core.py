@@ -23,6 +23,7 @@ from .errors import (
     AsymmetricInput,
     DenseLimitExceeded,
     DimensionMismatch,
+    InvalidArgument,
     InvalidMatrix,
     NotPositiveDefinite,
     NumericalBreakdown,
@@ -336,7 +337,7 @@ class SpdMatrix:
     def scaled(self, c):
         """c * X for c > 0 (certification carries over structurally)."""
         if c <= 0:
-            raise ValueError("scale must be positive to stay in the cone")
+            raise InvalidArgument("scale must be positive to stay in the cone")
         out = SpdMatrix(self._full * c, _certify=False)
         out.certified = self.certified
         return out
@@ -464,7 +465,7 @@ def combine(coeff_pairs, *, certify=True):
     """
     mats = [m for _, m in coeff_pairs]
     if not mats:
-        raise ValueError("empty combination")
+        raise InvalidArgument("empty combination")
     for m in mats[1:]:
         _check_dims(mats[0], m)
     if all(m.is_sparse for m in mats):

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, hessenberg
 
 from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, fro_norm
-from .errors import InvalidOption, NoConvergence, require_positive_finite
+from .errors import InvalidOption, NoConvergence, require_integer, require_positive_finite
 
 _BASIS = 40  # Krylov basis length that triggers a thick restart
 _KEEP = 20  # leading Ritz vectors kept across a restart
@@ -60,17 +60,10 @@ class EigenOptions:
 
     def __post_init__(self):
         require_positive_finite("tol", self.tol)
-        if self.max_iter < 1:
-            raise InvalidOption("max_iter", self.max_iter, "must be at least 1")
+        require_integer("max_iter", self.max_iter, 1)
+        require_integer("seed", self.seed, 0)
         if self.backend not in ("auto", "dense", "iterative"):
             raise InvalidOption("backend", self.backend, "is not auto, dense or iterative")
-
-
-@dataclass(frozen=True)
-class SolveInfo:
-    iterations: int
-    residual: float
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -300,40 +293,6 @@ def _smallest(Y, X, backend, opts, seed, start=None):
     return lam, v, iters, pencil_residual(Y, X, lam, v)
 
 
-def _record(opts, iters, solves):
-    if opts.stats is not None:
-        opts.stats.iterations += iters
-        opts.stats.solves += solves
-
-
-def _one_extreme(solve, Y, X, opts):
-    opts = opts or EigenOptions()
-    _check_dims(Y, X)
-    backend = _resolve_backend(Y, X, opts)
-    lam, v, iters, resid = solve(Y, X, backend, opts, opts.seed)
-    _record(opts, iters, 1)
-    return lam, v, SolveInfo(iters, resid, backend)
-
-
-def lambda_max_pencil(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions | None = None):
-    """Largest eigenvalue of the pencil Y X^-1.
-
-    Returns ``(value, vector, SolveInfo)`` where the vector is the
-    generalized eigenvector in the original coordinates and the residual
-    in SolveInfo is the relative backward error, at most ``opts.tol``.
-    """
-    return _one_extreme(_largest, Y, X, opts)
-
-
-def lambda_min_pencil(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions | None = None):
-    """Smallest eigenvalue of Y X^-1, computed as 1 / lambda_max(X Y^-1).
-
-    Both extremes are thereby "largest" problems, where Krylov
-    convergence from above is robust.
-    """
-    return _one_extreme(_smallest, Y, X, opts)
-
-
 def extreme_pair(
     X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None, start=(None, None)
 ) -> PencilExtremes:
@@ -353,7 +312,9 @@ def extreme_pair(
     seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
     beta, vb, it_b, rb = _largest(Y, X, backend, opts, seed_b, start[1])
     alpha, va, it_a, ra = _smallest(Y, X, backend, opts, seed_a, start[0])
-    _record(opts, it_a + it_b, 2)
+    if opts.stats is not None:
+        opts.stats.iterations += it_a + it_b
+        opts.stats.solves += 2
     # solver noise can invert a scalar pencil's extremes by an ulp
     if alpha > beta:
         alpha = beta = (alpha + beta) / 2.0

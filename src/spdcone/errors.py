@@ -6,6 +6,7 @@ the CLI can map them to distinct exit codes.
 """
 
 import math
+import numbers
 
 
 class SpdConeError(Exception):
@@ -29,10 +30,20 @@ class InvalidOption(InputError, ValueError):
         super().__init__(f"option {name} = {value!r} {requirement}")
 
 
+class InvalidArgument(InputError, ValueError):
+    """An argument a public function cannot act on, e.g. an empty family."""
+
+
 def require_positive_finite(name, value):
     """Raise InvalidOption unless 0 < value < inf; nan fails that test too."""
     if not 0.0 < value < math.inf:
         raise InvalidOption(name, value, "must be finite and positive")
+
+
+def require_integer(name, value, least):
+    """Raise InvalidOption unless value is a Python or NumPy integer >= least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise InvalidOption(name, value, f"must be an integer >= {least}")
 
 
 class DimensionMismatch(InputError):

@@ -11,6 +11,10 @@ Three interpolation paths between SPD matrices X and Y are provided:
 * ``diamond_geodesic`` - an alternative Thompson-metric geodesic whose
   branch follows the sign of log(alpha * beta).
 
+Each takes t as one float, returning one point, or as a sequence of
+floats, returning the list of points; the pencil work (one extreme pair,
+or the two eigendecompositions) is done once per call.
+
 The coefficient derivatives at t = 0 (named m and o here) are the
 building blocks of the inductive mean's fixed-point equation.
 """
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.linalg import eigh
 
 from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, combine
@@ -123,19 +129,28 @@ def _wrap_combination(pairs, t, certify):
             f"geodesic evaluated at t={t} outside [0, 1]: result returned "
             "without positive-definiteness certification",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=5,  # through the point closure and _path to the caller
         )
     return out
+
+
+def _path(t, point):
+    """point(t) for one parameter t, or [point(s) for s in t] for a sequence.
+
+    ``map`` keeps the call depth of point the same on both routes, so the
+    warning's stacklevel names the caller either way.
+    """
+    return point(t) if np.ndim(t) == 0 else list(map(point, t))
 
 
 def star_geodesic(
     X: SpdMatrix,
     Y: SpdMatrix,
-    t: float,
+    t: float | Sequence[float],
     opts: EigenOptions | None = None,
     *,
     certify: bool | None = None,
-) -> SpdMatrix:
+) -> SpdMatrix | list[SpdMatrix]:
     """Point at parameter t on the distinguished Thompson geodesic from X to Y.
 
     Computes phi * Y + psi * X from the extreme eigenvalues of Y X^-1
@@ -147,9 +162,10 @@ def star_geodesic(
     ----------
     X, Y : SpdMatrix
         Endpoints, same dimension.
-    t : float
+    t : float or sequence of float
         Position on the path; t = 0 gives X and t = 1 gives Y exactly.
-        Values outside [0, 1] extrapolate.
+        Values outside [0, 1] extrapolate. A sequence samples the path
+        with one extreme-eigenvalue solve for all its points.
     opts : EigenOptions, optional
         Extreme-eigenvalue solver options.
     certify : bool, optional
@@ -159,26 +175,31 @@ def star_geodesic(
 
     Returns
     -------
-    SpdMatrix
+    SpdMatrix, or a list of them in the order of t
         The interpolation point; ``certified`` reflects the choice above.
     """
     _check_dims(X, Y)
     ext = extreme_pair(X, Y, opts)
-    co = geodesic_coefficients(ext.alpha, ext.beta, t)
-    return _wrap_combination([(co.phi, Y), (co.psi, X)], t, certify)
+
+    def point(s):
+        co = geodesic_coefficients(ext.alpha, ext.beta, s)
+        return _wrap_combination([(co.phi, Y), (co.psi, X)], s, certify)
+
+    return _path(t, point)
 
 
 def riemannian_geodesic(
     X: SpdMatrix,
     Y: SpdMatrix,
-    t: float,
+    t: float | Sequence[float],
     *,
     dense_ceiling: int = DEFAULT_DENSE_CEILING,
-) -> SpdMatrix:
+) -> SpdMatrix | list[SpdMatrix]:
     """Affine-invariant Riemannian geodesic X^(1/2)(X^(-1/2) Y X^(-1/2))^t X^(1/2).
 
     Requires two full eigendecompositions, so it is restricted to
-    dense-representable sizes. The result is SPD for every real t.
+    dense-representable sizes; a sequence of t shares them. The result
+    is SPD for every real t.
     """
     _check_dims(X, Y)
     if X.n > dense_ceiling:
@@ -190,25 +211,29 @@ def riemannian_geodesic(
     M = Xmh @ Y.dense() @ Xmh
     M = (M + M.T) / 2.0
     wm, Vm = eigh(M)
-    mid = (Vm * wm ** t) @ Vm.T
-    R = Xh @ mid @ Xh
-    return SpdMatrix((R + R.T) / 2.0)
+
+    def point(s):
+        R = Xh @ ((Vm * wm ** s) @ Vm.T) @ Xh
+        return SpdMatrix((R + R.T) / 2.0)
+
+    return _path(t, point)
 
 
 def diamond_geodesic(
     X: SpdMatrix,
     Y: SpdMatrix,
-    t: float,
+    t: float | Sequence[float],
     opts: EigenOptions | None = None,
     *,
     certify: bool | None = None,
-) -> SpdMatrix:
+) -> SpdMatrix | list[SpdMatrix]:
     """Point at parameter t on the diamond Thompson geodesic from X to Y.
 
     Uses the lambda_max branch when alpha * beta >= 1 and the lambda_min
     branch otherwise (the branches agree at alpha * beta = 1). Undefined
     when the extremes coincide; raises DegeneratePencil there, in which
-    case the star geodesic is the drop-in replacement.
+    case the star geodesic is the drop-in replacement. t may be a
+    sequence, as for ``star_geodesic``.
     """
     _check_dims(X, Y)
     ext = extreme_pair(X, Y, opts)
@@ -217,8 +242,12 @@ def diamond_geodesic(
         raise DegeneratePencil(alpha, beta)
     lam = beta if alpha * beta >= 1.0 else alpha
     ell = math.log(lam)
-    # (lam^t - lam^-t) / (lam - lam^-1) = sinh(t ell) / sinh(ell), which is
-    # cancellation-free for lam near 1
-    coeff_y = math.sinh(t * ell) / math.sinh(ell)
-    coeff_x = math.sinh((1.0 - t) * ell) / math.sinh(ell)
-    return _wrap_combination([(coeff_y, Y), (coeff_x, X)], t, certify)
+
+    def point(s):
+        # (lam^s - lam^-s) / (lam - lam^-1) = sinh(s ell) / sinh(ell), which is
+        # cancellation-free for lam near 1
+        coeff_y = math.sinh(s * ell) / math.sinh(ell)
+        coeff_x = math.sinh((1.0 - s) * ell) / math.sinh(ell)
+        return _wrap_combination([(coeff_y, Y), (coeff_x, X)], s, certify)
+
+    return _path(t, point)

@@ -35,7 +35,13 @@ import numpy as np
 
 from .core import SpdMatrix, arithmetic_mean, combine, fro_norm
 from .eigen import EigenOptions, extreme_pair
-from .errors import FixedPointStalled, InvalidOption, NonPositiveR, require_positive_finite
+from .errors import (
+    FixedPointStalled,
+    InvalidArgument,
+    InvalidOption,
+    NonPositiveR,
+    require_positive_finite,
+)
 from .geodesics import coefficient_derivatives, star_geodesic
 
 _FP_MAX_ROUNDS = 200
@@ -111,7 +117,7 @@ def inductive_step(
 ) -> SpdMatrix:
     """One recurrence step: X *_{1/(i+1)} Yj for global step index i >= 1."""
     if i < 1:
-        raise ValueError("step index i must be at least 1")
+        raise InvalidArgument("step index i must be at least 1")
     return star_geodesic(X, Yj, 1.0 / (i + 1.0), opts)
 
 
@@ -275,7 +281,7 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     """
     points = list(problem.points)
     if not points:
-        raise ValueError("mean of an empty family is undefined")
+        raise InvalidArgument("mean of an empty family is undefined")
     opts = problem.opts
     eigen = opts.eigen
 

@@ -137,6 +137,22 @@ class TestGeodesicCommand:
         m = json.loads((out / "manifest.json").read_text())
         assert m["command"] == "geodesic" and len(m["outputs"]["samples"]) == 1
 
+    @pytest.mark.parametrize("family", ["star", "diamond"])
+    def test_one_solve_per_path(self, runner, files, tmp_path, extreme_pair_calls, family):
+        from spdcone import diamond_geodesic, star_geodesic
+
+        out = tmp_path / "geo"
+        r = invoke(runner, "--json", "geodesic", files["s20a"], files["s20b"],
+                   "--family", family, "--ts", "0,0.25,0.5,0.75,1", "--outdir", str(out))
+        assert len(extreme_pair_calls) == 1
+        assert manifest_of(r)["eigen_solves"] == 2
+        X, Y = read_spd(files["s20a"]), read_spd(files["s20b"])
+        geodesic = star_geodesic if family == "star" else diamond_geodesic
+        for idx, t in enumerate([0, 0.25, 0.5, 0.75, 1]):
+            reference = tmp_path / f"ref_{idx}.mtx"
+            write_matrix(reference, geodesic(X, Y, t))
+            assert (out / f"{family}_{idx:03d}.mtx").read_bytes() == reference.read_bytes()
+
 
 class TestMeanCommand:
     def test_single_input_identity(self, runner, files, tmp_path):
@@ -190,6 +206,41 @@ class TestMeanCommand:
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
         assert "residual_tol" in r.output and not out.exists()
 
+    def test_large_sparse_never_densifies(self, runner, tmp_path, monkeypatch):
+        # n = 2000 at 1% density must run entirely on the sparse path: any
+        # attempt to materialize a dense n x n matrix trips the guard, and
+        # the traced allocation peak stays below a few dense matrices
+        import tracemalloc
+
+        from spdcone.core import SpdMatrix
+
+        rng = np.random.default_rng(2000)
+        paths = []
+        for idx in range(2):
+            paths.append(str(tmp_path / f"p{idx}.mtx"))
+            write_matrix(paths[-1], random_sparse_spd(2000, 0.01, rng))
+        out = tmp_path / "mean.mtx"
+        original = SpdMatrix.dense
+
+        def guarded(self):
+            if self.n >= 1024:
+                raise AssertionError("dense materialization at large n")
+            return original(self)
+
+        monkeypatch.setattr(SpdMatrix, "dense", guarded)
+        tracemalloc.start()
+        r = invoke(runner, "--json", "mean", *paths, "--out", str(out))
+        snapshot = tracemalloc.take_snapshot()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert manifest_of(r)["outputs"]["certified"]
+        assert read_spd(out).nnz < 0.05 * 2000 * 2000
+        dense_bytes = 2000 * 2000 * 8
+        # a dense matrix would be one 32MB block; the sparse working set is
+        # many small blocks whose total stays within a few factors
+        assert max((t.size for t in snapshot.traces), default=0) < 0.5 * dense_bytes
+        assert peak < 3 * dense_bytes
+
     def test_manifest_file(self, runner, files, tmp_path):
         import pathlib
 
@@ -223,63 +274,6 @@ class TestSpectrumCommand:
         assert ex["outputs"]["beta"] == pytest.approx(values[-1], rel=1e-8)
 
 
-class TestBenchCommand:
-    def test_distance_suite_smoke(self, runner):
-        r = invoke(runner, "--json", "bench", "--suite", "distance", "--sizes", "64")
-        m = manifest_of(r)
-        row = m["outputs"]["rows"][0]
-        assert "thompson_ms" in row and "riemannian_ms" in row
-
-    def test_seed_reproducibility(self, runner):
-        r1 = invoke(runner, "--json", "--seed", "3", "bench", "--suite", "distance",
-                    "--sizes", "48,96")
-        r2 = invoke(runner, "--json", "--seed", "3", "bench", "--suite", "distance",
-                    "--sizes", "48,96")
-        m1, m2 = manifest_of(r1), manifest_of(r2)
-        assert m1["eigen_iterations"] == m2["eigen_iterations"]
-        for a, b in zip(m1["outputs"]["rows"], m2["outputs"]["rows"]):
-            assert a["thompson"] == b["thompson"]
-            assert a["thompson_iters"] == b["thompson_iters"]
-
-    def test_geodesic_suite(self, runner):
-        r = invoke(runner, "--json", "bench", "--suite", "geodesic", "--sizes", "32",
-                   "--density", "0.1")
-        row = manifest_of(r)["outputs"]["rows"][0]
-        assert row["star_nnz"] <= row["nnz_union"]
-        assert row["riemannian_nnz"] >= row["star_nnz"]
-
-    def test_mean_suite_large_sparse_never_densifies(self, runner, monkeypatch):
-        # n = 2000 at 1% density must run entirely on the sparse path: any
-        # attempt to materialize a dense n x n matrix trips the guard, and
-        # the traced allocation peak stays below a single dense matrix
-        import tracemalloc
-
-        from spdcone.core import SpdMatrix
-
-        original = SpdMatrix.dense
-
-        def guarded(self):
-            if self.n >= 1024:
-                raise AssertionError("dense materialization at large n")
-            return original(self)
-
-        monkeypatch.setattr(SpdMatrix, "dense", guarded)
-        tracemalloc.start()
-        r = invoke(runner, "--json", "bench", "--suite", "mean", "--sizes", "2000",
-                   "--density", "0.01", "--points", "2")
-        snapshot = tracemalloc.take_snapshot()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        row = manifest_of(r)["outputs"]["rows"][0]
-        assert row["certified"]
-        assert row["mean_nnz"] < 0.05 * 2000 * 2000
-        dense_bytes = 2000 * 2000 * 8
-        # a dense matrix would be one 32MB block; the sparse working set is
-        # many small blocks whose total stays within a few factors
-        assert max((t.size for t in snapshot.traces), default=0) < 0.5 * dense_bytes
-        assert peak < 3 * dense_bytes
-
-
 class TestExitCodesAndEnv:
     def test_missing_file(self, runner, files):
         r = runner.invoke(main, ["distance", files["i2"], "/does/not/exist.mtx"])
@@ -309,6 +303,11 @@ class TestExitCodesAndEnv:
         r = runner.invoke(main, [flag, value, command, *args])
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
         assert "input error" in r.output and "Traceback" not in r.output
+
+    def test_bad_seed_exit_2(self, runner, files):
+        r = runner.invoke(main, ["--seed", "-1", "distance", files["r6a"], files["r6b"]])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert "seed" in r.output and "Traceback" not in r.output
 
     def test_env_var_seed(self, runner, files):
         r = invoke(runner, "--json", "distance", files["r6a"], files["r6b"],

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from spdcone import (
     SpdMatrix,
     cholesky,
+    combine,
     make_spd,
     random_spd,
     spectrum_dense,
@@ -18,6 +19,7 @@ from spdcone.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     NumericalBreakdown,
+    SpdConeError,
 )
 
 from conftest import spd_pair
@@ -206,5 +208,11 @@ class TestImmutability:
     def test_scaled(self, rng):
         X = random_spd(4, rng)
         np.testing.assert_allclose(X.scaled(2.5).dense(), 2.5 * X.dense())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             X.scaled(-1.0)
+        assert isinstance(exc.value, SpdConeError)
+
+    def test_empty_combination(self):
+        with pytest.raises(ValueError) as exc:
+            combine([])
+        assert isinstance(exc.value, SpdConeError)

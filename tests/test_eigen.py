@@ -13,8 +13,6 @@ from spdcone import (
     SpdMatrix,
     EigenStats,
     extreme_pair,
-    lambda_max_pencil,
-    lambda_min_pencil,
     make_spd,
     random_sparse_spd,
     random_spd,
@@ -33,28 +31,29 @@ class TestLambdaMax:
     def test_diagonal(self):
         Y = make_spd(np.diag([9.0, 4.0, 1.0]))
         X = make_spd(np.eye(3))
-        lam, v, info = lambda_max_pencil(Y, X)
-        assert lam == pytest.approx(9.0, abs=1e-12)
-        assert info.residual <= 1e-10
+        e = extreme_pair(X, Y)
+        assert e.beta == pytest.approx(9.0, abs=1e-12)
+        assert e.residuals[1] <= 1e-10
 
     def test_scalar_pencil(self, rng):
         X = random_spd(10, rng)
         Y = X.scaled(3.25)
         for backend in ("dense", "iterative"):
-            lam, _, info = lambda_max_pencil(Y, X, EigenOptions(backend=backend, seed=4))
-            assert lam == pytest.approx(3.25, rel=1e-10)
+            e = extreme_pair(X, Y, EigenOptions(backend=backend, seed=4))
+            assert e.beta == pytest.approx(3.25, rel=1e-10)
 
     def test_sparse_matches_dense_oracle(self, rng):
         X = random_sparse_spd(200, 0.03, rng)
         Y = random_sparse_spd(200, 0.03, rng)
-        lam, _, info = lambda_max_pencil(Y, X, iter_opts(seed=1))
+        e = extreme_pair(X, Y, iter_opts(seed=1))
         oracle = spectrum_dense(X, Y).max
-        assert info.backend == "iterative"
-        assert lam == pytest.approx(oracle, rel=1e-8)
+        assert e.backend == "iterative"
+        assert e.beta == pytest.approx(oracle, rel=1e-8)
 
     def test_vector_satisfies_pencil(self, rng):
         X, Y = spd_pair(rng, 30)
-        lam, v, _ = lambda_max_pencil(Y, X, iter_opts(seed=2))
+        e = extreme_pair(X, Y, iter_opts(seed=2))
+        lam, v = e.beta, e.vectors[1]
         r = np.linalg.norm(Y.dense() @ v - lam * (X.dense() @ v))
         assert r <= 1e-9 * np.linalg.norm(Y.dense() @ v)
 
@@ -63,19 +62,20 @@ class TestLambdaMin:
     def test_diagonal(self):
         Y = make_spd(np.diag([9.0, 4.0, 1.0]))
         X = make_spd(np.eye(3))
-        lam, _, info = lambda_min_pencil(Y, X)
-        assert lam == pytest.approx(1.0, abs=1e-12)
+        e = extreme_pair(X, Y)
+        assert e.alpha == pytest.approx(1.0, abs=1e-12)
+        assert e.residuals[0] <= 1e-10
 
     def test_scalar_pencil(self, rng):
         X = random_spd(7, rng)
-        lam, _, _ = lambda_min_pencil(X.scaled(0.4), X, iter_opts(seed=3))
-        assert lam == pytest.approx(0.4, rel=1e-10)
+        e = extreme_pair(X, X.scaled(0.4), iter_opts(seed=3))
+        assert e.alpha == pytest.approx(0.4, rel=1e-10)
 
     def test_sparse_matches_dense_oracle(self, rng):
         X = random_sparse_spd(200, 0.03, rng)
         Y = random_sparse_spd(200, 0.03, rng)
-        lam, _, _ = lambda_min_pencil(Y, X, iter_opts(seed=5))
-        assert lam == pytest.approx(spectrum_dense(X, Y).min, rel=1e-8)
+        e = extreme_pair(X, Y, iter_opts(seed=5))
+        assert e.alpha == pytest.approx(spectrum_dense(X, Y).min, rel=1e-8)
 
 
 class TestExtremePair:
@@ -187,7 +187,8 @@ class TestExtremePair:
     def test_no_convergence_payload(self, rng):
         X, Y = spd_pair(rng, 40, spread=3.0)
         with pytest.raises(NoConvergence) as exc:
-            lambda_max_pencil(Y, X, EigenOptions(backend="iterative", tol=1e-16, seed=0))
+            # the beta solve runs first, and it is the one that fails
+            extreme_pair(X, Y, EigenOptions(backend="iterative", tol=1e-16, seed=0))
         assert exc.value.best is not None
         lam, v = exc.value.best
         # the best estimate is still an excellent eigenvalue approximation
@@ -206,6 +207,14 @@ class TestOptionsValidation:
             EigenOptions(max_iter=0)
         with pytest.raises(ValueError):
             EigenOptions(backend="gpu")
+        for max_iter in (float("nan"), 2.5, -3):
+            with pytest.raises(InvalidOption, match="max_iter"):
+                EigenOptions(max_iter=max_iter)
+        for seed in (-1, 1.5, float("nan"), "0"):
+            with pytest.raises(InvalidOption, match="seed"):
+                EigenOptions(seed=seed)
+        # integers of either kind pass
+        EigenOptions(seed=np.int64(7), max_iter=np.int32(10))
 
 
 class TestConcurrentInvocation:

@@ -307,6 +307,51 @@ class TestDiamondGeodesic:
                     assert dd == pytest.approx(abs(s - t) * d, abs=1e-8)
 
 
+def same_matrix(A, B):
+    return A.is_sparse == B.is_sparse and np.array_equal(A.dense(), B.dense())
+
+
+class TestPaths:
+    """A sequence of t samples one path; its pencil work is done once."""
+
+    TS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic, riemannian_geodesic])
+    def test_sequence_equals_pointwise(self, rng, family):
+        for X, Y in (spd_pair(rng, 7), (random_sparse_spd(60, 0.05, rng),
+                                        random_sparse_spd(60, 0.05, rng))):
+            path = family(X, Y, self.TS)
+            assert isinstance(path, list) and len(path) == len(self.TS)
+            for t, G in zip(self.TS, path):
+                point = family(X, Y, t)
+                assert same_matrix(G, point) and G.certified == point.certified
+            # any sequence type, numpy scalars included
+            assert all(map(same_matrix, family(X, Y, np.array(self.TS)), path))
+            assert family(X, Y, ()) == []
+
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic])
+    def test_one_solve_per_path(self, rng, family, extreme_pair_calls):
+        X, Y = spd_pair(rng, 6)
+        family(X, Y, self.TS)
+        assert len(extreme_pair_calls) == 1
+
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic])
+    def test_outside_unit_interval_warns(self, rng, family):
+        X, Y = spd_pair(rng, 4, spread=0.5)
+        with pytest.warns(RuntimeWarning) as record:
+            path = family(X, Y, [0.5, 1.8])
+        assert [G.certified for G in path] == [True, False]
+        assert len(record) == 1 and record[0].filename == __file__
+        with pytest.warns(RuntimeWarning) as record:
+            family(X, Y, 1.8)
+        assert record[0].filename == __file__
+
+    def test_degenerate_pencil(self, rng):
+        X = random_spd(4, rng)
+        with pytest.raises(DegeneratePencil):
+            diamond_geodesic(X, X.scaled(2.0), [0.25, 0.5])
+
+
 class TestGeodesicContraction:
     def test_bounds_hold(self, rng):
         from spdcone import hilbert_distance

@@ -26,7 +26,7 @@ from spdcone import (
 )
 import spdcone.mean
 from spdcone.core import arithmetic_mean
-from spdcone.errors import FixedPointStalled, InvalidOption, NonPositiveR
+from spdcone.errors import FixedPointStalled, InvalidOption, NonPositiveR, SpdConeError
 from spdcone.mean import _anderson, _fixed_point
 
 from conftest import spd_pair
@@ -59,8 +59,9 @@ class TestInductiveStep:
 
     def test_rejects_bad_index(self, rng):
         X, Y = spd_pair(rng, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             inductive_step(X, Y, 0)
+        assert isinstance(exc.value, SpdConeError)
 
 
 class TestResidual:
@@ -184,8 +185,9 @@ class TestInductiveMean:
         assert residual(pts, X)[1] < 0.1
 
     def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             inductive_mean(MeanProblem([]))
+        assert isinstance(exc.value, SpdConeError)
 
     def test_certificate_soundness(self, rng):
         pts = points(rng, 4, 6)
