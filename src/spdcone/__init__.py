@@ -11,9 +11,7 @@ from .core import (
     SpdMatrix,
     Spectrum,
     arithmetic_mean,
-    cholesky,
     combine,
-    make_spd,
     random_sparse_spd,
     random_spd,
     spectrum_dense,
@@ -69,7 +67,6 @@ __all__ = [
     "SpdMatrix",
     "Spectrum",
     "arithmetic_mean",
-    "cholesky",
     "coefficient_derivatives",
     "combine",
     "contraction_factor",
@@ -80,7 +77,6 @@ __all__ = [
     "hilbert_distance",
     "inductive_mean",
     "inductive_step",
-    "make_spd",
     "pencil_residual",
     "phi_distance",
     "random_sparse_spd",

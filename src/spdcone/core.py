@@ -3,15 +3,18 @@
 An :class:`SpdMatrix` is immutable and certified positive definite at
 construction: the Cholesky factorization that performs the certification
 is cached on the instance and reused by every downstream pencil solve.
-Dense matrices are stored as full symmetric arrays (mirrored exactly from
-the lower triangle); sparse matrices as full CSR matrices with sorted
-indices, mirrored the same way, whose lower triangle is the canonical
-pattern.
+Dense and sparse input take one path: duplicates summed (sparse), the
+lower triangle mirrored exactly and checked against the input, then
+factored. Dense matrices are stored as full symmetric arrays, sparse ones
+as full CSR matrices with sorted indices whose lower triangle is the
+canonical pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +30,7 @@ from .errors import (
     InvalidMatrix,
     NotPositiveDefinite,
     NumericalBreakdown,
+    require_integer,
 )
 
 DEFAULT_DENSE_CEILING = 2048
@@ -176,106 +180,50 @@ def _factor_sparse(A_csc):
     return f
 
 
-def _check_entries(n, values):
-    """Reject what no SPD matrix can be: an empty matrix or a non-finite entry."""
-    if n == 0:
-        raise InvalidMatrix("empty (0 x 0)")
-    if not np.isfinite(values).all():
-        raise InvalidMatrix("non-finite entry (nan or inf)")
-
-
-def _sparse_input(matrix):
-    """Square float COO with duplicates summed and entries checked."""
-    coo = sp.coo_matrix(matrix).astype(float)
-    if coo.shape[0] != coo.shape[1]:
-        raise DimensionMismatch(coo.shape[0], coo.shape[1])
-    coo.sum_duplicates()
-    _check_entries(coo.shape[0], coo.data)
-    return coo
-
-
 class SpdMatrix:
     """Certified symmetric positive definite matrix, dense or sparse.
 
-    Construction symmetrizes exactly (the lower triangle is the source of
-    truth) and runs a Cholesky factorization. An empty matrix or a
-    non-finite entry raises :class:`InvalidMatrix`; a failed certification
-    raises :class:`NotPositiveDefinite` or :class:`NumericalBreakdown`
-    rather than producing an invalid instance. Instances are immutable.
+    Accepts an array-like or a scipy sparse matrix in any format, with
+    duplicate entries summed. The lower triangle is the source of truth:
+    it is mirrored into the stored matrix, which must match the input to
+    1e-12 relative to its largest entry (else :class:`AsymmetricInput`),
+    and a Cholesky factorization certifies it. An empty matrix or a
+    non-finite entry raises :class:`InvalidMatrix`; a failed
+    certification raises :class:`NotPositiveDefinite` or
+    :class:`NumericalBreakdown` rather than producing an invalid instance.
+    Instances are immutable.
     """
 
     __slots__ = ("_full", "_is_sparse", "_factor", "certified")
 
     def __init__(self, matrix, *, _certify=True):
-        if sp.issparse(matrix):
-            coo = _sparse_input(matrix)
-            self._check_symmetry_sparse(coo)
-            lower = sp.tril(coo, format="coo")
-            self._set_from_lower_sparse(lower, certify=_certify)
+        sparse = sp.issparse(matrix)
+        if sparse:
+            # a copy: sum_duplicates sorts in place, and the caller's arrays stay as given
+            A = sp.csr_matrix(matrix, dtype=float, copy=True)
+            A.sum_duplicates()
+            tril, entries = sp.tril, A.data
         else:
-            A = np.asarray(matrix, dtype=float)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise DimensionMismatch(A.shape[0] if A.ndim else 0, A.shape[-1] if A.ndim else 0)
-            _check_entries(A.shape[0], A)
-            self._check_symmetry_dense(A)
-            full = np.tril(A) + np.tril(A, -1).T
-            full.setflags(write=False)
-            self._full = full
-            self._is_sparse = False
-            self._factor = None
-            self.certified = False
-            if _certify:
-                self._certify()
-
-    # -- construction helpers ------------------------------------------------
-
-    def _set_from_lower_sparse(self, lower, *, certify):
-        strict = sp.tril(lower, k=-1, format="coo")
-        full = (lower + strict.T).tocsr()
-        full.sort_indices()
-        full.data.setflags(write=False)
+            A = entries = np.asarray(matrix, dtype=float)
+            tril = np.tril
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise DimensionMismatch(A.shape[0] if A.ndim else 0, A.shape[-1] if A.ndim else 0)
+        if A.shape[0] == 0:
+            raise InvalidMatrix("empty (0 x 0)")
+        if not np.isfinite(entries).all():
+            raise InvalidMatrix("non-finite entry (nan or inf)")
+        full = tril(A) + tril(A, -1).T
+        # full - A is A^T - A above the diagonal and zero elsewhere
+        dev, scale = abs(full - A).max(), abs(A).max()
+        if dev > SYMMETRY_RTOL * max(scale, 1e-300):
+            raise AsymmetricInput(dev, scale)
+        (full.data if sparse else full).setflags(write=False)
         self._full = full
-        self._is_sparse = True
+        self._is_sparse = sparse
         self._factor = None
         self.certified = False
-        if certify:
+        if _certify:
             self._certify()
-
-    @classmethod
-    def from_lower_sparse(cls, lower, *, _certify=True):
-        """Build from a lower-triangle-only sparse matrix (no symmetry check)."""
-        coo = _sparse_input(lower)
-        if np.any(coo.row < coo.col):
-            raise AsymmetricInput(np.inf, 0.0)
-        self = object.__new__(cls)
-        self._set_from_lower_sparse(coo, certify=_certify)
-        return self
-
-    @classmethod
-    def _wrap_unchecked(cls, matrix):
-        """Wrap a symmetric matrix without SPD certification.
-
-        Used for geodesic extrapolation outside [0, 1], where the result
-        may legitimately leave the cone. ``certified`` stays False; any
-        later operation that needs the Cholesky factor will certify (and
-        may raise) at that point.
-        """
-        return cls(matrix, _certify=False)
-
-    @staticmethod
-    def _check_symmetry_dense(A):
-        scale = np.max(np.abs(A)) if A.size else 0.0
-        dev = np.max(np.abs(A - A.T)) if A.size else 0.0
-        if dev > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise AsymmetricInput(dev, scale)
-
-    @staticmethod
-    def _check_symmetry_sparse(coo):
-        scale = np.max(np.abs(coo.data)) if coo.nnz else 0.0
-        diff = (coo - coo.T).tocoo()
-        dev = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-        if dev > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise AsymmetricInput(dev, scale)
 
     def _certify(self):
         if self._factor is None:
@@ -365,31 +313,16 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def make_spd(entries, n=None):
-    """Construct a certified SPD matrix from a symmetric value set.
-
-    Parameters
-    ----------
-    entries : array-like or scipy sparse matrix
-        Full symmetric matrix. Sparse input is canonicalized to its
-        lower triangle with duplicates summed.
-    n : int, optional
-        Expected dimension; mismatch raises DimensionMismatch.
-    """
-    X = SpdMatrix(entries)
-    if n is not None and X.n != n:
-        raise DimensionMismatch(X.n, n)
-    return X
-
-
-def cholesky(X: SpdMatrix) -> CholeskyFactor:
-    """Cholesky factor of X (cached on the instance)."""
-    return X.chol()
-
-
 def _check_dims(X: SpdMatrix, Y: SpdMatrix):
     if X.n != Y.n:
         raise DimensionMismatch(X.n, Y.n)
+
+
+def _check_dense_ceiling(n, dense_ceiling):
+    """Refuse a dense-only operation at n above the ceiling, an integer >= 0."""
+    require_integer("dense_ceiling", dense_ceiling, 0)
+    if n > dense_ceiling:
+        raise DenseLimitExceeded(n, dense_ceiling)
 
 
 def whiten(X: SpdMatrix, Y: SpdMatrix) -> np.ndarray:
@@ -415,8 +348,7 @@ def spectrum_dense(
     ceiling so that callers cannot mistake it for a scalable path.
     """
     _check_dims(X, Y)
-    if X.n > dense_ceiling:
-        raise DenseLimitExceeded(X.n, dense_ceiling)
+    _check_dense_ceiling(X.n, dense_ceiling)
     w = eigh(Y.dense(), X.dense(), eigvals_only=True)
     return Spectrum(w)
 
@@ -456,32 +388,30 @@ def random_sparse_spd(n, density, rng, shift=0.5):
     return SpdMatrix(X)
 
 
+def _raw_sum(coeff_pairs):
+    """sum(c * M.raw()) over (c, M) pairs, added in the given order.
+
+    Sparse when every M is, with its pattern inside the union of theirs;
+    dense otherwise.
+    """
+    sparse = all(m.is_sparse for _, m in coeff_pairs)
+    # each term is a new matrix, so adding into the first is safe; sparse += adds out of place
+    return reduce(iadd, ((m.raw() if sparse else m.dense()) * c for c, m in coeff_pairs))
+
+
 def combine(coeff_pairs, *, certify=True):
     """Linear combination sum(c_i * M_i) of SpdMatrix values.
 
     Sparse inputs yield a sparse result whose pattern is contained in
     the union of the input patterns; any dense input makes the result
-    dense. With ``certify=False`` the result is wrapped unchecked.
+    dense. With ``certify=False`` the result is left uncertified.
     """
     mats = [m for _, m in coeff_pairs]
     if not mats:
         raise InvalidArgument("empty combination")
     for m in mats[1:]:
         _check_dims(mats[0], m)
-    if all(m.is_sparse for m in mats):
-        acc = None
-        for c, m in coeff_pairs:
-            term = m.raw() * c
-            acc = term if acc is None else acc + term
-        result = acc
-    else:
-        acc = np.zeros((mats[0].n, mats[0].n))
-        for c, m in coeff_pairs:
-            acc += c * m.dense()
-        result = acc
-    if certify:
-        return SpdMatrix(result)
-    return SpdMatrix._wrap_unchecked(result)
+    return SpdMatrix(_raw_sum(coeff_pairs), _certify=certify)
 
 
 def arithmetic_mean(points):

@@ -62,6 +62,7 @@ class EigenOptions:
         require_positive_finite("tol", self.tol)
         require_integer("max_iter", self.max_iter, 1)
         require_integer("seed", self.seed, 0)
+        require_integer("dense_ceiling", self.dense_ceiling, 0)
         if self.backend not in ("auto", "dense", "iterative"):
             raise InvalidOption("backend", self.backend, "is not auto, dense or iterative")
 

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, combine
+from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dense_ceiling, _check_dims, combine
 from .eigen import EigenOptions, extreme_pair
 from .errors import (
     DegeneratePencil,
-    DenseLimitExceeded,
     NonPositiveAlpha,
     OrderViolation,
 )
@@ -119,12 +118,11 @@ def geodesic_coefficients(alpha: float, beta: float, t: float) -> GeodesicCoeffi
     return GeodesicCoefficients(phi=phi, psi=psi, m=m, o=o, branch="generic")
 
 
-def _wrap_combination(pairs, t, certify):
+def _wrap_combination(pairs, t):
+    """combine(pairs), certified for t in [0, 1]; outside, uncertified with a warning."""
     inside = 0.0 <= t <= 1.0
-    if certify is None:
-        certify = inside
-    out = combine(pairs, certify=certify)
-    if not inside and not certify:
+    out = combine(pairs, certify=inside)
+    if not inside:
         warnings.warn(
             f"geodesic evaluated at t={t} outside [0, 1]: result returned "
             "without positive-definiteness certification",
@@ -148,8 +146,6 @@ def star_geodesic(
     Y: SpdMatrix,
     t: float | Sequence[float],
     opts: EigenOptions | None = None,
-    *,
-    certify: bool | None = None,
 ) -> SpdMatrix | list[SpdMatrix]:
     """Point at parameter t on the distinguished Thompson geodesic from X to Y.
 
@@ -168,22 +164,20 @@ def star_geodesic(
         with one extreme-eigenvalue solve for all its points.
     opts : EigenOptions, optional
         Extreme-eigenvalue solver options.
-    certify : bool, optional
-        Force or skip the SPD certification of the result. Default:
-        certify inside [0, 1]; outside, return the matrix uncertified
-        and emit a RuntimeWarning.
 
     Returns
     -------
     SpdMatrix, or a list of them in the order of t
-        The interpolation point; ``certified`` reflects the choice above.
+        The interpolation point, certified for t in [0, 1]. Outside, it
+        may leave the cone: it comes back uncertified with a
+        RuntimeWarning, and its ``chol()`` certifies it or raises.
     """
     _check_dims(X, Y)
     ext = extreme_pair(X, Y, opts)
 
     def point(s):
         co = geodesic_coefficients(ext.alpha, ext.beta, s)
-        return _wrap_combination([(co.phi, Y), (co.psi, X)], s, certify)
+        return _wrap_combination([(co.phi, Y), (co.psi, X)], s)
 
     return _path(t, point)
 
@@ -202,8 +196,7 @@ def riemannian_geodesic(
     is SPD for every real t.
     """
     _check_dims(X, Y)
-    if X.n > dense_ceiling:
-        raise DenseLimitExceeded(X.n, dense_ceiling)
+    _check_dense_ceiling(X.n, dense_ceiling)
     w, V = eigh(X.dense())
     sqrt_w = w ** 0.5
     Xh = (V * sqrt_w) @ V.T
@@ -224,8 +217,6 @@ def diamond_geodesic(
     Y: SpdMatrix,
     t: float | Sequence[float],
     opts: EigenOptions | None = None,
-    *,
-    certify: bool | None = None,
 ) -> SpdMatrix | list[SpdMatrix]:
     """Point at parameter t on the diamond Thompson geodesic from X to Y.
 
@@ -248,6 +239,6 @@ def diamond_geodesic(
         # cancellation-free for lam near 1
         coeff_y = math.sinh(s * ell) / math.sinh(ell)
         coeff_x = math.sinh((1.0 - s) * ell) / math.sinh(ell)
-        return _wrap_combination([(coeff_y, Y), (coeff_x, X)], s, certify)
+        return _wrap_combination([(coeff_y, Y), (coeff_x, X)], s)
 
     return _path(t, point)

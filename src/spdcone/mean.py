@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpdMatrix, arithmetic_mean, combine, fro_norm
+from .core import SpdMatrix, _raw_sum, arithmetic_mean, combine, fro_norm
 from .eigen import EigenOptions, extreme_pair
 from .errors import (
     FixedPointStalled,
@@ -144,14 +144,7 @@ def _derivative_sums(extremes, c=1.0):
 def _residual_field(points, X, pairs, c=1.0):
     """E(c X) and |E|_F / (k |c X|_F) from the derivative pairs at c X."""
     osum = c * sum(o for _, o in pairs)
-    if all(p.is_sparse for p in points) and X.is_sparse:
-        E = osum * X.raw()
-        for (m, _), Yj in zip(pairs, points):
-            E = E + m * Yj.raw()
-    else:
-        E = osum * X.dense()
-        for (m, _), Yj in zip(pairs, points):
-            E = E + m * Yj.dense()
+    E = _raw_sum([(osum, X)] + [(m, Yj) for (m, _), Yj in zip(pairs, points)])
     return E, fro_norm(E) / (len(points) * c * X.norm_fro())
 
 

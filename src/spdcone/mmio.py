@@ -86,6 +86,8 @@ def read_matrix(path):
         raise ParseError(path, len(lines), "missing size line")
     size_tokens = lines[idx].split()
     size_line = idx + 1
+    # no more entries than lines can follow, whatever the size line claims
+    room = len(lines) - size_line
 
     if fmt == "coordinate":
         if len(size_tokens) != 3:
@@ -94,9 +96,11 @@ def read_matrix(path):
             nrow, ncol, nnz = (int(t) for t in size_tokens)
         except ValueError:
             raise ParseError(path, size_line, "non-integer size entry") from None
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=float)
+        if min(nrow, ncol, nnz) < 0:
+            raise ParseError(path, size_line, "negative size entry")
+        rows = np.empty(min(nnz, room), dtype=np.int64)
+        cols = np.empty_like(rows)
+        vals = np.empty(rows.size, dtype=float)
         count = 0
         for off, text in enumerate(lines[idx + 1:], start=size_line + 1):
             stripped = text.strip()
@@ -131,13 +135,15 @@ def read_matrix(path):
         nrow, ncol = (int(t) for t in size_tokens)
     except ValueError:
         raise ParseError(path, size_line, "non-integer size entry") from None
+    if min(nrow, ncol) < 0:
+        raise ParseError(path, size_line, "negative size entry")
     if symmetry == "general":
         expected = nrow * ncol
     else:
         if nrow != ncol:
             raise ParseError(path, size_line, "symmetric array must be square")
         expected = nrow * (nrow + 1) // 2
-    values = np.empty(expected, dtype=float)
+    values = np.empty(min(expected, room), dtype=float)
     count = 0
     for off, text in enumerate(lines[idx + 1:], start=size_line + 1):
         stripped = text.strip()

@@ -16,10 +16,10 @@ from spdcone import (
     EigenOptions,
     MeanOptions,
     MeanProblem,
+    SpdMatrix,
     extreme_pair,
     hilbert_distance,
     inductive_mean,
-    make_spd,
     phi_distance,
     random_sparse_spd,
     random_spd,
@@ -76,7 +76,7 @@ def test_criterion_03_initialization_independence():
         k = 3 if trial % 2 == 0 else 5
         n = int(rng.integers(3, 21))
         pts = spd_family(rng, k, n)
-        inits = [None, pts[0], make_spd(float(rng.uniform(0.5, 3.0)) * np.eye(n))]
+        inits = [None, pts[0], SpdMatrix(float(rng.uniform(0.5, 3.0)) * np.eye(n))]
         results = [inductive_mean(MeanProblem(pts, init=i)) for i in inits]
         for r in results:
             worst_resid = max(worst_resid, r.residual_norm)
@@ -106,7 +106,7 @@ def test_criterion_04_mean_property_suite():
         Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
         Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
         A = Q1 @ np.diag(10.0 ** rng.uniform(-1, 1, n)) @ Q2
-        Ma = inductive_mean(MeanProblem([make_spd(A @ p.dense() @ A.T) for p in pts])).mean
+        Ma = inductive_mean(MeanProblem([SpdMatrix(A @ p.dense() @ A.T) for p in pts])).mean
         ref = A @ M.dense() @ A.T
         worst_affine = max(
             worst_affine, np.linalg.norm(Ma.dense() - ref) / np.linalg.norm(ref)
@@ -146,7 +146,7 @@ def test_criterion_05_riemannian_star_coincidence():
         Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         lo, hi = np.exp(rng.uniform(-1.5, 0)), np.exp(rng.uniform(0, 1.5))
         D = (Q * np.array([hi, hi, lo, lo, lo])) @ Q.T
-        Y = make_spd(Xh @ D @ Xh)
+        Y = SpdMatrix(Xh @ D @ Xh)
         for t in (0.25, 0.5, 0.75):
             R = riemannian_geodesic(X, Y, t).dense()
             S = star_geodesic(X, Y, t).dense()
@@ -253,7 +253,7 @@ def test_criterion_08_eigensolver_oracle_equivalence():
 def _random_tridiagonal_spd(rng, n):
     off = rng.uniform(-0.9, 0.9, n - 1)
     diag = np.abs(np.r_[off, 0]) + np.abs(np.r_[0, off]) + rng.uniform(0.5, 1.5, n)
-    return make_spd(sp.diags([off, diag, off], [-1, 0, 1]).tocoo())
+    return SpdMatrix(sp.diags([off, diag, off], [-1, 0, 1]).tocoo())
 
 
 def _connected_sparse_spd(rng, n, extra):
@@ -272,7 +272,7 @@ def _connected_sparse_spd(rng, n, extra):
     G = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     G = (G + G.T).tocsr()
     weights = np.asarray(np.abs(G).sum(axis=1)).ravel()
-    return make_spd((G + sp.diags(weights + rng.uniform(0.3, 0.8, n))).tocoo())
+    return SpdMatrix((G + sp.diags(weights + rng.uniform(0.3, 0.8, n))).tocoo())
 
 
 def test_criterion_09_sparsity_and_structure():
@@ -291,7 +291,7 @@ def test_criterion_09_sparsity_and_structure():
         col = np.zeros(20)
         col[0] = 20.0
         col[1:] = rng.uniform(-0.8, 0.8, 19)
-        toe.append(make_spd(toeplitz(col)))
+        toe.append(SpdMatrix(toeplitz(col)))
     Mt = inductive_mean(MeanProblem(toe)).mean.dense()
     worst_toe = 0.0
     for off in range(1, 20):
@@ -327,8 +327,8 @@ def test_criterion_10_metric_invariances():
         n = int(rng.integers(2, 11))
         X, Y = spd_family(rng, 2, n)
         A = rng.standard_normal((n, n))
-        AX, AY = make_spd(A @ X.dense() @ A.T), make_spd(A @ Y.dense() @ A.T)
-        Xi, Yi = make_spd(np.linalg.inv(X.dense())), make_spd(np.linalg.inv(Y.dense()))
+        AX, AY = SpdMatrix(A @ X.dense() @ A.T), SpdMatrix(A @ Y.dense() @ A.T)
+        Xi, Yi = SpdMatrix(np.linalg.inv(X.dense())), SpdMatrix(np.linalg.inv(Y.dense()))
         for dist in (thompson_distance, riemannian_distance):
             worst_aff = max(worst_aff, abs(dist(AX, AY) - dist(X, Y)))
             worst_inv = max(worst_inv, abs(dist(Xi, Yi) - dist(X, Y)))
@@ -442,7 +442,7 @@ def test_criterion_11_diagonal_orthant_oracle():
         k = int(rng.integers(2, 6))
         n = int(rng.integers(2, 21))
         vectors = [list(np.exp(rng.uniform(-1.5, 1.5, n))) for _ in range(k)]
-        pts = [make_spd(np.diag(v)) for v in vectors]
+        pts = [SpdMatrix(np.diag(v)) for v in vectors]
         M = inductive_mean(MeanProblem(pts, opts=tight)).mean.dense()
         oracle = _orthant_mean(vectors)
         err = max(abs(M[i, i] - oracle[i]) / oracle[i] for i in range(n))

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 
 from spdcone import (
-    make_spd,
+    SpdMatrix,
     random_sparse_spd,
     random_spd,
     read_spd,
@@ -31,10 +31,10 @@ def runner():
 def files(tmp_path, rng):
     paths = {}
     mats = {
-        "i2": make_spd(np.eye(2)),
-        "i3": make_spd(np.eye(3)),
-        "d41": make_spd(np.diag([4.0, 1.0])),
-        "d941": make_spd(np.diag([9.0, 4.0, 1.0])),
+        "i2": SpdMatrix(np.eye(2)),
+        "i3": SpdMatrix(np.eye(3)),
+        "d41": SpdMatrix(np.diag([4.0, 1.0])),
+        "d941": SpdMatrix(np.diag([9.0, 4.0, 1.0])),
         "r6a": random_spd(6, rng),
         "r6b": random_spd(6, rng),
         "s20a": random_sparse_spd(20, 0.08, rng),
@@ -183,7 +183,7 @@ class TestMeanCommand:
             c[0] = 10.0
             c[1:] = rng.uniform(-0.7, 0.7, 9)
             p = tmp_path / f"t{idx}.mtx"
-            write_matrix(p, make_spd(toeplitz(c)))
+            write_matrix(p, SpdMatrix(toeplitz(c)))
             paths.append(str(p))
         out = tmp_path / "mean.mtx"
         invoke(runner, "mean", *paths, "--out", str(out))
@@ -308,6 +308,19 @@ class TestExitCodesAndEnv:
         r = runner.invoke(main, ["--seed", "-1", "distance", files["r6a"], files["r6b"]])
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
         assert "seed" in r.output and "Traceback" not in r.output
+
+    def test_bad_dense_ceiling_exit_2(self, runner, files):
+        r = runner.invoke(main, ["--dense-ceiling", "-1", "distance", files["r6a"], files["r6b"]])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert "dense_ceiling" in r.output and "Traceback" not in r.output
+
+    def test_huge_declared_size_exit_2(self, runner, tmp_path, files):
+        huge = tmp_path / "huge.mtx"
+        huge.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "3 3 100000000000000\n1 1 1.0\n")
+        r = runner.invoke(main, ["distance", files["i3"], str(huge)])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert "huge.mtx:3" in r.output and "Traceback" not in r.output
 
     def test_env_var_seed(self, runner, files):
         r = invoke(runner, "--json", "distance", files["r6a"], files["r6b"],

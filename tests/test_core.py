@@ -6,9 +6,7 @@ import scipy.sparse as sp
 
 from spdcone import (
     SpdMatrix,
-    cholesky,
     combine,
-    make_spd,
     random_spd,
     spectrum_dense,
     whiten,
@@ -27,13 +25,13 @@ from conftest import spd_pair
 
 class TestMakeSpd:
     def test_identity(self):
-        X = make_spd(np.eye(3))
+        X = SpdMatrix(np.eye(3))
         assert X.n == 3 and X.certified
         np.testing.assert_array_equal(X.dense(), np.eye(3))
 
     def test_indefinite_reports_pivot(self):
         with pytest.raises(NotPositiveDefinite) as exc:
-            make_spd(np.diag([1.0, -1.0]))
+            SpdMatrix(np.diag([1.0, -1.0]))
         assert exc.value.pivot_index == 2
 
     def test_2x2_spd(self):
@@ -42,60 +40,103 @@ class TestMakeSpd:
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
         roots = np.roots([1.0, -(A[0, 0] + A[1, 1]), A[0, 0] * A[1, 1] - A[0, 1] ** 2])
         assert all(r > 0 for r in roots)
-        X = make_spd(A)
+        X = SpdMatrix(A)
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(X.dense())), sorted(roots))
 
     def test_asymmetric_rejected(self):
         A = np.eye(3)
         A[0, 1] = 1e-6
-        with pytest.raises(AsymmetricInput):
-            make_spd(A)
+        # dense and sparse storage take one path and report the same deviation
+        devs = []
+        for make in (np.asarray, sp.csr_matrix):
+            with pytest.raises(AsymmetricInput) as exc:
+                SpdMatrix(make(A))
+            devs.append(exc.value.max_dev)
+        assert devs == [1e-6, 1e-6]
 
     def test_symmetry_is_exact_after_mirroring(self, rng):
         A = random_spd(7, rng).dense().copy()
         A += rng.uniform(-1, 1, (7, 7)) * 1e-14  # below tolerance, breaks symmetry
-        X = make_spd(A)
-        assert np.array_equal(X.dense(), X.dense().T)
-
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            make_spd(np.eye(3), n=4)
+        for make in (np.asarray, sp.coo_matrix):
+            X = SpdMatrix(make(A))
+            assert np.array_equal(X.dense(), X.dense().T)
+            np.testing.assert_array_equal(X.dense(), np.tril(A) + np.tril(A, -1).T)
 
     def test_sparse_duplicates_summed(self):
         # duplicate (1, 0) entries sum to 1.0 and match the (0, 1) entry
         A = sp.coo_matrix(
             ([2.0, 0.5, 0.5, 1.0, 2.0], ([0, 1, 1, 0, 1], [0, 0, 0, 1, 1])), shape=(2, 2)
         )
-        X = make_spd(A)
+        X = SpdMatrix(A)
         np.testing.assert_array_equal(X.dense(), [[2.0, 1.0], [1.0, 2.0]])
         # summed duplicates that disagree across the diagonal are rejected
         bad = sp.coo_matrix(
             ([2.0, 0.4, 0.2, 1.0, 2.0], ([0, 1, 1, 0, 1], [0, 0, 0, 1, 1])), shape=(2, 2)
         )
         with pytest.raises(AsymmetricInput):
-            make_spd(bad)
-        B = sp.coo_matrix(([2.0, 0.5, 0.5, 2.0], ([0, 1, 1, 1], [0, 0, 0, 1])), shape=(2, 2))
-        X2 = SpdMatrix.from_lower_sparse(B)
-        np.testing.assert_array_equal(X2.dense(), [[2.0, 1.0], [1.0, 2.0]])
+            SpdMatrix(bad)
 
     def test_near_singular_breakdown(self):
         A = np.diag([1.0, 1e-16])
         with pytest.raises(NumericalBreakdown):
-            make_spd(A)
+            SpdMatrix(A)
+
+
+def _storage_forms():
+    """One symmetric 3 x 3 matrix as a dense array and in three sparse forms."""
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+    # (1, 0) split into two entries, an explicit zero at (2, 0), rows unordered
+    coo = sp.coo_matrix(
+        ([2.0, 0.5, 0.5, 1.0, 5.0, 2.0, 0.0, 6.0, 4.0],
+         ([2, 1, 1, 0, 1, 1, 2, 2, 0], [1, 0, 0, 1, 1, 2, 0, 2, 0])),
+        shape=(3, 3),
+    )
+    # column indices unsorted within each row
+    csr = sp.csr_matrix(
+        (np.array([1.0, 4.0, 2.0, 1.0, 5.0, 6.0, 2.0]),
+         np.array([1, 0, 2, 0, 1, 2, 1]), np.array([0, 2, 5, 7])),
+        shape=(3, 3),
+    )
+    assert not csr.has_sorted_indices
+    return dense, [coo, csr, sp.csc_matrix(dense)]
+
+
+class TestOnePath:
+    def test_sparse_forms_store_the_same_sorted_csr(self):
+        dense, forms = _storage_forms()
+        ref = SpdMatrix(dense).raw()
+        raws = [SpdMatrix(f).raw() for f in forms]
+        for R in raws:
+            assert isinstance(R, sp.csr_matrix) and R.has_sorted_indices
+            assert (R != R.T).nnz == 0
+            np.testing.assert_array_equal(R.toarray(), ref)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(R, name), getattr(raws[0], name))
+        assert raws[0].nnz == 7  # the explicit zero is not stored
+
+    def test_caller_arrays_unchanged(self):
+        _, forms = _storage_forms()
+        names = ("data", "indices", "indptr", "row", "col")
+        before = [{k: getattr(f, k).copy() for k in names if hasattr(f, k)} for f in forms]
+        for f, arrays in zip(forms, before):
+            SpdMatrix(f)
+            for k, v in arrays.items():
+                np.testing.assert_array_equal(getattr(f, k), v)
+        assert not forms[1].has_sorted_indices
 
 
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky(make_spd(np.eye(4))).L, np.eye(4))
+        np.testing.assert_array_equal(SpdMatrix(np.eye(4)).chol().L, np.eye(4))
 
     def test_diagonal_square_roots(self):
-        f = cholesky(make_spd(np.diag([4.0, 9.0])))
+        f = SpdMatrix(np.diag([4.0, 9.0])).chol()
         np.testing.assert_allclose(f.L, np.diag([2.0, 3.0]))
 
     def test_hand_cholesky_2x2(self):
         # [[4,2],[2,5]]: l11 = 2, l21 = 2/2 = 1, l22 = sqrt(5 - 1) = 2
-        X = make_spd(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        L = cholesky(X).L
+        X = SpdMatrix(np.array([[4.0, 2.0], [2.0, 5.0]]))
+        L = X.chol().L
         np.testing.assert_allclose(L, np.array([[2.0, 0.0], [1.0, 2.0]]))
         np.testing.assert_allclose(L @ L.T, X.dense())
 
@@ -104,14 +145,14 @@ class TestCholesky:
         for _ in range(1000):
             n = int(rng.integers(2, 51))
             X = random_spd(n, rng, spread=rng.uniform(0.2, 3.0))
-            err = cholesky(X).reconstruction_error(X.raw())
+            err = X.chol().reconstruction_error(X.raw())
             assert err <= 1e-12
 
     def test_sparse_records_permutation(self, rng):
         from spdcone import random_sparse_spd
 
         X = random_sparse_spd(80, 0.05, rng)
-        f = cholesky(X)
+        f = X.chol()
         assert f.perm is not None
         assert f.reconstruction_error(X.raw()) <= 1e-12
         # L is genuinely lower triangular with positive diagonal
@@ -120,13 +161,13 @@ class TestCholesky:
 
 class TestWhiten:
     def test_identity_base(self, rng):
-        X = make_spd(np.eye(5))
+        X = SpdMatrix(np.eye(5))
         Y = random_spd(5, rng)
         np.testing.assert_allclose(whiten(X, Y), Y.dense(), atol=1e-14)
 
     def test_diagonal_ratio(self):
-        X = make_spd(np.diag([4.0, 1.0]))
-        Y = make_spd(np.diag([8.0, 3.0]))
+        X = SpdMatrix(np.diag([4.0, 1.0]))
+        Y = SpdMatrix(np.diag([8.0, 3.0]))
         np.testing.assert_allclose(whiten(X, Y), np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_spectrum_matches_nonsymmetric_oracle(self, rng):
@@ -145,13 +186,13 @@ class TestWhiten:
 
         X, Y = random_sparse_spd(30, 0.1, rng), random_sparse_spd(30, 0.1, rng)
         sparse = np.linalg.eigvalsh(whiten(X, Y))
-        dense = np.linalg.eigvalsh(whiten(make_spd(X.dense()), make_spd(Y.dense())))
+        dense = np.linalg.eigvalsh(whiten(SpdMatrix(X.dense()), SpdMatrix(Y.dense())))
         np.testing.assert_allclose(sparse, dense, rtol=1e-12)
 
 
 class TestSpectrumDense:
     def test_diagonal(self):
-        s = spectrum_dense(make_spd(np.eye(3)), make_spd(np.diag([9.0, 4.0, 1.0])))
+        s = spectrum_dense(SpdMatrix(np.eye(3)), SpdMatrix(np.diag([9.0, 4.0, 1.0])))
         np.testing.assert_allclose(s.eigenvalues, [1.0, 4.0, 9.0])
 
     def test_self_pencil_all_ones(self, rng):
@@ -161,8 +202,8 @@ class TestSpectrumDense:
 
     def test_reciprocal_spectrum(self):
         # X = [[2,1],[1,2]] has eigenvalues {1, 3}; pencil (I, X) has {1/3, 1}
-        X = make_spd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        s = spectrum_dense(X, make_spd(np.eye(2)))
+        X = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        s = spectrum_dense(X, SpdMatrix(np.eye(2)))
         np.testing.assert_allclose(s.eigenvalues, [1.0 / 3.0, 1.0])
 
     def test_ceiling(self, rng):
@@ -173,8 +214,8 @@ class TestSpectrumDense:
     def test_congruence_isospectral(self, rng):
         X, Y = spd_pair(rng, 9)
         A = rng.standard_normal((9, 9))
-        AX = make_spd(A @ X.dense() @ A.T)
-        AY = make_spd(A @ Y.dense() @ A.T)
+        AX = SpdMatrix(A @ X.dense() @ A.T)
+        AY = SpdMatrix(A @ Y.dense() @ A.T)
         s0 = spectrum_dense(X, Y).eigenvalues
         s1 = spectrum_dense(AX, AY).eigenvalues
         np.testing.assert_allclose(s1, s0, rtol=1e-9)
@@ -186,8 +227,8 @@ class TestSparseDenseAgreement:
 
         Xs = random_sparse_spd(40, 0.1, rng)
         Ys = random_sparse_spd(40, 0.1, rng)
-        Xd = make_spd(Xs.dense())
-        Yd = make_spd(Ys.dense())
+        Xd = SpdMatrix(Xs.dense())
+        Yd = SpdMatrix(Ys.dense())
         s_sparse = spectrum_dense(Xs, Ys).eigenvalues
         s_dense = spectrum_dense(Xd, Yd).eigenvalues
         np.testing.assert_allclose(s_sparse, s_dense, rtol=1e-12)

@@ -13,7 +13,6 @@ from spdcone import (
     SpdMatrix,
     EigenStats,
     extreme_pair,
-    make_spd,
     random_sparse_spd,
     random_spd,
     spectrum_dense,
@@ -29,8 +28,8 @@ def iter_opts(seed=0, tol=1e-10):
 
 class TestLambdaMax:
     def test_diagonal(self):
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
-        X = make_spd(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
         e = extreme_pair(X, Y)
         assert e.beta == pytest.approx(9.0, abs=1e-12)
         assert e.residuals[1] <= 1e-10
@@ -60,8 +59,8 @@ class TestLambdaMax:
 
 class TestLambdaMin:
     def test_diagonal(self):
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
-        X = make_spd(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
         e = extreme_pair(X, Y)
         assert e.alpha == pytest.approx(1.0, abs=1e-12)
         assert e.residuals[0] <= 1e-10
@@ -80,8 +79,8 @@ class TestLambdaMin:
 
 class TestExtremePair:
     def test_examples(self, rng):
-        X = make_spd(np.eye(3))
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
         e = extreme_pair(X, Y)
         assert (e.alpha, e.beta) == (pytest.approx(1.0), pytest.approx(9.0))
         Z = random_spd(5, rng)
@@ -89,8 +88,8 @@ class TestExtremePair:
         assert e2.alpha == pytest.approx(1.0, abs=1e-12)
         assert e2.beta == pytest.approx(1.0, abs=1e-12)
         # spectrum of [[2,1],[1,2]] is {1,3}; pencil (I, X) inverts it
-        W = make_spd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        e3 = extreme_pair(W, make_spd(np.eye(2)))
+        W = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        e3 = extreme_pair(W, SpdMatrix(np.eye(2)))
         assert e3.alpha == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert e3.beta == pytest.approx(1.0, rel=1e-12)
 
@@ -105,7 +104,7 @@ class TestExtremePair:
         X, Y = spd_pair(rng, 10)
         A = rng.standard_normal((10, 10))
         e0 = extreme_pair(X, Y)
-        e1 = extreme_pair(make_spd(A @ X.dense() @ A.T), make_spd(A @ Y.dense() @ A.T))
+        e1 = extreme_pair(SpdMatrix(A @ X.dense() @ A.T), SpdMatrix(A @ Y.dense() @ A.T))
         assert e1.alpha == pytest.approx(e0.alpha, rel=1e-8)
         assert e1.beta == pytest.approx(e0.beta, rel=1e-8)
 
@@ -142,7 +141,7 @@ class TestExtremePair:
         d = np.ones(12)
         d[:2] = [3.0, 3.0 * (1 + 1e-10)]
         D = (Q * d) @ Q.T
-        Y = make_spd(Xh @ D @ Xh)
+        Y = SpdMatrix(Xh @ D @ Xh)
         e = extreme_pair(X, Y, iter_opts(seed=9))
         assert e.beta == pytest.approx(3.0, rel=1e-8)
         assert max(e.residuals) <= 1e-10
@@ -213,6 +212,9 @@ class TestOptionsValidation:
         for seed in (-1, 1.5, float("nan"), "0"):
             with pytest.raises(InvalidOption, match="seed"):
                 EigenOptions(seed=seed)
+        for ceiling in (float("nan"), -1, 2.5):
+            with pytest.raises(InvalidOption, match="dense_ceiling"):
+                EigenOptions(dense_ceiling=ceiling)
         # integers of either kind pass
         EigenOptions(seed=np.int64(7), max_iter=np.int32(10))
 

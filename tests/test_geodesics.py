@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcone import (
+    SpdMatrix,
     coefficient_derivatives,
     diamond_geodesic,
     extreme_pair,
     geodesic_coefficients,
-    make_spd,
     random_sparse_spd,
     random_spd,
     riemannian_geodesic,
@@ -133,8 +133,8 @@ class TestCoefficients:
 
 class TestStarGeodesic:
     def test_diagonal_example(self):
-        X = make_spd(np.eye(3))
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
         G = star_geodesic(X, Y, 0.5)
         np.testing.assert_allclose(np.diag(G.dense()), [3.0, 7.0 / 4.0, 1.0], rtol=1e-14)
 
@@ -144,8 +144,8 @@ class TestStarGeodesic:
         assert np.array_equal(star_geodesic(X, Y, 1.0).dense(), Y.dense())
 
     def test_scalar_geometric_mean(self):
-        X = make_spd(np.array([[2.0]]))
-        Y = make_spd(np.array([[8.0]]))
+        X = SpdMatrix(np.array([[2.0]]))
+        Y = SpdMatrix(np.array([[8.0]]))
         G = star_geodesic(X, Y, 0.5)
         assert G.dense()[0, 0] == pytest.approx(4.0, rel=1e-14)
 
@@ -169,13 +169,15 @@ class TestStarGeodesic:
     def test_extrapolation_certify_can_fail(self):
         # far extrapolation drives the smallest pencil eigenvalue to
         # alpha^t, numerically indistinguishable from a singular matrix;
-        # requesting certification there must fail loudly
+        # certifying the point there must fail loudly
         from spdcone.errors import NumericalBreakdown
 
-        X = make_spd(np.diag([1.0, 1.0]))
-        Y = make_spd(np.diag([100.0, 1e-4]))
+        X = SpdMatrix(np.diag([1.0, 1.0]))
+        Y = SpdMatrix(np.diag([100.0, 1e-4]))
+        with pytest.warns(RuntimeWarning):
+            G = star_geodesic(X, Y, 3.5)
         with pytest.raises((NotPositiveDefinite, NumericalBreakdown)):
-            star_geodesic(X, Y, 3.5, certify=True)
+            G.chol()
 
     def test_pencil_propagation(self, rng):
         # lambda_max((X *_t Y) X^-1) = beta^t and lambda_min = alpha^t
@@ -204,7 +206,7 @@ class TestStarGeodesic:
         X, Y = spd_pair(rng, 8)
         A = rng.standard_normal((8, 8))
         lhs = star_geodesic(
-            make_spd(A @ X.dense() @ A.T), make_spd(A @ Y.dense() @ A.T), 0.4
+            SpdMatrix(A @ X.dense() @ A.T), SpdMatrix(A @ Y.dense() @ A.T), 0.4
         ).dense()
         rhs = A @ star_geodesic(X, Y, 0.4).dense() @ A.T
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.linalg.norm(rhs))
@@ -229,8 +231,8 @@ class TestStarGeodesic:
 
 class TestRiemannianGeodesic:
     def test_matrix_square_root(self):
-        X = make_spd(np.eye(3))
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
         G = riemannian_geodesic(X, Y, 0.5)
         np.testing.assert_allclose(G.dense(), np.diag([3.0, 2.0, 1.0]), atol=1e-13)
 
@@ -254,7 +256,7 @@ class TestRiemannianGeodesic:
         Xh = (V * np.sqrt(w)) @ V.T
         Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         D = (Q * np.array([2.0, 2.0, 0.5, 0.5, 0.5])) @ Q.T
-        Y = make_spd(Xh @ D @ Xh)
+        Y = SpdMatrix(Xh @ D @ Xh)
         for t in (0.3, 0.5, 0.8):
             R = riemannian_geodesic(X, Y, t).dense()
             S = star_geodesic(X, Y, t).dense()
@@ -268,8 +270,8 @@ class TestRiemannianGeodesic:
 
 class TestDiamondGeodesic:
     def test_hand_example(self):
-        X = make_spd(np.eye(3))
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
         G = diamond_geodesic(X, Y, 0.5)
         np.testing.assert_allclose(np.diag(G.dense()), [3.0, 1.5, 0.6], rtol=1e-14)
 
@@ -285,8 +287,8 @@ class TestDiamondGeodesic:
 
     def test_low_branch(self, rng):
         # alpha * beta < 1 exercises the lambda_min branch
-        X = make_spd(np.eye(2))
-        Y = make_spd(np.diag([0.5, 0.1]))
+        X = SpdMatrix(np.eye(2))
+        Y = SpdMatrix(np.diag([0.5, 0.1]))
         G = diamond_geodesic(X, Y, 0.5)
         lam = 0.1  # alpha branch: alpha = 0.1, beta = 0.5, alpha*beta < 1
         a = (lam ** 0.5 - lam ** -0.5) / (lam - 1.0 / lam)

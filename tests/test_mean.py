@@ -17,7 +17,6 @@ from spdcone import (
     hilbert_distance,
     inductive_mean,
     inductive_step,
-    make_spd,
     random_sparse_spd,
     random_spd,
     residual,
@@ -42,8 +41,8 @@ class TestInductiveStep:
         np.testing.assert_allclose(inductive_step(X, X, 3).dense(), X.dense(), rtol=1e-12)
 
     def test_first_step_is_midpoint(self):
-        X = make_spd(np.eye(3))
-        Y = make_spd(np.diag([9.0, 4.0, 1.0]))
+        X = SpdMatrix(np.eye(3))
+        Y = SpdMatrix(np.diag([9.0, 4.0, 1.0]))
         np.testing.assert_allclose(
             np.diag(inductive_step(X, Y, 1).dense()), [3.0, 7.0 / 4.0, 1.0], rtol=1e-14
         )
@@ -127,7 +126,7 @@ class TestInductiveMean:
 
     def test_initialization_independence(self, rng):
         pts = points(rng, 3, 8)
-        inits = [None, pts[0], make_spd(3.0 * np.eye(8))]
+        inits = [None, pts[0], SpdMatrix(3.0 * np.eye(8))]
         results = [inductive_mean(MeanProblem(pts, init=i)) for i in inits]
         for a in results:
             for b in results:
@@ -142,7 +141,7 @@ class TestInductiveMean:
     def test_affine_equivariance(self, rng):
         pts = points(rng, 3, 5)
         A = rng.standard_normal((5, 5))
-        mapped = [make_spd(A @ p.dense() @ A.T) for p in pts]
+        mapped = [SpdMatrix(A @ p.dense() @ A.T) for p in pts]
         lhs = inductive_mean(MeanProblem(mapped)).mean.dense()
         M = inductive_mean(MeanProblem(pts)).mean.dense()
         rhs = A @ M @ A.T
@@ -162,7 +161,7 @@ class TestInductiveMean:
         for p in pts:
             S = rng.standard_normal((6, 6))
             S = (S + S.T) / (2.0 * np.linalg.norm(S))
-            perturbed.append(make_spd(p.dense() + 1e-6 * np.linalg.norm(p.dense()) * S))
+            perturbed.append(SpdMatrix(p.dense() + 1e-6 * np.linalg.norm(p.dense()) * S))
         moved = inductive_mean(MeanProblem(perturbed)).mean
         assert thompson_distance(base, moved) <= 1e-3
 
@@ -213,7 +212,7 @@ class TestInductiveMean:
             c[1:] = rng.uniform(-0.8, 0.8, n - 1)
             from scipy.linalg import toeplitz
 
-            return make_spd(toeplitz(c))
+            return SpdMatrix(toeplitz(c))
 
         pts = [toeplitz_spd(8) for _ in range(3)]
         M = inductive_mean(MeanProblem(pts)).mean.dense()
@@ -232,7 +231,7 @@ class TestInductiveMean:
         # two runs of the recurrence contract toward each other at least
         # as fast as the product of per-step Hilbert factors predicts
         pts = points(rng, 3, 5, spread=1.0)
-        X = make_spd(np.eye(5))
+        X = SpdMatrix(np.eye(5))
         Xp = pts[0]
         i = 1
         for cycle in range(6):
@@ -386,5 +385,5 @@ class TestMixedStorage:
         Yd = random_spd(20, rng)
         res = inductive_mean(MeanProblem([Xs, Yd]))
         assert res.certified
-        ref = inductive_mean(MeanProblem([make_spd(Xs.dense()), Yd]))
+        ref = inductive_mean(MeanProblem([SpdMatrix(Xs.dense()), Yd]))
         assert thompson_distance(res.mean, ref.mean) <= 1e-9

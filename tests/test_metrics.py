@@ -8,21 +8,21 @@ import pytest
 from spdcone import (
     EigenOptions,
     GaugeParameter,
+    SpdMatrix,
     hilbert_distance,
-    make_spd,
     phi_distance,
     random_spd,
     riemannian_distance,
     thompson_distance,
 )
-from spdcone.errors import DenseLimitExceeded, InvalidGauge
+from spdcone.errors import DenseLimitExceeded, InvalidGauge, InvalidOption
 
 from conftest import spd_pair
 
 
 class TestThompson:
     def test_diag_example(self):
-        d = thompson_distance(make_spd(np.eye(2)), make_spd(np.diag([4.0, 1.0])))
+        d = thompson_distance(SpdMatrix(np.eye(2)), SpdMatrix(np.diag([4.0, 1.0])))
         assert d == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_zero_at_equal(self, rng):
@@ -30,8 +30,8 @@ class TestThompson:
         assert thompson_distance(X, X) <= 1e-10
 
     def test_scalar_pencil(self):
-        X = make_spd(2.0 * np.eye(3))
-        Y = make_spd(np.eye(3))
+        X = SpdMatrix(2.0 * np.eye(3))
+        Y = SpdMatrix(np.eye(3))
         assert thompson_distance(X, Y) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_iterative_agrees_with_dense(self, rng):
@@ -45,7 +45,7 @@ class TestThompson:
 
 class TestHilbert:
     def test_diag_example(self):
-        d = hilbert_distance(make_spd(np.eye(3)), make_spd(np.diag([9.0, 4.0, 1.0])))
+        d = hilbert_distance(SpdMatrix(np.eye(3)), SpdMatrix(np.diag([9.0, 4.0, 1.0])))
         assert d == pytest.approx(math.log(9.0), abs=1e-12)
 
     def test_projective_degeneracy(self, rng):
@@ -54,14 +54,14 @@ class TestHilbert:
             assert hilbert_distance(X, X.scaled(c)) <= 1e-9
 
     def test_inverse_spectrum_example(self):
-        X = make_spd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert hilbert_distance(X, make_spd(np.eye(2))) == pytest.approx(math.log(3.0), abs=1e-12)
+        X = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert hilbert_distance(X, SpdMatrix(np.eye(2))) == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 class TestRiemannian:
     def test_symmetric_logs(self):
-        Y = make_spd(np.diag([math.e ** 2, math.e ** -2]))
-        d = riemannian_distance(make_spd(np.eye(2)), Y)
+        Y = SpdMatrix(np.diag([math.e ** 2, math.e ** -2]))
+        d = riemannian_distance(SpdMatrix(np.eye(2)), Y)
         assert d == pytest.approx(math.sqrt(8.0), rel=1e-12)
 
     def test_zero(self, rng):
@@ -69,7 +69,7 @@ class TestRiemannian:
         assert riemannian_distance(X, X) <= 1e-12
 
     def test_direct_evaluation(self):
-        d = riemannian_distance(make_spd(np.eye(3)), make_spd(np.diag([9.0, 4.0, 1.0])))
+        d = riemannian_distance(SpdMatrix(np.eye(3)), SpdMatrix(np.diag([9.0, 4.0, 1.0])))
         assert d == pytest.approx(math.hypot(math.log(9.0), math.log(4.0)), rel=1e-12)
 
     def test_ceiling(self, rng):
@@ -77,15 +77,21 @@ class TestRiemannian:
         with pytest.raises(DenseLimitExceeded):
             riemannian_distance(X, Y, dense_ceiling=4)
 
+    def test_nan_ceiling_rejected(self, rng):
+        # n > nan is False, so an unchecked nan ceiling would densify at any n
+        X, Y = spd_pair(rng, 8)
+        with pytest.raises(InvalidOption, match="dense_ceiling"):
+            riemannian_distance(X, Y, dense_ceiling=float("nan"))
+
 
 class TestPhiFamily:
     def test_p_inf_is_thompson(self):
-        X, Y = make_spd(np.eye(2)), make_spd(np.diag([4.0, 1.0]))
+        X, Y = SpdMatrix(np.eye(2)), SpdMatrix(np.diag([4.0, 1.0]))
         assert phi_distance(X, Y, math.inf) == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_p1_sum_of_logs(self):
-        Y = make_spd(np.diag([math.e, 1.0 / math.e, 1.0]))
-        assert phi_distance(make_spd(np.eye(3)), Y, 1.0) == pytest.approx(2.0, rel=1e-12)
+        Y = SpdMatrix(np.diag([math.e, 1.0 / math.e, 1.0]))
+        assert phi_distance(SpdMatrix(np.eye(3)), Y, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_p2_is_riemannian(self, rng):
         X, Y = spd_pair(rng, 9)
@@ -120,15 +126,15 @@ class TestMetricAxioms:
     def test_affine_invariance(self, rng):
         X, Y = spd_pair(rng, 7)
         A = rng.standard_normal((7, 7))
-        AX = make_spd(A @ X.dense() @ A.T)
-        AY = make_spd(A @ Y.dense() @ A.T)
+        AX = SpdMatrix(A @ X.dense() @ A.T)
+        AY = SpdMatrix(A @ Y.dense() @ A.T)
         for d in self.metrics() + [hilbert_distance]:
             assert d(AX, AY) == pytest.approx(d(X, Y), abs=1e-8)
 
     def test_inversion_invariance(self, rng):
         X, Y = spd_pair(rng, 6)
-        Xi = make_spd(np.linalg.inv(X.dense()))
-        Yi = make_spd(np.linalg.inv(Y.dense()))
+        Xi = SpdMatrix(np.linalg.inv(X.dense()))
+        Yi = SpdMatrix(np.linalg.inv(Y.dense()))
         assert thompson_distance(Xi, Yi) == pytest.approx(thompson_distance(X, Y), abs=1e-8)
         assert riemannian_distance(Xi, Yi) == pytest.approx(riemannian_distance(X, Y), abs=1e-8)
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from spdcone import (
-    make_spd,
+    SpdMatrix,
     random_sparse_spd,
     random_spd,
     read_matrix,
@@ -65,7 +65,7 @@ class TestRoundTrip:
         assert np.array_equal(back.toarray(), C.toarray())
 
     def test_only_lower_triangle_stored(self, tmp_path):
-        X = make_spd(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        X = SpdMatrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
         p = tmp_path / "x.mtx"
         write_matrix(p, X)
         # symmetric array format: column-major lower triangle = 3 values
@@ -115,6 +115,11 @@ class TestParseErrors:
             ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\nInfinity\n1.0\n", 4),
             ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n", 1),
             ("%%MatrixMarket matrix array real skew-symmetric\n2 2\n1.0\n", 1),
+            # a negative size, and sizes far beyond what the file holds
+            ("%%MatrixMarket matrix coordinate real symmetric\n2 2 -1\n1 1 1.0\n", 2),
+            ("%%MatrixMarket matrix array real symmetric\n-2 -2\n1.0\n", 2),
+            ("%%MatrixMarket matrix coordinate real symmetric\n3 3 100000000000000\n1 1 1.0\n", 3),
+            ("%%MatrixMarket matrix array real symmetric\n3000000 3000000\n1.0\n", 3),
         ],
     )
     def test_line_numbers(self, tmp_path, content, line_no):
