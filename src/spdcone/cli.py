@@ -22,7 +22,6 @@ from .core import DEFAULT_DENSE_CEILING, spectrum_dense
 from .eigen import EigenOptions, EigenStats, extreme_pair
 from .errors import (
     InputError,
-    NotPositiveDefinite,
     NumericalError,
     SpdConeError,
     require_positive_finite,
@@ -87,13 +86,6 @@ class _Run:
         }
 
 
-def _load(path):
-    try:
-        return read_spd(path)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(exc.pivot_index, detail=f"in file {path}") from exc
-
-
 def _emit(run, manifest, human_lines):
     if run.as_json:
         click.echo(json.dumps(manifest, indent=2, sort_keys=True))
@@ -156,8 +148,8 @@ def main(ctx, tol, residual_tol, backend, seed, as_json,
 @_guard
 def distance(run, file_x, file_y, metric):
     """Distance between two SPD matrices."""
-    X = _load(file_x)
-    Y = _load(file_y)
+    X = read_spd(file_x)
+    Y = read_spd(file_y)
     if metric == "thompson":
         value = thompson_distance(X, Y, run.eigen)
     elif metric == "hilbert":
@@ -188,8 +180,8 @@ def distance(run, file_x, file_y, metric):
 @_guard
 def geodesic(run, file_x, file_y, family, ts, outdir):
     """Sample a geodesic between two SPD matrices into Matrix Market files."""
-    X = _load(file_x)
-    Y = _load(file_y)
+    X = read_spd(file_x)
+    Y = read_spd(file_y)
     t_values = [float(tok) for tok in ts.split(",") if tok.strip()]
     if not t_values:
         raise ValueError("no interpolation parameters given")
@@ -237,7 +229,7 @@ def geodesic(run, file_x, file_y, family, ts, outdir):
 def mean(run, files, out):
     """Inductive Thompson mean of one or more SPD matrices."""
     opts = run.mean_options()
-    points = [_load(f) for f in files]
+    points = [read_spd(f) for f in files]
     result = inductive_mean(MeanProblem(points, opts=opts))
     write_matrix(out, result.mean)
     outputs = {
@@ -263,8 +255,8 @@ def mean(run, files, out):
 @_guard
 def spectrum(run, file_x, file_y, mode):
     """Extreme or full generalized spectrum of the pencil (Y, X)."""
-    X = _load(file_x)
-    Y = _load(file_y)
+    X = read_spd(file_x)
+    Y = read_spd(file_y)
     if mode == "extremes":
         ext = extreme_pair(X, Y, run.eigen)
         outputs = {

@@ -180,6 +180,17 @@ def _factor_sparse(A_csc):
     return f
 
 
+def _first_nonpositive_diagonal(A):
+    """0-based index of the first summed stored diagonal entry of sparse A
+    that is not > 0 (an entry not stored is 0), in O(nnz)."""
+    A = A.tocoo()
+    on = A.row == A.col
+    index, where = np.unique(A.row[on], return_inverse=True)
+    positive = index[np.bincount(where, A.data[on]) > 0]
+    gaps = np.flatnonzero(positive != np.arange(positive.size))
+    return int(gaps[0]) if gaps.size else positive.size
+
+
 class SpdMatrix:
     """Certified symmetric positive definite matrix, dense or sparse.
 
@@ -198,18 +209,22 @@ class SpdMatrix:
 
     def __init__(self, matrix, *, _certify=True):
         sparse = sp.issparse(matrix)
-        if sparse:
-            # a copy: sum_duplicates sorts in place, and the caller's arrays stay as given
-            A = sp.csr_matrix(matrix, dtype=float, copy=True)
-            A.sum_duplicates()
-            tril, entries = sp.tril, A.data
-        else:
-            A = entries = np.asarray(matrix, dtype=float)
-            tril = np.tril
+        A = matrix if sparse else np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(A.shape[0] if A.ndim else 0, A.shape[-1] if A.ndim else 0)
         if A.shape[0] == 0:
             raise InvalidMatrix("empty (0 x 0)")
+        if sparse:
+            if _certify and A.nnz < A.shape[0]:
+                # some diagonal entry is not stored; found before anything of size n is built
+                raise NotPositiveDefinite(_first_nonpositive_diagonal(A) + 1,
+                                          detail="diagonal entry")
+            # a copy: sum_duplicates sorts in place, and the caller's arrays stay as given
+            A = sp.csr_matrix(A, dtype=float, copy=True)
+            A.sum_duplicates()
+            tril, entries = sp.tril, A.data
+        else:
+            tril, entries = np.tril, A
         if not np.isfinite(entries).all():
             raise InvalidMatrix("non-finite entry (nan or inf)")
         full = tril(A) + tril(A, -1).T

@@ -9,14 +9,17 @@ for bit. The parser reports errors with 1-based line numbers.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import scipy.sparse as sp
 
 from .core import SpdMatrix
-from .errors import ParseError
+from .errors import ParseError, SpdConeError
 
 _HEADER_PREFIX = "%%MatrixMarket"
 _VALUE = "%.16e"  # 17 significant digits
+_INDEX_MAX = np.iinfo(np.int64).max
 
 
 def _fmt(x: float) -> str:
@@ -55,110 +58,81 @@ def read_matrix(path):
     """Read a Matrix Market file.
 
     Returns an ndarray for array format or a COO matrix for coordinate
-    format, with symmetric storage expanded to the full matrix. Raises
-    :class:`ParseError` with the offending line number, also for a
-    non-finite value and for a skew-symmetric header, since such a
-    matrix can never be positive definite.
+    format, with symmetric storage expanded to the full matrix (the COO
+    may hold duplicates, which sum). Comment and blank lines may appear
+    anywhere after the header. Raises :class:`ParseError` with the
+    offending line number, also for a non-finite value and for a
+    skew-symmetric header, since such a matrix can never be positive
+    definite.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != _HEADER_PREFIX:
-        raise ParseError(path, 1, "malformed MatrixMarket header")
-    _, obj, fmt, field, symmetry = (t.lower() for t in header)
-    if obj != "matrix":
-        raise ParseError(path, 1, f"unsupported object {obj!r}")
-    if fmt not in ("coordinate", "array"):
-        raise ParseError(path, 1, f"unsupported format {fmt!r}")
-    if field not in ("real", "integer"):
-        raise ParseError(path, 1, f"unsupported field {field!r} (need real/integer)")
-    if symmetry not in ("general", "symmetric"):  # skew-symmetric is never SPD
-        raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
+        raise ParseError(path, 1, "malformed MatrixMarket header" if lines else "empty file")
+    header = [t.lower() for t in header]
+    for name, value, allowed in zip(("object", "format", "field", "symmetry"), header[1:],
+                                    (("matrix",), ("coordinate", "array"), ("real", "integer"),
+                                     ("general", "symmetric"))):  # skew-symmetric is never SPD
+        if value not in allowed:
+            raise ParseError(path, 1, f"unsupported {name} {value!r} (need {' or '.join(allowed)})")
+    coordinate, symmetry = header[2] == "coordinate", header[4]
 
-    # first non-comment line after the header carries the sizes
-    idx = 1
-    while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("%")):
-        idx += 1
-    if idx >= len(lines):
+    # the index of every line after the header that is neither blank nor a
+    # comment; arrays, not lists, so that no int or float object is kept per entry
+    entries = array("q", (k for k, text in enumerate(lines)
+                          if k and (text.lstrip() or "%")[0] != "%"))
+    if not entries:
         raise ParseError(path, len(lines), "missing size line")
-    size_tokens = lines[idx].split()
-    size_line = idx + 1
-    # no more entries than lines can follow, whatever the size line claims
-    room = len(lines) - size_line
-
-    if fmt == "coordinate":
-        if len(size_tokens) != 3:
-            raise ParseError(path, size_line, "coordinate size line needs 'rows cols nnz'")
-        try:
-            nrow, ncol, nnz = (int(t) for t in size_tokens)
-        except ValueError:
-            raise ParseError(path, size_line, "non-integer size entry") from None
-        if min(nrow, ncol, nnz) < 0:
-            raise ParseError(path, size_line, "negative size entry")
-        rows = np.empty(min(nnz, room), dtype=np.int64)
-        cols = np.empty_like(rows)
-        vals = np.empty(rows.size, dtype=float)
-        count = 0
-        for off, text in enumerate(lines[idx + 1:], start=size_line + 1):
-            stripped = text.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if count >= nnz:
-                raise ParseError(path, off, f"more than the declared {nnz} entries")
-            tokens = stripped.split()
-            if len(tokens) != 3:
-                raise ParseError(path, off, "entry needs 'row col value'")
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                v = float(tokens[2])
-            except ValueError:
-                raise ParseError(path, off, f"malformed entry {stripped!r}") from None
-            if not (1 <= i <= nrow and 1 <= j <= ncol):
-                raise ParseError(path, off, f"index ({i}, {j}) out of range")
-            rows[count], cols[count], vals[count] = i - 1, j - 1, v
-            count += 1
-        if count != nnz:
-            raise ParseError(path, len(lines), f"declared {nnz} entries, found {count}")
-        _check_finite(path, lines, idx + 1, vals)
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(nrow, ncol))
-        if symmetry == "symmetric":
-            strict = sp.tril(A, k=-1, format="coo")
-            A = (A + strict.T).tocoo()
-        return A
-
-    if len(size_tokens) != 2:
-        raise ParseError(path, size_line, "array size line needs 'rows cols'")
+    size_no = entries.pop(0) + 1
     try:
-        nrow, ncol = (int(t) for t in size_tokens)
+        nrow, ncol, *nnz = map(int, lines[size_no - 1].split())
+        if len(nnz) != coordinate:
+            raise ValueError
     except ValueError:
-        raise ParseError(path, size_line, "non-integer size entry") from None
-    if min(nrow, ncol) < 0:
-        raise ParseError(path, size_line, "negative size entry")
-    if symmetry == "general":
+        raise ParseError(path, size_no, f"size line needs {2 + coordinate} integers") from None
+    if not all(0 <= v <= _INDEX_MAX for v in (nrow, ncol, *nnz)):
+        raise ParseError(path, size_no, f"size entry outside [0, {_INDEX_MAX}]")
+    if coordinate:
+        expected = nnz[0]
+    elif symmetry == "general":
         expected = nrow * ncol
+    elif nrow != ncol:
+        raise ParseError(path, size_no, "symmetric array must be square")
     else:
-        if nrow != ncol:
-            raise ParseError(path, size_line, "symmetric array must be square")
         expected = nrow * (nrow + 1) // 2
-    values = np.empty(min(expected, room), dtype=float)
-    count = 0
-    for off, text in enumerate(lines[idx + 1:], start=size_line + 1):
-        stripped = text.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if count >= expected:
-            raise ParseError(path, off, f"more than the expected {expected} values")
+    if len(entries) != expected:
+        no = entries[expected] + 1 if len(entries) > expected else len(lines)
+        raise ParseError(path, no, f"expected {expected} entries, found {len(entries)}")
+
+    rows, cols, values = array("q"), array("q"), array("d")
+    for k in entries:
+        text = lines[k]
         try:
-            values[count] = float(stripped)
+            if coordinate:
+                i, j, text = text.split()
+                i, j = int(i), int(j)
+                if not (0 < i <= nrow and 0 < j <= ncol):
+                    raise ParseError(path, k + 1, f"index ({i}, {j}) out of range")
+                rows.append(i - 1)
+                cols.append(j - 1)
+            values.append(float(text))
         except ValueError:
-            raise ParseError(path, off, f"malformed value {stripped!r}") from None
-        count += 1
-    if count != expected:
-        raise ParseError(path, len(lines), f"expected {expected} values, found {count}")
-    _check_finite(path, lines, idx + 1, values)
+            raise ParseError(path, k + 1, f"malformed entry {lines[k].strip()!r}") from None
+    values = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = entries[bad[0]]
+        raise ParseError(path, k + 1, f"non-finite value in {lines[k].strip()!r}")
+    del lines, entries  # the text outweighs the matrix; free it before the matrix is built
+
+    if coordinate:
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if symmetry == "symmetric":  # append the mirror of the strict lower triangle
+            lower = rows > cols
+            rows, cols = np.r_[rows, cols[lower]], np.r_[cols, rows[lower]]
+            values = np.r_[values, values[lower]]
+        return sp.coo_matrix((values, (rows, cols)), shape=(nrow, ncol))
     if symmetry == "general":
         return values.reshape(ncol, nrow).T.copy()
     A = np.zeros((nrow, ncol))
@@ -167,16 +141,15 @@ def read_matrix(path):
     return A
 
 
-def _check_finite(path, lines, first, values):
-    """ParseError at the data line, from index ``first`` on, of the first nan or inf."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        data = [k for k in range(first, len(lines))
-                if lines[k].strip() and not lines[k].lstrip().startswith("%")]
-        k = data[bad[0]]
-        raise ParseError(path, k + 1, f"non-finite value in {lines[k].strip()!r}")
-
-
 def read_spd(path) -> SpdMatrix:
-    """Read a Matrix Market file and certify it as SPD."""
-    return SpdMatrix(read_matrix(path))
+    """Read a Matrix Market file and certify it as SPD.
+
+    An error of the certification is re-raised as it is, class, fields
+    and detail, with the path put at the front of its message.
+    """
+    A = read_matrix(path)
+    try:
+        return SpdMatrix(A)
+    except SpdConeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

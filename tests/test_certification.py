@@ -1,5 +1,7 @@
 """SPD certification at the SpdMatrix boundary, and one factorization per matrix."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -65,6 +67,30 @@ class TestCertificationHoles:
         A = (Q * [-1e-17, 1e-9, 1.0, 1.0, 1.0]) @ Q.T
         with pytest.raises(NumericalBreakdown):
             SpdMatrix(np.tril(A) + np.tril(A, -1).T)
+
+    def test_fewer_entries_than_rows_rejected_before_building(self):
+        # 1e14 rows and no entry: n + 1 CSR row pointers would take 728 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotPositiveDefinite) as exc:
+                SpdMatrix(sp.coo_matrix((10**14, 10**14)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert exc.value.pivot_index == 1 and "diagonal entry" in str(exc.value)
+        # the pivot is the one the check of the built matrix reports: the
+        # first summed stored diagonal entry that is not > 0
+        for rows, values, pivot in [([0, 1, 1], [1.0, 0.5, -0.5], 2),
+                                    ([2, 0, 3], [1.0, 1.0, 1.0], 2),
+                                    ([1, 0, 2], [1.0, 1.0, 1.0], 4),
+                                    ([0, 0, 1], [-1.0, 2.0, 1.0], 3)]:
+            A = sp.coo_matrix((values, (rows, rows)), shape=(5, 5))
+            with pytest.raises(NotPositiveDefinite) as exc:
+                SpdMatrix(A)
+            with pytest.raises(NotPositiveDefinite) as built:
+                SpdMatrix(A, _certify=False).chol()
+            assert exc.value.pivot_index == built.value.pivot_index == pivot
 
     def test_unchecked_wrap_certifies_on_use(self):
         X = SpdMatrix(np.diag([1.0, -2.0]), _certify=False)

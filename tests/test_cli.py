@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,35 @@ class TestExitCodesAndEnv:
         r = runner.invoke(main, ["distance", files["i3"], str(huge)])
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
         assert "huge.mtx:3" in r.output and "Traceback" not in r.output
+
+    def test_fewer_entries_than_rows_exit_3(self, runner, tmp_path, files):
+        # 1e14 rows and no entry: rejected before anything of size n is built
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "100000000000000 100000000000000 0\n")
+        tracemalloc.start()
+        try:
+            r = runner.invoke(main, ["distance", files["i2"], str(big)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert r.exit_code == 3 and isinstance(r.exception, SystemExit)
+        assert "big.mtx" in r.output and "Traceback" not in r.output
+
+    @pytest.mark.parametrize("name, content, code, detail", [
+        ("asymmetric.mtx", "coordinate real general\n2 2 3\n1 1 2.0\n1 2 1.0\n2 2 2.0\n",
+         2, "not symmetric"),
+        ("nodiag.mtx", "coordinate real symmetric\n3 3 3\n1 1 1.0\n2 1 0.5\n3 3 1.0\n",
+         3, "diagonal entry"),
+    ])
+    def test_certification_error_names_file(self, runner, tmp_path, files,
+                                            name, content, code, detail):
+        bad = tmp_path / name
+        bad.write_text(f"%%MatrixMarket matrix {content}")
+        r = runner.invoke(main, ["distance", files["i2"], str(bad)])
+        assert r.exit_code == code and isinstance(r.exception, SystemExit)
+        assert name in r.output and detail in r.output
 
     def test_env_var_seed(self, runner, files):
         r = invoke(runner, "--json", "distance", files["r6a"], files["r6b"],

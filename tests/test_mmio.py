@@ -13,7 +13,7 @@ from spdcone import (
     write_matrix,
     write_symmetric,
 )
-from spdcone.errors import ParseError
+from spdcone.errors import AsymmetricInput, ParseError
 
 
 class TestRoundTrip:
@@ -99,6 +99,23 @@ class TestForeignFiles:
         A = read_matrix(p)
         np.testing.assert_array_equal(A, [[2.0, 1.0], [1.0, 2.0]])
 
+    def test_symmetric_coordinate_storage(self, tmp_path):
+        p = tmp_path / "dup.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 6\n"
+            "1 1 2.0\n2 1 0.5\n2 1 0.25\n2 2 3.0\n3 2 0.0\n3 3 4.0\n"
+        )
+        # the duplicate sums and the explicit zero is dropped, as before
+        R = read_spd(p).raw()
+        assert R.indptr.tolist() == [0, 2, 4, 5]
+        assert R.indices.tolist() == [0, 1, 0, 1, 2]
+        assert R.data.tolist() == [2.0, 0.75, 0.75, 3.0, 4.0]
+        # an entry above the diagonal is not mirrored
+        p.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n"
+                     "1 1 2.0\n1 2 1.0\n2 2 2.0\n")
+        with pytest.raises(AsymmetricInput):
+            read_spd(p)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -118,8 +135,20 @@ class TestParseErrors:
             # a negative size, and sizes far beyond what the file holds
             ("%%MatrixMarket matrix coordinate real symmetric\n2 2 -1\n1 1 1.0\n", 2),
             ("%%MatrixMarket matrix array real symmetric\n-2 -2\n1.0\n", 2),
+            ("%%MatrixMarket matrix coordinate real symmetric\n"
+             "100000000000000000000 100000000000000000000 0\n", 2),
             ("%%MatrixMarket matrix coordinate real symmetric\n3 3 100000000000000\n1 1 1.0\n", 3),
             ("%%MatrixMarket matrix array real symmetric\n3000000 3000000\n1.0\n", 3),
+            # comment and blank lines between entries, then a bad entry
+            ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n% c\n\n"
+             "2 x 1.0\n", 6),
+            # an extra coordinate entry after a comment, an extra array value
+            ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0\n% c\n"
+             "2 2 1.0\n", 5),
+            ("%%MatrixMarket matrix array real symmetric\n1 1\n1.0\n2.0\n", 4),
+            # a coordinate entry with two fields, an array line with two values
+            ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1\n", 3),
+            ("%%MatrixMarket matrix array real symmetric\n1 1\n1.0 2.0\n", 3),
         ],
     )
     def test_line_numbers(self, tmp_path, content, line_no):
