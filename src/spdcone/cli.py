@@ -18,70 +18,41 @@ from pathlib import Path
 
 import click
 
+from . import geodesics, metrics
 from .core import DEFAULT_DENSE_CEILING, spectrum_dense
 from .eigen import EigenOptions, EigenStats, extreme_pair
-from .errors import (
-    InputError,
-    NumericalError,
-    SpdConeError,
-    require_positive_finite,
-)
-from .geodesics import diamond_geodesic, riemannian_geodesic, star_geodesic
+from .errors import InvalidArgument, NumericalError, SpdConeError, require_positive_finite
 from .mean import MeanOptions, MeanProblem, inductive_mean
-from .metrics import (
-    hilbert_distance,
-    phi_distance,
-    riemannian_distance,
-    thompson_distance,
-)
 from .mmio import _fmt, read_spd, write_matrix
 
 
 class _Run:
-    """Shared per-invocation state: options, stats, manifest assembly."""
+    """Shared per-invocation state, built from the group's parameters.
 
-    def __init__(self, tol, residual_tol, backend, seed,
-                 as_json, allow_extrapolation, dense_ceiling):
-        require_positive_finite("residual_tol", residual_tol)
+    ``params`` is the group's ``ctx.params``: every option but ``as_json``
+    goes into the manifest's ``options`` as given, and the eigensolver
+    options are built once, so every command passes the same ``eigen``
+    (with its ``dense_ceiling``) to the library.
+    """
+
+    def __init__(self, params):
+        require_positive_finite("residual_tol", params["residual_tol"])
+        self.options = {k: v for k, v in params.items() if k != "as_json"}
+        self.as_json = params["as_json"]
         self.stats = EigenStats()
-        self.seed = seed
-        self.as_json = as_json
-        self.allow_extrapolation = allow_extrapolation
-        self.residual_tol = residual_tol
-        self.eigen = EigenOptions(
-            tol=tol,
-            backend=backend,
-            seed=seed,
-            dense_ceiling=dense_ceiling,
-            stats=self.stats,
-        )
+        eigen = {k: params[k] for k in ("tol", "backend", "seed", "dense_ceiling")}
+        self.eigen = EigenOptions(**eigen, stats=self.stats)
         self.t0 = time.perf_counter()
 
-    def options_dict(self):
-        return {
-            "tol": self.eigen.tol,
-            "residual_tol": self.residual_tol,
-            "backend": self.eigen.backend,
-            "seed": self.seed,
-            "dense_ceiling": self.eigen.dense_ceiling,
-            "allow_extrapolation": self.allow_extrapolation,
-        }
-
-    def mean_options(self):
-        return MeanOptions(residual_tol=self.residual_tol, eigen=self.eigen)
-
     def manifest(self, command, inputs, outputs, extra_options=None):
-        options = self.options_dict()
-        if extra_options:
-            options.update(extra_options)
         return {
             "command": command,
             "inputs": [str(p) for p in inputs],
-            "options": options,
+            "options": {**self.options, **(extra_options or {})},
             "outputs": outputs,
             "eigen_iterations": self.stats.iterations,
             "eigen_solves": self.stats.solves,
-            "seed": self.seed,
+            "seed": self.options["seed"],
             "wall_time_ms": (time.perf_counter() - self.t0) * 1000.0,
         }
 
@@ -94,25 +65,21 @@ def _emit(run, manifest, human_lines):
             click.echo(line)
 
 
-def _guard(fn):
-    """Map library errors to the documented exit codes."""
+class _Group(click.Group):
+    """The one error boundary: library errors map to the documented exit codes."""
 
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
-        except (InputError, SpdConeError, OSError, ValueError) as exc:
+        except (SpdConeError, OSError, ValueError) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(2)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
-
-@click.group(context_settings={"auto_envvar_prefix": "SPDCONE"})
+@click.group(cls=_Group, context_settings={"auto_envvar_prefix": "SPDCONE"})
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               help="Eigensolver relative residual target.")
 @click.option("--residual-tol", type=float, default=1e-8, show_default=True,
@@ -127,16 +94,13 @@ def _guard(fn):
 @click.option("--dense-ceiling", type=int, default=DEFAULT_DENSE_CEILING,
               show_default=True, help="Largest n for dense-spectrum operations.")
 @click.pass_context
-@_guard
-def main(ctx, tol, residual_tol, backend, seed, as_json,
-         allow_extrapolation, dense_ceiling):
+def main(ctx, **_):
     """Thompson/Hilbert geometry of SPD matrices from extreme eigenvalues.
 
     Options can also be set through SPDCONE_* environment variables
     (flags win over the environment).
     """
-    ctx.obj = _Run(tol, residual_tol, backend, seed, as_json,
-                   allow_extrapolation, dense_ceiling)
+    ctx.obj = _Run(ctx.params)
 
 
 @main.command()
@@ -145,23 +109,19 @@ def main(ctx, tol, residual_tol, backend, seed, as_json,
 @click.option("--metric", default="thompson", show_default=True,
               help="thompson | hilbert | riemannian | phi-P (e.g. phi-1, phi-2, phi-inf)")
 @click.pass_obj
-@_guard
 def distance(run, file_x, file_y, metric):
     """Distance between two SPD matrices."""
     X = read_spd(file_x)
     Y = read_spd(file_y)
-    if metric == "thompson":
-        value = thompson_distance(X, Y, run.eigen)
-    elif metric == "hilbert":
-        value = hilbert_distance(X, Y, run.eigen)
-    elif metric == "riemannian":
-        value = riemannian_distance(X, Y, dense_ceiling=run.eigen.dense_ceiling)
+    if metric in ("thompson", "hilbert", "riemannian"):
+        # looked up at call time, so a patched module attribute is the one called
+        value = getattr(metrics, f"{metric}_distance")(X, Y, run.eigen)
     elif metric.startswith("phi-"):
         suffix = metric[4:]
         p = float("inf") if suffix in ("inf", "oo") else float(suffix)
-        value = phi_distance(X, Y, p, dense_ceiling=run.eigen.dense_ceiling)
+        value = metrics.phi_distance(X, Y, p, run.eigen)
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        raise InvalidArgument(f"unknown metric {metric!r}")
     manifest = run.manifest(
         "distance", [file_x, file_y], {"distance": value}, {"metric": metric}
     )
@@ -177,28 +137,22 @@ def distance(run, file_x, file_y, metric):
               show_default=True, help="Comma-separated interpolation parameters.")
 @click.option("--outdir", type=click.Path(file_okay=False), required=True)
 @click.pass_obj
-@_guard
 def geodesic(run, file_x, file_y, family, ts, outdir):
     """Sample a geodesic between two SPD matrices into Matrix Market files."""
     X = read_spd(file_x)
     Y = read_spd(file_y)
     t_values = [float(tok) for tok in ts.split(",") if tok.strip()]
     if not t_values:
-        raise ValueError("no interpolation parameters given")
+        raise InvalidArgument("no interpolation parameters given")
     outside = [t for t in t_values if not 0.0 <= t <= 1.0]
-    if outside and not run.allow_extrapolation:
-        raise ValueError(
+    if outside and not run.options["allow_extrapolation"]:
+        raise InvalidArgument(
             f"t values {outside} lie outside [0, 1]; pass --allow-extrapolation"
         )
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     # one call per path: the pencil is solved once for all samples
-    if family == "star":
-        points = star_geodesic(X, Y, t_values, run.eigen)
-    elif family == "diamond":
-        points = diamond_geodesic(X, Y, t_values, run.eigen)
-    else:
-        points = riemannian_geodesic(X, Y, t_values, dense_ceiling=run.eigen.dense_ceiling)
+    points = getattr(geodesics, f"{family}_geodesic")(X, Y, t_values, run.eigen)
     samples = []
     for idx, (t, G) in enumerate(zip(t_values, points)):
         path = out / f"{family}_{idx:03d}.mtx"
@@ -225,10 +179,9 @@ def geodesic(run, file_x, file_y, family, ts, outdir):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.pass_obj
-@_guard
 def mean(run, files, out):
     """Inductive Thompson mean of one or more SPD matrices."""
-    opts = run.mean_options()
+    opts = MeanOptions(residual_tol=run.options["residual_tol"], eigen=run.eigen)
     points = [read_spd(f) for f in files]
     result = inductive_mean(MeanProblem(points, opts=opts))
     write_matrix(out, result.mean)
@@ -252,7 +205,6 @@ def mean(run, files, out):
 @click.option("--mode", type=click.Choice(["extremes", "full"]), default="extremes",
               show_default=True)
 @click.pass_obj
-@_guard
 def spectrum(run, file_x, file_y, mode):
     """Extreme or full generalized spectrum of the pencil (Y, X)."""
     X = read_spd(file_x)
@@ -271,7 +223,7 @@ def spectrum(run, file_x, file_y, mode):
             f"beta  = {_fmt(ext.beta)} (residual {ext.residuals[1]:.3e})",
         ]
     else:
-        spec = spectrum_dense(X, Y, dense_ceiling=run.eigen.dense_ceiling)
+        spec = spectrum_dense(X, Y, run.eigen)
         outputs = {"eigenvalues": [float(v) for v in spec.eigenvalues]}
         lines = [_fmt(v) for v in spec.eigenvalues]
     manifest = run.manifest("spectrum", [file_x, file_y], outputs, {"mode": mode})

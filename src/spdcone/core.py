@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +31,10 @@ from .errors import (
     InvalidMatrix,
     NotPositiveDefinite,
     NumericalBreakdown,
-    require_integer,
 )
+
+if TYPE_CHECKING:  # eigen imports core; the options class is only named here
+    from .eigen import EigenOptions
 
 DEFAULT_DENSE_CEILING = 2048
 
@@ -194,12 +197,13 @@ def _first_nonpositive_diagonal(A):
 class SpdMatrix:
     """Certified symmetric positive definite matrix, dense or sparse.
 
-    Accepts an array-like or a scipy sparse matrix in any format, with
-    duplicate entries summed. The lower triangle is the source of truth:
-    it is mirrored into the stored matrix, which must match the input to
-    1e-12 relative to its largest entry (else :class:`AsymmetricInput`),
-    and a Cholesky factorization certifies it. An empty matrix or a
-    non-finite entry raises :class:`InvalidMatrix`; a failed
+    Accepts an array-like or a scipy sparse matrix in any format, of a
+    bool, integer or float dtype, with duplicate entries summed. The lower
+    triangle is the source of truth: it is mirrored into the stored
+    matrix, which must match the input to 1e-12 relative to its largest
+    entry (else :class:`AsymmetricInput`), and a Cholesky factorization
+    certifies it. An empty matrix, a non-finite entry or any other dtype
+    (complex, string, object) raises :class:`InvalidMatrix`; a failed
     certification raises :class:`NotPositiveDefinite` or
     :class:`NumericalBreakdown` rather than producing an invalid instance.
     Instances are immutable.
@@ -209,7 +213,9 @@ class SpdMatrix:
 
     def __init__(self, matrix, *, _certify=True):
         sparse = sp.issparse(matrix)
-        A = matrix if sparse else np.asarray(matrix, dtype=float)
+        A = matrix if sparse else np.asarray(matrix)
+        if A.dtype.kind not in "biuf":  # the float cast would drop imaginary parts or raise
+            raise InvalidMatrix(f"dtype {A.dtype} is not bool, integer or float")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(A.shape[0] if A.ndim else 0, A.shape[-1] if A.ndim else 0)
         if A.shape[0] == 0:
@@ -224,6 +230,7 @@ class SpdMatrix:
             A.sum_duplicates()
             tril, entries = sp.tril, A.data
         else:
+            A = A.astype(float, copy=False)
             tril, entries = np.tril, A
         if not np.isfinite(entries).all():
             raise InvalidMatrix("non-finite entry (nan or inf)")
@@ -333,11 +340,12 @@ def _check_dims(X: SpdMatrix, Y: SpdMatrix):
         raise DimensionMismatch(X.n, Y.n)
 
 
-def _check_dense_ceiling(n, dense_ceiling):
-    """Refuse a dense-only operation at n above the ceiling, an integer >= 0."""
-    require_integer("dense_ceiling", dense_ceiling, 0)
-    if n > dense_ceiling:
-        raise DenseLimitExceeded(n, dense_ceiling)
+def _check_dense_ceiling(n, opts):
+    """Refuse a dense-only operation at n above ``opts.dense_ceiling``, which
+    ``EigenOptions`` validated when it was set; None: the default ceiling."""
+    ceiling = DEFAULT_DENSE_CEILING if opts is None else opts.dense_ceiling
+    if n > ceiling:
+        raise DenseLimitExceeded(n, ceiling)
 
 
 def whiten(X: SpdMatrix, Y: SpdMatrix) -> np.ndarray:
@@ -355,15 +363,16 @@ def whiten(X: SpdMatrix, Y: SpdMatrix) -> np.ndarray:
 
 
 def spectrum_dense(
-    X: SpdMatrix, Y: SpdMatrix, *, dense_ceiling: int = DEFAULT_DENSE_CEILING
+    X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None
 ) -> Spectrum:
     """Full sorted spectrum of the pencil Y X^-1 via a dense solve.
 
     This is the full-spectrum oracle; it refuses to run above the dense
-    ceiling so that callers cannot mistake it for a scalable path.
+    ceiling ``opts.dense_ceiling`` (None: ``DEFAULT_DENSE_CEILING``), so
+    that callers cannot mistake it for a scalable path.
     """
     _check_dims(X, Y)
-    _check_dense_ceiling(X.n, dense_ceiling)
+    _check_dense_ceiling(X.n, opts)
     w = eigh(Y.dense(), X.dense(), eigvals_only=True)
     return Spectrum(w)
 

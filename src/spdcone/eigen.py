@@ -32,7 +32,13 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, hessenberg
 
 from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, fro_norm
-from .errors import InvalidOption, NoConvergence, require_integer, require_positive_finite
+from .errors import (
+    DimensionMismatch,
+    InvalidOption,
+    NoConvergence,
+    require_integer,
+    require_positive_finite,
+)
 
 _BASIS = 40  # Krylov basis length that triggers a thick restart
 _KEEP = 20  # leading Ritz vectors kept across a restart
@@ -305,10 +311,14 @@ def extreme_pair(
     wide pencils. Iterative per-solve seeds derive from ``opts.seed``.
     ``start`` optionally gives (alpha, beta) start vectors in the original
     coordinates, e.g. the ``vectors`` of a nearby pencil's result; the
-    dense backend ignores it.
+    dense backend ignores it. A given start not of shape (n,) raises
+    DimensionMismatch.
     """
     opts = opts or EigenOptions()
     _check_dims(X, Y)
+    for v in start:
+        if v is not None and np.shape(v) != (X.n,):
+            raise DimensionMismatch(X.n, np.shape(v))
     backend = _resolve_backend(Y, X, opts)
     seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
     beta, vb, it_b, rb = _largest(Y, X, backend, opts, seed_b, start[1])

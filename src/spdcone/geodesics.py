@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dense_ceiling, _check_dims, combine
+from .core import SpdMatrix, _check_dense_ceiling, _check_dims, combine
 from .eigen import EigenOptions, extreme_pair
 from .errors import (
     DegeneratePencil,
+    InvalidArgument,
     NonPositiveAlpha,
     OrderViolation,
 )
@@ -94,28 +95,39 @@ def geodesic_coefficients(alpha: float, beta: float, t: float) -> GeodesicCoeffi
         psi = -b a^(t-1) expm1((t-1) d) / expm1(d),   d = log(b/a),
 
     which stay at full precision across the branch boundary. t may lie
-    anywhere in R; outside [0, 1] phi or psi can be negative.
+    anywhere in R; outside [0, 1] phi or psi can be negative. Far outside,
+    where phi or psi is no finite float, InvalidArgument names t.
     """
     beta = _validate_pair(alpha, beta)
     t = float(t)
     delta = math.log(beta) - math.log(alpha)
     m, o = coefficient_derivatives(alpha, beta)
-    if delta <= BRANCH_TOL:
-        at = alpha ** t
-        return GeodesicCoefficients(
-            phi=t * at / alpha, psi=(1.0 - t) * at, m=m, o=o, branch="equal"
+    branch = "equal" if delta <= BRANCH_TOL else "generic"
+    try:
+        if branch == "equal":
+            at = alpha ** t
+            phi, psi = t * at / alpha, (1.0 - t) * at
+        elif t == 0.0 or t == 1.0:
+            # the endpoint values are identities of the formulas; pinning them
+            # exactly keeps t=0 and t=1 outputs bit-identical to the inputs
+            phi, psi = (0.0, 1.0) if t == 0.0 else (1.0, 0.0)
+        else:
+            em = math.expm1(delta)
+            atm1 = alpha ** (t - 1.0)
+            phi = atm1 * math.expm1(t * delta) / em
+            psi = -beta * atm1 * math.expm1((t - 1.0) * delta) / em
+    except OverflowError:
+        phi = psi = math.inf
+    _require_finite(t, phi, psi)
+    return GeodesicCoefficients(phi=phi, psi=psi, m=m, o=o, branch=branch)
+
+
+def _require_finite(t, *coefficients):
+    """Raise InvalidArgument naming t unless every coefficient is a finite float."""
+    if not all(map(math.isfinite, coefficients)):
+        raise InvalidArgument(
+            f"geodesic coefficients at t = {t} are not finite floats; take t nearer [0, 1]"
         )
-    # the endpoint values are identities of the formulas; pinning them
-    # exactly keeps t=0 and t=1 outputs bit-identical to the inputs
-    if t == 0.0:
-        return GeodesicCoefficients(phi=0.0, psi=1.0, m=m, o=o, branch="generic")
-    if t == 1.0:
-        return GeodesicCoefficients(phi=1.0, psi=0.0, m=m, o=o, branch="generic")
-    em = math.expm1(delta)
-    atm1 = alpha ** (t - 1.0)
-    phi = atm1 * math.expm1(t * delta) / em
-    psi = -beta * atm1 * math.expm1((t - 1.0) * delta) / em
-    return GeodesicCoefficients(phi=phi, psi=psi, m=m, o=o, branch="generic")
 
 
 def _wrap_combination(pairs, t):
@@ -186,17 +198,16 @@ def riemannian_geodesic(
     X: SpdMatrix,
     Y: SpdMatrix,
     t: float | Sequence[float],
-    *,
-    dense_ceiling: int = DEFAULT_DENSE_CEILING,
+    opts: EigenOptions | None = None,
 ) -> SpdMatrix | list[SpdMatrix]:
     """Affine-invariant Riemannian geodesic X^(1/2)(X^(-1/2) Y X^(-1/2))^t X^(1/2).
 
-    Requires two full eigendecompositions, so it is restricted to
-    dense-representable sizes; a sequence of t shares them. The result
-    is SPD for every real t.
+    Requires two full eigendecompositions, so it raises
+    DenseLimitExceeded above ``opts.dense_ceiling``; a sequence of t
+    shares them. The result is SPD for every real t.
     """
     _check_dims(X, Y)
-    _check_dense_ceiling(X.n, dense_ceiling)
+    _check_dense_ceiling(X.n, opts)
     w, V = eigh(X.dense())
     sqrt_w = w ** 0.5
     Xh = (V * sqrt_w) @ V.T
@@ -237,8 +248,12 @@ def diamond_geodesic(
     def point(s):
         # (lam^s - lam^-s) / (lam - lam^-1) = sinh(s ell) / sinh(ell), which is
         # cancellation-free for lam near 1
-        coeff_y = math.sinh(s * ell) / math.sinh(ell)
-        coeff_x = math.sinh((1.0 - s) * ell) / math.sinh(ell)
+        try:
+            coeff_y = math.sinh(s * ell) / math.sinh(ell)
+            coeff_x = math.sinh((1.0 - s) * ell) / math.sinh(ell)
+        except OverflowError:
+            coeff_y = coeff_x = math.inf
+        _require_finite(s, coeff_y, coeff_x)
         return _wrap_combination([(coeff_y, Y), (coeff_x, X)], s)
 
     return _path(t, point)

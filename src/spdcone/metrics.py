@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, spectrum_dense
+from .core import SpdMatrix, spectrum_dense
 from .eigen import EigenOptions, extreme_pair
 from .errors import InvalidGauge
 
@@ -54,10 +54,14 @@ def hilbert_distance(
 
 
 def riemannian_distance(
-    X: SpdMatrix, Y: SpdMatrix, *, dense_ceiling: int = DEFAULT_DENSE_CEILING
+    X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None
 ) -> float:
-    """Affine-invariant Riemannian distance sqrt(sum_i log^2 lambda_i(Y X^-1))."""
-    spec = spectrum_dense(X, Y, dense_ceiling=dense_ceiling)
+    """Affine-invariant Riemannian distance sqrt(sum_i log^2 lambda_i(Y X^-1)).
+
+    Needs the full spectrum: raises DenseLimitExceeded above
+    ``opts.dense_ceiling``.
+    """
+    spec = spectrum_dense(X, Y, opts)
     logs = np.log(spec.eigenvalues)
     return float(np.sqrt(np.sum(logs * logs)))
 
@@ -66,17 +70,17 @@ def phi_distance(
     X: SpdMatrix,
     Y: SpdMatrix,
     gauge: GaugeParameter | float,
-    *,
-    dense_ceiling: int = DEFAULT_DENSE_CEILING,
+    opts: EigenOptions | None = None,
 ) -> float:
     """l_p gauge distance: the p-norm of the log generalized spectrum.
 
     p = 2 reproduces the Riemannian distance and p = inf the Thompson
-    distance (through the dense path).
+    distance (through the dense path, so above ``opts.dense_ceiling`` it
+    raises DenseLimitExceeded).
     """
     if not isinstance(gauge, GaugeParameter):
         gauge = GaugeParameter(float(gauge))
-    spec = spectrum_dense(X, Y, dense_ceiling=dense_ceiling)
+    spec = spectrum_dense(X, Y, opts)
     logs = np.abs(np.log(spec.eigenvalues))
     if math.isinf(gauge.p):
         return float(np.max(logs))

@@ -1,6 +1,7 @@
 """SPD certification at the SpdMatrix boundary, and one factorization per matrix."""
 
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -53,6 +54,20 @@ class TestCertificationHoles:
         A[2, 1] = A[1, 2] = value
         with pytest.raises(InvalidMatrix):
             SpdMatrix(make(A))
+
+    @pytest.mark.parametrize("matrix", [
+        # Hermitian with eigenvalues 1 and 3: a float cast keeps 2 I and certifies it
+        np.array([[2.0, 1j], [-1j, 2.0]]),
+        sp.csr_matrix(np.array([[2.0, 1j], [-1j, 2.0]])),
+        "abc",
+        [["1", "0"], ["0", "1"]],
+        np.eye(2, dtype=object),
+    ], ids=["complex", "complex-sparse", "string", "strings", "object"])
+    def test_non_real_dtype_rejected(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy's ComplexWarning
+            with pytest.raises(InvalidMatrix, match="is not bool, integer or float"):
+                SpdMatrix(matrix)
 
     @pytest.mark.parametrize("make", [np.asarray, _sparse])
     def test_empty_rejected(self, make):

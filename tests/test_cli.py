@@ -131,6 +131,15 @@ class TestGeodesicCommand:
                                  files["r6b"], "--ts", "1.5", "--outdir", str(tmp_path / "g2")])
         assert r.exit_code == 0
 
+    @pytest.mark.parametrize("family, t", [
+        ("star", "800"), ("diamond", "800"), ("diamond", "-800"), ("diamond", "1e308"),
+    ])
+    def test_unrepresentable_t_exit_2(self, runner, files, tmp_path, family, t):
+        r = runner.invoke(main, ["--allow-extrapolation", "geodesic", files["i2"], files["d41"],
+                                 "--family", family, "--ts", t, "--outdir", str(tmp_path / "g")])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert f"t = {float(t)}" in r.output and "Traceback" not in r.output
+
     def test_manifest_written(self, runner, files, tmp_path):
         out = tmp_path / "geo"
         invoke(runner, "geodesic", files["r6a"], files["r6b"], "--ts", "0.5",
@@ -351,6 +360,17 @@ class TestExitCodesAndEnv:
         r = runner.invoke(main, ["distance", files["i2"], str(bad)])
         assert r.exit_code == code and isinstance(r.exception, SystemExit)
         assert name in r.output and detail in r.output
+
+    @pytest.mark.parametrize("args, message", [
+        (["distance", "{x}", "{y}", "--metric", "bogus"], "unknown metric 'bogus'"),
+        (["distance", "{x}", "{y}", "--metric", "phi"], "unknown metric 'phi'"),
+        (["geodesic", "{x}", "{y}", "--ts", ",", "--outdir", "{out}"], "no interpolation"),
+    ])
+    def test_bad_arguments_exit_2(self, runner, files, tmp_path, args, message):
+        names = {"x": files["r6a"], "y": files["r6b"], "out": str(tmp_path / "g")}
+        r = runner.invoke(main, [a.format(**names) for a in args])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert f"input error: {message}" in r.output and "Traceback" not in r.output
 
     def test_env_var_seed(self, runner, files):
         r = invoke(runner, "--json", "distance", files["r6a"], files["r6b"],

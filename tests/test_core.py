@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from spdcone import (
+    EigenOptions,
     SpdMatrix,
     combine,
     random_spd,
@@ -209,7 +210,7 @@ class TestSpectrumDense:
     def test_ceiling(self, rng):
         X, Y = spd_pair(rng, 8)
         with pytest.raises(DenseLimitExceeded):
-            spectrum_dense(X, Y, dense_ceiling=4)
+            spectrum_dense(X, Y, EigenOptions(dense_ceiling=4))
 
     def test_congruence_isospectral(self, rng):
         X, Y = spd_pair(rng, 9)

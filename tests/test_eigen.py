@@ -325,3 +325,9 @@ class TestWorkAndStarts:
             e = extreme_pair(X, Y, iter_opts(seed=4), start=(lo, V[:, -2]))
             assert e.beta == pytest.approx(w[-1], rel=1e-10)
             assert e.alpha == pytest.approx(w[0], rel=1e-10)
+
+    def test_start_of_wrong_shape_rejected(self, rng):
+        X, Y = sparse_pair(rng, 50)
+        for start in [(None, np.ones(7)), (np.ones((50, 1)), None)]:
+            with pytest.raises(DimensionMismatch):
+                extreme_pair(X, Y, iter_opts(), start=start)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcone import (
+    EigenOptions,
     SpdMatrix,
     coefficient_derivatives,
     diamond_geodesic,
@@ -23,6 +24,7 @@ from spdcone import (
 from spdcone.errors import (
     DegeneratePencil,
     DenseLimitExceeded,
+    InvalidArgument,
     NonPositiveAlpha,
     NotPositiveDefinite,
     OrderViolation,
@@ -104,6 +106,8 @@ class TestCoefficients:
             geodesic_coefficients(0.0, 1.0, 0.5)
         with pytest.raises(OrderViolation):
             geodesic_coefficients(2.0, 1.0, 0.5)
+        with pytest.raises(InvalidArgument, match="t = 800.0"):
+            geodesic_coefficients(1.0, 3.0, 800.0)
 
     @given(
         st.floats(1e-4, 1e4),
@@ -265,7 +269,7 @@ class TestRiemannianGeodesic:
     def test_ceiling(self, rng):
         X, Y = spd_pair(rng, 6)
         with pytest.raises(DenseLimitExceeded):
-            riemannian_geodesic(X, Y, 0.5, dense_ceiling=4)
+            riemannian_geodesic(X, Y, 0.5, EigenOptions(dense_ceiling=4))
 
 
 class TestDiamondGeodesic:
@@ -352,6 +356,15 @@ class TestPaths:
         X = random_spd(4, rng)
         with pytest.raises(DegeneratePencil):
             diamond_geodesic(X, X.scaled(2.0), [0.25, 0.5])
+
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic])
+    @pytest.mark.parametrize("t", [800.0, -800.0])
+    def test_unrepresentable_coefficients_name_t(self, family, t):
+        # (alpha, beta) = (1/4, 4): 4^801 or sinh(800 log 4) is no float, which
+        # math.expm1, ** and math.sinh report as OverflowError
+        X, Y = SpdMatrix(np.eye(2)), SpdMatrix(np.diag([4.0, 0.25]))
+        with pytest.raises(InvalidArgument, match=f"t = {t}"):
+            family(X, Y, [0.5, t])
 
 
 class TestGeodesicContraction:

@@ -72,16 +72,20 @@ class TestRiemannian:
         d = riemannian_distance(SpdMatrix(np.eye(3)), SpdMatrix(np.diag([9.0, 4.0, 1.0])))
         assert d == pytest.approx(math.hypot(math.log(9.0), math.log(4.0)), rel=1e-12)
 
-    def test_ceiling(self, rng):
+    @pytest.mark.parametrize("distance", [
+        riemannian_distance,
+        lambda X, Y, opts: phi_distance(X, Y, 1.0, opts),
+    ], ids=["riemannian", "phi"])
+    def test_ceiling(self, rng, distance):
         X, Y = spd_pair(rng, 8)
         with pytest.raises(DenseLimitExceeded):
-            riemannian_distance(X, Y, dense_ceiling=4)
+            distance(X, Y, EigenOptions(dense_ceiling=4))
 
     def test_nan_ceiling_rejected(self, rng):
         # n > nan is False, so an unchecked nan ceiling would densify at any n
         X, Y = spd_pair(rng, 8)
         with pytest.raises(InvalidOption, match="dense_ceiling"):
-            riemannian_distance(X, Y, dense_ceiling=float("nan"))
+            riemannian_distance(X, Y, EigenOptions(dense_ceiling=float("nan")))
 
 
 class TestPhiFamily:
