@@ -9,7 +9,6 @@ from .core import (
     CholeskyFactor,
     DEFAULT_DENSE_CEILING,
     SpdMatrix,
-    Spectrum,
     arithmetic_mean,
     combine,
     random_sparse_spd,
@@ -25,7 +24,6 @@ from .eigen import (
     pencil_residual,
 )
 from .geodesics import (
-    GeodesicCoefficients,
     coefficient_derivatives,
     diamond_geodesic,
     geodesic_coefficients,
@@ -59,13 +57,11 @@ __all__ = [
     "EigenOptions",
     "EigenStats",
     "GaugeParameter",
-    "GeodesicCoefficients",
     "MeanOptions",
     "MeanProblem",
     "MeanResult",
     "PencilExtremes",
     "SpdMatrix",
-    "Spectrum",
     "arithmetic_mean",
     "coefficient_derivatives",
     "combine",

@@ -65,6 +65,14 @@ def _emit(run, manifest, human_lines):
             click.echo(line)
 
 
+def _number(option, token):
+    """float(token), or InvalidArgument naming the option and the token."""
+    try:
+        return float(token)
+    except ValueError:
+        raise InvalidArgument(f"{option}: {token!r} is not a number") from None
+
+
 class _Group(click.Group):
     """The one error boundary: library errors map to the documented exit codes."""
 
@@ -74,7 +82,7 @@ class _Group(click.Group):
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
-        except (SpdConeError, OSError, ValueError) as exc:
+        except (SpdConeError, OSError) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(2)
 
@@ -118,7 +126,7 @@ def distance(run, file_x, file_y, metric):
         value = getattr(metrics, f"{metric}_distance")(X, Y, run.eigen)
     elif metric.startswith("phi-"):
         suffix = metric[4:]
-        p = float("inf") if suffix in ("inf", "oo") else float(suffix)
+        p = float("inf") if suffix == "oo" else _number("--metric", suffix)
         value = metrics.phi_distance(X, Y, p, run.eigen)
     else:
         raise InvalidArgument(f"unknown metric {metric!r}")
@@ -141,7 +149,7 @@ def geodesic(run, file_x, file_y, family, ts, outdir):
     """Sample a geodesic between two SPD matrices into Matrix Market files."""
     X = read_spd(file_x)
     Y = read_spd(file_y)
-    t_values = [float(tok) for tok in ts.split(",") if tok.strip()]
+    t_values = [_number("--ts", tok) for tok in ts.split(",") if tok.strip()]
     if not t_values:
         raise InvalidArgument("no interpolation parameters given")
     outside = [t for t in t_values if not 0.0 <= t <= 1.0]
@@ -223,9 +231,9 @@ def spectrum(run, file_x, file_y, mode):
             f"beta  = {_fmt(ext.beta)} (residual {ext.residuals[1]:.3e})",
         ]
     else:
-        spec = spectrum_dense(X, Y, run.eigen)
-        outputs = {"eigenvalues": [float(v) for v in spec.eigenvalues]}
-        lines = [_fmt(v) for v in spec.eigenvalues]
+        eigenvalues = spectrum_dense(X, Y, run.eigen).tolist()
+        outputs = {"eigenvalues": eigenvalues}
+        lines = [_fmt(v) for v in eigenvalues]
     manifest = run.manifest("spectrum", [file_x, file_y], outputs, {"mode": mode})
     _emit(run, manifest, lines)
 

@@ -12,7 +12,6 @@ canonical pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
 from typing import TYPE_CHECKING
@@ -317,24 +316,6 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n}, {kind}, nnz={self.nnz})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full generalized spectrum, sorted ascending, all entries positive."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, float))
-
-    @property
-    def min(self):
-        return float(self.eigenvalues[0])
-
-    @property
-    def max(self):
-        return float(self.eigenvalues[-1])
-
-
 def _check_dims(X: SpdMatrix, Y: SpdMatrix):
     if X.n != Y.n:
         raise DimensionMismatch(X.n, Y.n)
@@ -364,8 +345,8 @@ def whiten(X: SpdMatrix, Y: SpdMatrix) -> np.ndarray:
 
 def spectrum_dense(
     X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None
-) -> Spectrum:
-    """Full sorted spectrum of the pencil Y X^-1 via a dense solve.
+) -> np.ndarray:
+    """Full spectrum of the pencil Y X^-1, sorted ascending, via a dense solve.
 
     This is the full-spectrum oracle; it refuses to run above the dense
     ceiling ``opts.dense_ceiling`` (None: ``DEFAULT_DENSE_CEILING``), so
@@ -373,8 +354,7 @@ def spectrum_dense(
     """
     _check_dims(X, Y)
     _check_dense_ceiling(X.n, opts)
-    w = eigh(Y.dense(), X.dense(), eigvals_only=True)
-    return Spectrum(w)
+    return eigh(Y.dense(), X.dense(), eigvals_only=True)
 
 
 def random_spd(n, rng, spread=1.0):

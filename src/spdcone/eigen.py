@@ -55,8 +55,14 @@ class EigenStats:
     solves: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenOptions:
+    """Eigensolver options, validated at construction and frozen after it.
+
+    ``stats``, when given, is the one mutable part: an accumulator of the
+    work of every solve made with these options.
+    """
+
     tol: float = 1e-10
     max_iter: int = 5000  # operator applications per extreme; a started guard finishes
     backend: str = "auto"  # auto | dense | iterative
@@ -312,7 +318,12 @@ def extreme_pair(
     ``start`` optionally gives (alpha, beta) start vectors in the original
     coordinates, e.g. the ``vectors`` of a nearby pencil's result; the
     dense backend ignores it. A given start not of shape (n,) raises
-    DimensionMismatch.
+    DimensionMismatch. A warm start is not a proof of extremality: from a
+    start close to an interior eigenvector, the iteration can return that
+    eigenpair, which passes the residual test, and the guard's few steps
+    from a fresh direction can miss the larger one. A caller that needs
+    the extremes proven brackets them by inertia, as the inductive mean
+    does.
     """
     opts = opts or EigenOptions()
     _check_dims(X, Y)

@@ -13,10 +13,15 @@ Three interpolation paths between SPD matrices X and Y are provided:
 
 Each takes t as one float, returning one point, or as a sequence of
 floats, returning the list of points; the pencil work (one extreme pair,
-or the two eigendecompositions) is done once per call.
+or the two eigendecompositions) is done once per call. The star and
+diamond points are both combinations c_Y * Y + c_X * X, sampled by one
+helper that certifies them on [0, 1] and warns outside. A t so far out
+that a point is no finite float raises InvalidArgument naming t, on
+every family.
 
-The coefficient derivatives at t = 0 (named m and o here) are the
-building blocks of the inductive mean's fixed-point equation.
+``geodesic_coefficients`` gives the star pair (phi, psi) at t, and
+``coefficient_derivatives`` their t = 0 derivatives (m, o), the building
+blocks of the inductive mean's fixed-point equation.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh
@@ -42,22 +47,6 @@ from .errors import (
 BRANCH_TOL = 1e-8
 # relative slack before beta < alpha counts as an ordering violation
 ORDER_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GeodesicCoefficients:
-    """Coefficients (phi, psi) at parameter t and their t=0 derivatives (m, o).
-
-    The interpolation point is phi * Y + psi * X. On [0, 1] both
-    coefficients are nonnegative and (phi, psi) equals (0, 1) at t = 0
-    and (1, 0) at t = 1; m is always positive while o can take any sign.
-    """
-
-    phi: float
-    psi: float
-    m: float
-    o: float
-    branch: str  # "generic" or "equal"
 
 
 def _validate_pair(alpha: float, beta: float) -> float:
@@ -85,7 +74,7 @@ def coefficient_derivatives(alpha: float, beta: float):
     return m, o
 
 
-def geodesic_coefficients(alpha: float, beta: float, t: float) -> GeodesicCoefficients:
+def geodesic_coefficients(alpha: float, beta: float, t: float) -> tuple[float, float]:
     """Interpolation coefficients (phi, psi) at t for pencil extremes (alpha, beta).
 
     The generic expressions (b^t - a^t)/(b - a) and (b a^t - a b^t)/(b - a)
@@ -101,10 +90,8 @@ def geodesic_coefficients(alpha: float, beta: float, t: float) -> GeodesicCoeffi
     beta = _validate_pair(alpha, beta)
     t = float(t)
     delta = math.log(beta) - math.log(alpha)
-    m, o = coefficient_derivatives(alpha, beta)
-    branch = "equal" if delta <= BRANCH_TOL else "generic"
     try:
-        if branch == "equal":
+        if delta <= BRANCH_TOL:
             at = alpha ** t
             phi, psi = t * at / alpha, (1.0 - t) * at
         elif t == 0.0 or t == 1.0:
@@ -118,30 +105,16 @@ def geodesic_coefficients(alpha: float, beta: float, t: float) -> GeodesicCoeffi
             psi = -beta * atm1 * math.expm1((t - 1.0) * delta) / em
     except OverflowError:
         phi = psi = math.inf
-    _require_finite(t, phi, psi)
-    return GeodesicCoefficients(phi=phi, psi=psi, m=m, o=o, branch=branch)
+    _require_finite(t, (phi, psi))
+    return phi, psi
 
 
-def _require_finite(t, *coefficients):
-    """Raise InvalidArgument naming t unless every coefficient is a finite float."""
-    if not all(map(math.isfinite, coefficients)):
+def _require_finite(t, values):
+    """Raise InvalidArgument naming t unless every value is a finite float."""
+    if not np.isfinite(values).all():
         raise InvalidArgument(
-            f"geodesic coefficients at t = {t} are not finite floats; take t nearer [0, 1]"
+            f"geodesic at t = {t} is not finite in floating point; take t nearer [0, 1]"
         )
-
-
-def _wrap_combination(pairs, t):
-    """combine(pairs), certified for t in [0, 1]; outside, uncertified with a warning."""
-    inside = 0.0 <= t <= 1.0
-    out = combine(pairs, certify=inside)
-    if not inside:
-        warnings.warn(
-            f"geodesic evaluated at t={t} outside [0, 1]: result returned "
-            "without positive-definiteness certification",
-            RuntimeWarning,
-            stacklevel=5,  # through the point closure and _path to the caller
-        )
-    return out
 
 
 def _path(t, point):
@@ -151,6 +124,30 @@ def _path(t, point):
     warning's stacklevel names the caller either way.
     """
     return point(t) if np.ndim(t) == 0 else list(map(point, t))
+
+
+def _combination_path(X, Y, t, coefficients):
+    """c_Y Y + c_X X with (c_Y, c_X) = coefficients(s), at t or along a sequence t.
+
+    A point with s in [0, 1] is certified. Outside, it may leave the cone:
+    it comes back uncertified, with a RuntimeWarning attributed to the
+    geodesic's caller.
+    """
+
+    def point(s):
+        c_y, c_x = coefficients(s)
+        inside = 0.0 <= s <= 1.0
+        out = combine([(c_y, Y), (c_x, X)], certify=inside)
+        if not inside:
+            warnings.warn(
+                f"geodesic evaluated at t={s} outside [0, 1]: result returned "
+                "without positive-definiteness certification",
+                RuntimeWarning,
+                stacklevel=5,  # through _path, this helper and the geodesic to its caller
+            )
+        return out
+
+    return _path(t, point)
 
 
 def star_geodesic(
@@ -184,14 +181,8 @@ def star_geodesic(
         may leave the cone: it comes back uncertified with a
         RuntimeWarning, and its ``chol()`` certifies it or raises.
     """
-    _check_dims(X, Y)
     ext = extreme_pair(X, Y, opts)
-
-    def point(s):
-        co = geodesic_coefficients(ext.alpha, ext.beta, s)
-        return _wrap_combination([(co.phi, Y), (co.psi, X)], s)
-
-    return _path(t, point)
+    return _combination_path(X, Y, t, partial(geodesic_coefficients, ext.alpha, ext.beta))
 
 
 def riemannian_geodesic(
@@ -204,7 +195,8 @@ def riemannian_geodesic(
 
     Requires two full eigendecompositions, so it raises
     DenseLimitExceeded above ``opts.dense_ceiling``; a sequence of t
-    shares them. The result is SPD for every real t.
+    shares them. The result is SPD for every real t at which it is a
+    finite float; where it is not, InvalidArgument names t.
     """
     _check_dims(X, Y)
     _check_dense_ceiling(X.n, opts)
@@ -217,8 +209,13 @@ def riemannian_geodesic(
     wm, Vm = eigh(M)
 
     def point(s):
-        R = Xh @ ((Vm * wm ** s) @ Vm.T) @ Xh
-        return SpdMatrix((R + R.T) / 2.0)
+        # far from [0, 1] wm ** s overflows: reported below as the t it came
+        # from, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = Xh @ ((Vm * wm ** s) @ Vm.T) @ Xh
+            R = (R + R.T) / 2.0
+        _require_finite(s, R)
+        return SpdMatrix(R)
 
     return _path(t, point)
 
@@ -237,7 +234,6 @@ def diamond_geodesic(
     case the star geodesic is the drop-in replacement. t may be a
     sequence, as for ``star_geodesic``.
     """
-    _check_dims(X, Y)
     ext = extreme_pair(X, Y, opts)
     alpha, beta = ext.alpha, ext.beta
     if math.log(beta) - math.log(alpha) <= BRANCH_TOL:
@@ -245,15 +241,14 @@ def diamond_geodesic(
     lam = beta if alpha * beta >= 1.0 else alpha
     ell = math.log(lam)
 
-    def point(s):
+    def coefficients(s):
         # (lam^s - lam^-s) / (lam - lam^-1) = sinh(s ell) / sinh(ell), which is
         # cancellation-free for lam near 1
         try:
-            coeff_y = math.sinh(s * ell) / math.sinh(ell)
-            coeff_x = math.sinh((1.0 - s) * ell) / math.sinh(ell)
+            c = math.sinh(s * ell) / math.sinh(ell), math.sinh((1.0 - s) * ell) / math.sinh(ell)
         except OverflowError:
-            coeff_y = coeff_x = math.inf
-        _require_finite(s, coeff_y, coeff_x)
-        return _wrap_combination([(coeff_y, Y), (coeff_x, X)], s)
+            c = math.inf, math.inf
+        _require_finite(s, c)
+        return c
 
-    return _path(t, point)
+    return _combination_path(X, Y, t, coefficients)

@@ -20,10 +20,18 @@ map
 Every F iterate is a convex combination sum_j w_j Y_j, so F acts on the
 k weights, and Anderson mixing of the weights (Walker & Ni, SINUM 49(4),
 2011) makes it converge superlinearly. By homogeneity, each round's k
-pencil solves also give the exponential radial correction c that makes
-the residual vanish on the iterate's ray, and the residual at c X; F
-stops when that certificate is met and returns c X. The certificate is
-the only stopping rule.
+pencil solves, through one evaluation of their (m_j, o_j), also give the
+exponential radial correction c that makes the residual vanish on the
+iterate's ray, and the residual there,
+
+    E(c X) = c (sum_j m_j Y_j - (sum_j m_j) X),
+
+whose normalized norm does not depend on c. F stops when that
+certificate is met and returns c X; the certificate is the only
+stopping rule. The solves are warm-started from the previous round, and
+a warm start proves nothing about extremality, so a certifying round is
+trusted only once an inertia bracket confirms each warm solve's
+extremes; a pencil whose bracket fails is solved again cold.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from .errors import (
     InvalidArgument,
     InvalidOption,
     NonPositiveR,
+    NotPositiveDefinite,
+    NumericalBreakdown,
     require_positive_finite,
 )
 from .geodesics import coefficient_derivatives, star_geodesic
@@ -47,7 +57,7 @@ from .geodesics import coefficient_derivatives, star_geodesic
 _FP_MAX_ROUNDS = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeanOptions:
     """Options of ``inductive_mean``.
 
@@ -55,6 +65,7 @@ class MeanOptions:
     F stops when its certificate is at most ``eigen.tol``, the pencil
     solves' residual target, so ``residual_tol`` may not be below it: a
     residual computed from solves at ``eigen.tol`` cannot vouch for less.
+    The options are validated at construction and frozen after it.
     """
 
     residual_tol: float = 1e-8
@@ -131,21 +142,15 @@ def _solve_all(points, X, opts, starts=None):
     return [extreme_pair(X, Yj, opts, s) for Yj, s in zip(points, starts)]
 
 
-def _derivative_sums(extremes, c=1.0):
-    """Per-point (m_j, o_j) derivative pairs for the pencils (Y_j, c X).
-
-    ``extremes`` are the pencils' results at X: by homogeneity, (Y_j, c X)
-    has the extremes of (Y_j, X) divided by c, with the same eigenvectors
-    and backward errors, so no new solve is needed for c X.
-    """
-    return [coefficient_derivatives(e.alpha / c, e.beta / c) for e in extremes]
+def _derivative_sums(extremes):
+    """Per-pencil derivative pairs (m_j, o_j) of the pencils' extremes."""
+    return [coefficient_derivatives(e.alpha, e.beta) for e in extremes]
 
 
-def _residual_field(points, X, pairs, c=1.0):
-    """E(c X) and |E|_F / (k |c X|_F) from the derivative pairs at c X."""
-    osum = c * sum(o for _, o in pairs)
-    E = _raw_sum([(osum, X)] + [(m, Yj) for (m, _), Yj in zip(pairs, points)])
-    return E, fro_norm(E) / (len(points) * c * X.norm_fro())
+def _residual_field(points, X, ms, osum):
+    """osum X + sum_j m_j Y_j and its Frobenius norm over k |X|_F."""
+    E = _raw_sum([(osum, X)] + list(zip(ms, points)))
+    return E, fro_norm(E) / (len(points) * X.norm_fro())
 
 
 def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
@@ -153,10 +158,33 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
 
     E(X) = sum_j m_j Y_j + (sum_j o_j) X vanishes exactly at the mean;
     the returned norm is |E|_F / (k |X|_F). The matrix comes back raw
-    (ndarray or sparse): it is a tangent-space object, not SPD.
+    (ndarray or sparse): it is a tangent-space object, not SPD. Every
+    pencil is solved cold.
     """
-    exts = _solve_all(points, X, opts or EigenOptions())
-    return _residual_field(points, X, _derivative_sums(exts))
+    pairs = _derivative_sums(_solve_all(points, X, opts or EigenOptions()))
+    return _residual_field(points, X, [m for m, _ in pairs], sum(o for _, o in pairs))
+
+
+def _unbracketed(points, X, exts, starts, tol):
+    """Indices j of the warm-started iterative solves that the inertia
+    bracket does not confirm.
+
+    A warm start can converge to an interior eigenpair that passes the
+    residual test. If beta (1 + 10 tol) X - Y_j and Y_j - alpha (1 - 10 tol) X
+    both certify positive definite, Sylvester's law of inertia puts the
+    whole spectrum of Y_j X^-1 inside [alpha (1 - 10 tol), beta (1 + 10 tol)]
+    (Ericsson & Ruhe, Math. Comp. 35, 1980).
+    """
+    wrong = []
+    for j, (Yj, e, start) in enumerate(zip(points, exts, starts)):
+        if e.backend != "iterative" or start[1] is None:
+            continue
+        try:
+            combine([(e.beta * (1.0 + 10.0 * tol), X), (-1.0, Yj)])
+            combine([(1.0, Yj), (-e.alpha * (1.0 - 10.0 * tol), X)])
+        except (NotPositiveDefinite, NumericalBreakdown):
+            wrong.append(j)
+    return wrong
 
 
 def _anderson(ws, gs):
@@ -185,22 +213,26 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
 
     Every iterate after ``init`` (the arithmetic mean when None) is
     sum_j w_j Y_j with w in the open simplex, and F maps it to the
-    weights g = m / sum m. Each round solves the k pencils (Y_j, X),
-    warm-started from the previous round's eigenvectors; by homogeneity
-    they give the scale c and the residual at c X, which stops the
-    iteration at ``opts.tol``. Otherwise the next weights are the Anderson
-    mix of the last k weight pairs (depth k - 1, the dimension of the
-    simplex), or plain F weights with the history restarted when the mix
-    leaves the simplex; either way the iterate stays SPD by convexity and
-    inside the union pattern.
+    weights g = m / sum m. Each round solves the k pencils (Y_j, X) once,
+    warm-started from the previous round's eigenvectors. By homogeneity
+    that one pass gives the scale c = exp(sum_j (m_j + o_j) / k) and the
+    residual E(c X) = c (sum_j m_j Y_j - (sum_j m_j) X), whose norm over
+    k |c X|_F does not depend on c. A round whose residual is at most
+    ``opts.tol`` certifies once every warm-started iterative solve passes
+    the inertia bracket of ``_unbracketed``; a pencil that fails it is
+    solved again cold, in a repeat of the round at the same X. Otherwise
+    the next weights are the Anderson mix of the last k weight pairs
+    (depth k - 1, the dimension of the simplex), or plain F weights with
+    the history restarted when the mix leaves the simplex; either way the
+    iterate stays SPD by convexity and inside the union pattern.
 
     Returns (c X, rounds, displacement, residual norm at c X), where the
     displacement bounds the Hilbert distance of the last step by the
     Loewner sandwich: log(max_j(w'_j/w_j) / min_j(w'_j/w_j)); it is 0 if
     no step was taken and inf if the only step left a given ``init``.
-    Raises FixedPointStalled with the best corrected iterate, its
-    residual and the displacement of the step into it, after
-    ``max_rounds`` rounds.
+    After ``max_rounds`` rounds without a certificate it returns the
+    best corrected iterate, its residual (above ``opts.tol``) and the
+    displacement of the step into it.
     """
     k = len(points)
     if init is None:
@@ -209,21 +241,25 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     else:
         w, X = None, init
     ws, gs = [], []
-    vectors = None
+    vectors = [(None, None)] * k
     disp = 0.0
     best = (math.inf, 1.0, X, disp)
     for rounds in range(1, max_rounds + 1):
         exts = _solve_all(points, X, opts, vectors)
-        vectors = [e.vectors for e in exts]
         pairs = _derivative_sums(exts)
-        # the radial correction: E(c X) = c (sum m) (F(X) - X)
+        ms = [m for m, _ in pairs]
         c = math.exp(sum(m + o for m, o in pairs) / k)
-        rnorm = _residual_field(points, X, _derivative_sums(exts, c), c)[1]
+        rnorm = _residual_field(points, X, ms, -sum(ms))[1]
         if rnorm <= opts.tol:
-            return X.scaled(c), rounds, disp, rnorm
+            wrong = _unbracketed(points, X, exts, vectors, opts.tol)
+            if not wrong:
+                return X.scaled(c), rounds, disp, rnorm
+            vectors = [(None, None) if j in wrong else e.vectors for j, e in enumerate(exts)]
+            continue
+        vectors = [e.vectors for e in exts]
         if rnorm < best[0]:
             best = (rnorm, c, X, disp)
-        m = np.array([m for m, _ in pairs])
+        m = np.array(ms)
         g = m / m.sum()
         if w is None:
             w_next, disp = g, math.inf
@@ -237,9 +273,7 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         w = w_next
         X = combine(list(zip(w, points)))
     rnorm, c, X, disp = best
-    raise FixedPointStalled(
-        best=X.scaled(c), displacement=disp, iterations=max_rounds, residual=rnorm
-    )
+    return X.scaled(c), max_rounds, disp, rnorm
 
 
 def inductive_mean(problem: MeanProblem) -> MeanResult:
@@ -249,7 +283,7 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     mean of the points when None; any initialization converges to the
     same limit) until the radially corrected iterate's residual is at
     most ``eigen.tol``. If F stalls, its best iterate is returned when
-    that residual is at most ``residual_tol``.
+    a cold ``residual`` there is at most ``residual_tol``.
 
     Parameters
     ----------
@@ -269,8 +303,9 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     FixedPointStalled
         F did not certify within 200 rounds and its best iterate does not
         meet ``residual_tol``; the payload carries that radially
-        corrected iterate, its residual and displacement. A pencil
-        solve's own failure propagates unchanged.
+        corrected iterate, its residual (the cold one when F's own met
+        ``residual_tol``) and displacement. A pencil solve's own failure
+        propagates unchanged.
     """
     points = list(problem.points)
     if not points:
@@ -288,11 +323,12 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
             certified=rnorm <= opts.residual_tol,
         )
 
-    try:
-        X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
-    except FixedPointStalled as stalled:
-        if not stalled.residual <= opts.residual_tol:
-            raise
-        X, rounds = stalled.best, stalled.iterations
-        disp, rnorm = stalled.displacement, stalled.residual
+    X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
+    if rnorm > eigen.tol:
+        # F stalled: its best iterate came from warm solves, so only a cold
+        # residual there may vouch for it
+        if rnorm <= opts.residual_tol:
+            rnorm = residual(points, X, eigen)[1]
+        if not rnorm <= opts.residual_tol:
+            raise FixedPointStalled(best=X, displacement=disp, iterations=rounds, residual=rnorm)
     return MeanResult(X, 0, disp, rnorm, True, rounds)

@@ -61,8 +61,7 @@ def riemannian_distance(
     Needs the full spectrum: raises DenseLimitExceeded above
     ``opts.dense_ceiling``.
     """
-    spec = spectrum_dense(X, Y, opts)
-    logs = np.log(spec.eigenvalues)
+    logs = np.log(spectrum_dense(X, Y, opts))
     return float(np.sqrt(np.sum(logs * logs)))
 
 
@@ -80,8 +79,7 @@ def phi_distance(
     """
     if not isinstance(gauge, GaugeParameter):
         gauge = GaugeParameter(float(gauge))
-    spec = spectrum_dense(X, Y, opts)
-    logs = np.abs(np.log(spec.eigenvalues))
+    logs = np.abs(np.log(spectrum_dense(X, Y, opts)))
     if math.isinf(gauge.p):
         return float(np.max(logs))
     return float(np.sum(logs ** gauge.p) ** (1.0 / gauge.p))

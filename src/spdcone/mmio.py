@@ -61,12 +61,17 @@ def read_matrix(path):
     format, with symmetric storage expanded to the full matrix (the COO
     may hold duplicates, which sum). Comment and blank lines may appear
     anywhere after the header. Raises :class:`ParseError` with the
-    offending line number, also for a non-finite value and for a
-    skew-symmetric header, since such a matrix can never be positive
-    definite.
+    offending line number, also for a byte that is not UTF-8 text, for a
+    non-finite value and for a skew-symmetric header, since such a matrix
+    can never be positive definite.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
     header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != _HEADER_PREFIX:
         raise ParseError(path, 1, "malformed MatrixMarket header" if lines else "empty file")
@@ -124,7 +129,7 @@ def read_matrix(path):
     if bad.size:
         k = entries[bad[0]]
         raise ParseError(path, k + 1, f"non-finite value in {lines[k].strip()!r}")
-    del lines, entries  # the text outweighs the matrix; free it before the matrix is built
+    del data, lines, entries  # the text outweighs the matrix; free it before the matrix is built
 
     if coordinate:
         rows, cols = np.asarray(rows), np.asarray(cols)

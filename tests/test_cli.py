@@ -131,8 +131,10 @@ class TestGeodesicCommand:
                                  files["r6b"], "--ts", "1.5", "--outdir", str(tmp_path / "g2")])
         assert r.exit_code == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family, t", [
         ("star", "800"), ("diamond", "800"), ("diamond", "-800"), ("diamond", "1e308"),
+        ("riemannian", "800"),
     ])
     def test_unrepresentable_t_exit_2(self, runner, files, tmp_path, family, t):
         r = runner.invoke(main, ["--allow-extrapolation", "geodesic", files["i2"], files["d41"],
@@ -365,12 +367,32 @@ class TestExitCodesAndEnv:
         (["distance", "{x}", "{y}", "--metric", "bogus"], "unknown metric 'bogus'"),
         (["distance", "{x}", "{y}", "--metric", "phi"], "unknown metric 'phi'"),
         (["geodesic", "{x}", "{y}", "--ts", ",", "--outdir", "{out}"], "no interpolation"),
+        (["distance", "{x}", "{y}", "--metric", "phi-abc"], "--metric: 'abc' is not a number"),
+        (["geodesic", "{x}", "{y}", "--ts", "0.5,abc", "--outdir", "{out}"],
+         "--ts: 'abc' is not a number"),
+        (["distance", "{binary}", "{y}"], "{binary}:1:"),
     ])
     def test_bad_arguments_exit_2(self, runner, files, tmp_path, args, message):
-        names = {"x": files["r6a"], "y": files["r6b"], "out": str(tmp_path / "g")}
+        binary = tmp_path / "binary.mtx"
+        binary.write_bytes(b"\x89PNG\r\n\x1a\n")
+        names = {"x": files["r6a"], "y": files["r6b"], "out": str(tmp_path / "g"),
+                 "binary": str(binary)}
         r = runner.invoke(main, [a.format(**names) for a in args])
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        message = message.format(**names)
         assert f"input error: {message}" in r.output and "Traceback" not in r.output
+
+    def test_programming_error_is_not_an_input_error(self, runner, files, monkeypatch):
+        # only library errors and OS errors map to exit codes; a bare
+        # ValueError is a bug and surfaces as one
+        import spdcone.metrics
+
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(spdcone.metrics, "thompson_distance", broken)
+        r = runner.invoke(main, ["distance", files["r6a"], files["r6b"]])
+        assert r.exit_code == 1 and isinstance(r.exception, ValueError)
 
     def test_env_var_seed(self, runner, files):
         r = invoke(runner, "--json", "distance", files["r6a"], files["r6b"],

@@ -1,6 +1,7 @@
 """Inductive Thompson mean: steps, residual certificate, the F iteration."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -254,6 +255,10 @@ class TestMeanOptions:
         with pytest.raises(InvalidOption):
             MeanOptions(residual_tol=value)
 
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            MeanOptions().residual_tol = 1.0
+
     def test_certificate_no_finer_than_solves(self, rng):
         # a residual from solves at eigen.tol cannot vouch for less
         with pytest.raises(InvalidOption):
@@ -288,6 +293,36 @@ class TestFixedPointRounds:
         assert all(any(Y is p for p in pts) for Y in seen)
         assert len(seen) == len(pts) * res.rounds
         assert res.rounds <= max_rounds
+
+    def test_one_coefficient_pass_per_round(self, monkeypatch):
+        # the radial scale and the certificate come from the same k pairs
+        rng = np.random.default_rng(0)
+        pts = [random_spd(48, rng) for _ in range(3)]
+        calls = []
+        derivatives = spdcone.mean.coefficient_derivatives
+
+        def spy(*args):
+            calls.append(args)
+            return derivatives(*args)
+
+        monkeypatch.setattr(spdcone.mean, "coefficient_derivatives", spy)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and len(calls) == len(pts) * res.rounds
+
+
+class TestWarmStartBracket:
+    @pytest.mark.parametrize("k, n", [(4, 150), (5, 100)])
+    def test_interior_lock_on_is_caught(self, k, n):
+        # from round 2 on, a warm-started beta solve of one pencil returns an
+        # interior eigenpair that passes the residual test and the guard; the
+        # mean certified on it had a true residual near 1e-3
+        rng = np.random.default_rng(3)
+        pts = [random_sparse_spd(n, 0.03, rng) for _ in range(k)]
+        opts = MeanOptions()
+        res = inductive_mean(MeanProblem(pts, opts=opts))
+        assert res.certified
+        _, rn = residual(pts, res.mean, EigenOptions(backend="dense"))
+        assert rn <= opts.residual_tol
 
 
 class TestAnderson:
@@ -343,9 +378,8 @@ class TestFailurePayloads:
         # one round: the best is the arithmetic-mean start, reached by no
         # step, although a step was taken after it
         pts = points(rng, 3, 5)
-        with pytest.raises(FixedPointStalled) as exc:
-            _fixed_point(pts, None, EigenOptions(tol=1e-30), max_rounds=1)
-        assert exc.value.displacement == 0.0
+        _, rounds, displacement, _ = _fixed_point(pts, None, EigenOptions(tol=1e-30), max_rounds=1)
+        assert (rounds, displacement) == (1, 0.0)
 
     def test_hybrid_recovers_from_stall(self, rng):
         # residual target 1e-30 is unattainable, so F stalls; its best
@@ -354,6 +388,15 @@ class TestFailurePayloads:
         opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
         res = inductive_mean(MeanProblem(pts, opts=opts))
         assert res.certified
+
+    def test_stalled_iterate_needs_a_cold_residual(self, rng, monkeypatch):
+        # F's best iterate comes from warm solves; the cold residual there decides
+        pts = points(rng, 3, 5)
+        opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
+        monkeypatch.setattr(spdcone.mean, "residual", lambda *args: (None, 1.0))
+        with pytest.raises(FixedPointStalled) as exc:
+            inductive_mean(MeanProblem(pts, opts=opts))
+        assert exc.value.residual == 1.0
 
 
 class TestContractionFactor:

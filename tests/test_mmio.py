@@ -164,6 +164,17 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             read_matrix(p)
 
+    @pytest.mark.parametrize("content, line_no", [
+        (b"\x89PNG\r\n\x1a\n", 1),
+        (b"%%MatrixMarket matrix array real symmetric\n% caf\xe9\n1 1\n1.0\n", 2),
+    ])
+    def test_bytes_not_utf8(self, tmp_path, content, line_no):
+        p = tmp_path / "binary.mtx"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            read_matrix(p)
+        assert exc.value.line_no == line_no
+
     def test_empty(self, tmp_path):
         p = tmp_path / "empty.mtx"
         p.write_text("")
