@@ -139,7 +139,7 @@ def _fresh(rng, X, B):
     return q / nq if nq > 1e-8 * size else None
 
 
-def _lanczos_largest(Y, X, opts, seed, start=None):
+def _lanczos_largest(Y, X, opts, seed, start, guard):
     """Thick-restart Lanczos for lambda_max(Y X^-1). Returns (lam, v, applies, resid).
 
     The operator A = X^-1 Y is self-adjoint in the X inner product. The
@@ -151,6 +151,8 @@ def _lanczos_largest(Y, X, opts, seed, start=None):
     the last one. A candidate pair that passes the residual test is kept
     alone while ``_GUARD`` steps from a seeded fresh direction look for a
     larger Ritz value; the candidate is returned only if none shows up.
+    Without ``guard`` the first pair that passes the residual test is
+    returned as it stands.
     """
     f = X.chol()
     n = X.n
@@ -213,7 +215,7 @@ def _lanczos_largest(Y, X, opts, seed, start=None):
             if best is None or resid < best[0]:
                 best = (resid, theta, v)
             if resid <= opts.tol:
-                if exhausted:  # the basis spans everything: theta is the top
+                if exhausted or not guard:  # exhausted: the basis spans everything
                     return theta, v, applies, resid
                 # keep the pair alone and restart from a fresh direction
                 candidate = (theta, v, resid)
@@ -282,14 +284,14 @@ def _dense_largest(Y, X):
     return lam, v, 0, pencil_residual(Y, X, lam, v)
 
 
-def _largest(Y, X, backend, opts, seed, start=None):
+def _largest(Y, X, backend, opts, seed, start, guard):
     """lambda_max of (Y, X) on the given backend: (lam, v, iters, resid)."""
     if backend == "dense":
         return _dense_largest(Y, X)
-    return _lanczos_largest(Y, X, opts, seed, start)
+    return _lanczos_largest(Y, X, opts, seed, start, guard)
 
 
-def _smallest(Y, X, backend, opts, seed, start=None):
+def _smallest(Y, X, backend, opts, seed, start, guard):
     """lambda_min of (Y, X) as 1 / lambda_max(X Y^-1): (lam, v, iters, resid).
 
     The swapped formulation keeps lambda_min relatively accurate for
@@ -297,7 +299,7 @@ def _smallest(Y, X, backend, opts, seed, start=None):
     has absolute accuracy on the lambda_max scale.
     """
     try:
-        mu, v, iters, _ = _largest(X, Y, backend, opts, seed, start)
+        mu, v, iters, _ = _largest(X, Y, backend, opts, seed, start, guard)
     except NoConvergence as exc:
         mu, v = exc.best
         raise NoConvergence(str(exc), best=(1.0 / mu, v), residual=exc.residual,
@@ -307,7 +309,8 @@ def _smallest(Y, X, backend, opts, seed, start=None):
 
 
 def extreme_pair(
-    X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None, start=(None, None)
+    X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None, start=(None, None),
+    *, _guard: bool = True,
 ) -> PencilExtremes:
     """(alpha, beta) = extreme eigenvalues of Y X^-1 with residual certificates.
 
@@ -315,6 +318,10 @@ def extreme_pair(
     (beta from the pencil (Y, X), alpha as the reciprocal of the swapped
     pencil's maximum), so the two routes agree to rounding even on very
     wide pencils. Iterative per-solve seeds derive from ``opts.seed``.
+    Public calls always run the guard: an iterative extreme that passes
+    the residual test is returned only after the guard sweep finds no
+    larger Ritz value. ``_guard`` is private to the inductive mean, whose
+    loose rounds skip the sweep because their extremes only steer it.
     ``start`` optionally gives (alpha, beta) start vectors in the original
     coordinates, e.g. the ``vectors`` of a nearby pencil's result; the
     dense backend ignores it. A given start not of shape (n,) raises
@@ -332,8 +339,8 @@ def extreme_pair(
             raise DimensionMismatch(X.n, np.shape(v))
     backend = _resolve_backend(Y, X, opts)
     seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
-    beta, vb, it_b, rb = _largest(Y, X, backend, opts, seed_b, start[1])
-    alpha, va, it_a, ra = _smallest(Y, X, backend, opts, seed_a, start[0])
+    beta, vb, it_b, rb = _largest(Y, X, backend, opts, seed_b, start[1], _guard)
+    alpha, va, it_a, ra = _smallest(Y, X, backend, opts, seed_a, start[0], _guard)
     if opts.stats is not None:
         opts.stats.iterations += it_a + it_b
         opts.stats.solves += 2

@@ -39,6 +39,7 @@ from .eigen import EigenOptions, extreme_pair
 from .errors import (
     DegeneratePencil,
     InvalidArgument,
+    InvalidMatrix,
     NonPositiveAlpha,
     OrderViolation,
 )
@@ -109,12 +110,16 @@ def geodesic_coefficients(alpha: float, beta: float, t: float) -> tuple[float, f
     return phi, psi
 
 
+def _not_finite(t):
+    return InvalidArgument(
+        f"geodesic at t = {t} is not finite in floating point; take t nearer [0, 1]"
+    )
+
+
 def _require_finite(t, values):
     """Raise InvalidArgument naming t unless every value is a finite float."""
     if not np.isfinite(values).all():
-        raise InvalidArgument(
-            f"geodesic at t = {t} is not finite in floating point; take t nearer [0, 1]"
-        )
+        raise _not_finite(t)
 
 
 def _path(t, point):
@@ -131,13 +136,22 @@ def _combination_path(X, Y, t, coefficients):
 
     A point with s in [0, 1] is certified. Outside, it may leave the cone:
     it comes back uncertified, with a RuntimeWarning attributed to the
-    geodesic's caller.
+    geodesic's caller. A point that is no finite float raises
+    InvalidArgument naming s.
     """
 
     def point(s):
         c_y, c_x = coefficients(s)
         inside = 0.0 <= s <= 1.0
-        out = combine([(c_y, Y), (c_x, X)], certify=inside)
+        # far from [0, 1], c * Y can overflow although c is finite. A
+        # combination of two certified matrices is otherwise a valid matrix,
+        # so InvalidMatrix means a non-finite entry: reported as the t it
+        # came from, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                out = combine([(c_y, Y), (c_x, X)], certify=inside)
+            except InvalidMatrix as exc:
+                raise _not_finite(s) from exc
         if not inside:
             warnings.warn(
                 f"geodesic evaluated at t={s} outside [0, 1]: result returned "

@@ -28,16 +28,29 @@ iterate's ray, and the residual there,
 
 whose normalized norm does not depend on c. F stops when that
 certificate is met and returns c X; the certificate is the only
-stopping rule. The solves are warm-started from the previous round, and
-a warm start proves nothing about extremality, so a certifying round is
-trusted only once an inertia bracket confirms each warm solve's
-extremes; a pencil whose bracket fails is solved again cold.
+stopping rule.
+
+Only the round whose residual is returned vouches for the mean, so the
+rounds before it are inexact: round r solves its pencils to the forcing
+term max(eigen.tol, min(LOOSEST_TOL, ETA r_{r-1})), r_{r-1} the previous
+round's residual (Eisenstat & Walker, SISC 17(1), 1996), and skips the
+eigensolver's guard sweep. A loose extreme only steers F, whose
+Anderson mixing tolerates such inexact maps (Toth & Kelley, SINUM 53(2),
+2015): it can slow F, never certify. A loose round whose residual meets
+eigen.tol is solved again at eigen.tol, with the guard, at the same X,
+warm-started from its own vectors. Dense solves are exact whatever the
+tolerance, so a dense round never repeats. The solves are warm-started
+from the previous round, and a warm start proves nothing about
+extremality, so a certifying round is trusted only once an inertia
+bracket confirms each warm solve's extremes; a pencil whose bracket
+fails is solved again cold. Every returned mean is thus certified by a
+round solved at eigen.tol, guarded and bracketed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +68,11 @@ from .errors import (
 from .geodesics import coefficient_derivatives, star_geodesic
 
 _FP_MAX_ROUNDS = 200
+# forcing term: a round solves its pencils to ETA times the previous
+# round's residual, never looser than LOOSEST_TOL (the first round's
+# tolerance) and never tighter than eigen.tol
+ETA = 0.1
+LOOSEST_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -132,14 +150,15 @@ def inductive_step(
     return star_geodesic(X, Yj, 1.0 / (i + 1.0), opts)
 
 
-def _solve_all(points, X, opts, starts=None):
+def _solve_all(points, X, opts, starts=None, guard=True):
     """extreme_pair for every pencil (Y_j, X), each optionally warm-started.
 
     ``starts`` are the ``vectors`` of a previous call at a nearby X, passed
-    explicitly so that nothing outlives one mean computation.
+    explicitly so that nothing outlives one mean computation. ``guard``
+    False skips the guard sweep of iterative solves.
     """
     starts = starts or [(None, None)] * len(points)
-    return [extreme_pair(X, Yj, opts, s) for Yj, s in zip(points, starts)]
+    return [extreme_pair(X, Yj, opts, s, _guard=guard) for Yj, s in zip(points, starts)]
 
 
 def _derivative_sums(extremes):
@@ -217,10 +236,18 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     warm-started from the previous round's eigenvectors. By homogeneity
     that one pass gives the scale c = exp(sum_j (m_j + o_j) / k) and the
     residual E(c X) = c (sum_j m_j Y_j - (sum_j m_j) X), whose norm over
-    k |c X|_F does not depend on c. A round whose residual is at most
-    ``opts.tol`` certifies once every warm-started iterative solve passes
-    the inertia bracket of ``_unbracketed``; a pencil that fails it is
-    solved again cold, in a repeat of the round at the same X. Otherwise
+    k |c X|_F does not depend on c.
+
+    Round r solves at max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), with
+    r_0 = inf. A round looser than ``opts.tol`` runs without the guard
+    sweep, and its residual only steers: if it is at most ``opts.tol``
+    and any solve was iterative, the round is repeated at the same X at
+    ``opts.tol`` with the guard, warm-started from its own vectors. A
+    round at ``opts.tol`` (or a loose round whose solves were all dense,
+    hence exact) whose residual is at most ``opts.tol`` certifies once
+    every warm-started iterative solve passes the inertia bracket of
+    ``_unbracketed``; a pencil that fails it is solved again cold, in a
+    repeat of the round at the same X. ``rounds`` counts repeats. Otherwise
     the next weights are the Anderson mix of the last k weight pairs
     (depth k - 1, the dimension of the simplex), or plain F weights with
     the history restarted when the mix leaves the simplex; either way the
@@ -231,8 +258,9 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     Loewner sandwich: log(max_j(w'_j/w_j) / min_j(w'_j/w_j)); it is 0 if
     no step was taken and inf if the only step left a given ``init``.
     After ``max_rounds`` rounds without a certificate it returns the
-    best corrected iterate, its residual (above ``opts.tol``) and the
-    displacement of the step into it.
+    best corrected iterate, its residual (above ``opts.tol``, and from
+    loose solves if its round was loose) and the displacement of the
+    step into it.
     """
     k = len(points)
     if init is None:
@@ -244,15 +272,21 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     vectors = [(None, None)] * k
     disp = 0.0
     best = (math.inf, 1.0, X, disp)
+    rnorm = math.inf
     for rounds in range(1, max_rounds + 1):
-        exts = _solve_all(points, X, opts, vectors)
+        tol = max(opts.tol, min(LOOSEST_TOL, ETA * rnorm))
+        tight = tol == opts.tol
+        exts = _solve_all(points, X, replace(opts, tol=tol), vectors, tight)
+        exact = tight or all(e.backend == "dense" for e in exts)
         pairs = _derivative_sums(exts)
         ms = [m for m, _ in pairs]
         c = math.exp(sum(m + o for m, o in pairs) / k)
         rnorm = _residual_field(points, X, ms, -sum(ms))[1]
         if rnorm <= opts.tol:
-            wrong = _unbracketed(points, X, exts, vectors, opts.tol)
-            if not wrong:
+            # a loose round only says that X, solved again at opts.tol with
+            # the guard, may certify
+            wrong = _unbracketed(points, X, exts, vectors, opts.tol) if exact else []
+            if exact and not wrong:
                 return X.scaled(c), rounds, disp, rnorm
             vectors = [(None, None) if j in wrong else e.vectors for j, e in enumerate(exts)]
             continue
@@ -325,8 +359,8 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
 
     X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
     if rnorm > eigen.tol:
-        # F stalled: its best iterate came from warm solves, so only a cold
-        # residual there may vouch for it
+        # F stalled: its best iterate came from warm, perhaps loose, solves,
+        # so only a cold residual there may vouch for it
         if rnorm <= opts.residual_tol:
             rnorm = residual(points, X, eigen)[1]
         if not rnorm <= opts.residual_tol:

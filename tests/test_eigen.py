@@ -333,6 +333,16 @@ class TestWorkAndStarts:
             assert e.beta == pytest.approx(w[-1], rel=1e-10)
             assert e.alpha == pytest.approx(w[0], rel=1e-10)
 
+    def test_guard_off_returns_the_candidate(self, rng):
+        # the private guard-off path returns the pair the guard would have
+        # checked, without its eight applies; public calls always guard
+        X, Y = sparse_pair(rng, 300, density=0.01)
+        guarded = extreme_pair(X, Y, iter_opts(seed=5))
+        bare = extreme_pair(X, Y, iter_opts(seed=5), _guard=False)
+        assert (bare.alpha, bare.beta, bare.residuals) == (
+            guarded.alpha, guarded.beta, guarded.residuals)
+        assert bare.iterations == tuple(i - 8 for i in guarded.iterations)
+
     def test_start_of_wrong_shape_rejected(self, rng):
         X, Y = sparse_pair(rng, 50)
         for start in [(None, np.ones(7)), (np.ones((50, 1)), None)]:

@@ -365,6 +365,14 @@ class TestPaths:
         with pytest.raises(InvalidArgument, match=f"t = {t}"):
             family(X, Y, [0.5, t])
 
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic])
+    def test_overflowing_point_names_t(self, family, recwarn):
+        # the coefficients at t = 200 are finite floats, but c * Y is not
+        X, Y = SpdMatrix(1e200 * np.eye(2)), SpdMatrix(np.diag([4e200, 0.25e200]))
+        with pytest.raises(InvalidArgument, match="t = 200.0"):
+            family(X, Y, 200.0)
+        assert len(recwarn) == 0
+
 
 class TestGeodesicContraction:
     def test_bounds_hold(self, rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spdcone import (
     EigenOptions,
+    EigenStats,
     MeanOptions,
     MeanProblem,
     SpdMatrix,
@@ -34,6 +35,34 @@ from conftest import spd_pair
 
 def points(rng, k, n, spread=1.5):
     return [random_spd(n, rng, spread) for _ in range(k)]
+
+
+def random_family(seed, k=5, n=100):
+    rng = np.random.default_rng(seed)
+    return [random_sparse_spd(n, 0.03, rng) for _ in range(k)]
+
+
+def banded_spd(n, bandwidth, rng):
+    """Random symmetric banded matrix, strictly diagonally dominant."""
+    offsets = range(1, bandwidth + 1)
+    G = sp.diags([rng.uniform(-1.0, 1.0, n - d) for d in offsets], [-d for d in offsets],
+                 shape=(n, n))
+    G = (G + G.T).tocsr()
+    margin = np.asarray(abs(G).sum(axis=1)).ravel() + rng.uniform(0.5, 1.5, n)
+    return SpdMatrix(G + sp.diags(margin))
+
+
+def spy_solves(monkeypatch):
+    """List that gains (X, Y, tol, guard) per pencil solve of the mean."""
+    seen = []
+    solve = spdcone.mean.extreme_pair
+
+    def spy(X, Y, opts, start, _guard=True):
+        seen.append((X, Y, opts.tol, _guard))
+        return solve(X, Y, opts, start, _guard=_guard)
+
+    monkeypatch.setattr(spdcone.mean, "extreme_pair", spy)
+    return seen
 
 
 class TestInductiveStep:
@@ -275,24 +304,35 @@ class TestFixedPointRounds:
     def test_rounds_solve_only_input_pencils(self, family, max_rounds, monkeypatch):
         # the certificate at c X comes from the round's own k solves, so
         # no other pencil is ever solved; Anderson mixing keeps rounds few
-        rng = np.random.default_rng(0)
         if family == "dense":
+            rng = np.random.default_rng(0)
             pts = [random_spd(48, rng) for _ in range(3)]
         else:
-            pts = [random_sparse_spd(100, 0.03, rng) for _ in range(5)]
-        seen = []
-        solve = spdcone.mean.extreme_pair
-
-        def spy(X, Y, *args):
-            seen.append(Y)
-            return solve(X, Y, *args)
-
-        monkeypatch.setattr(spdcone.mean, "extreme_pair", spy)
+            pts = random_family(0)
+        seen = spy_solves(monkeypatch)
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and res.cycles_used == 0
-        assert all(any(Y is p for p in pts) for Y in seen)
+        assert all(any(Y is p for p in pts) for _, Y, _, _ in seen)
         assert len(seen) == len(pts) * res.rounds
         assert res.rounds <= max_rounds
+
+    def test_loose_rounds_halve_the_applies(self):
+        # the family above took 1,847 applies in 8 rounds when every round
+        # solved at eigen.tol with the guard
+        stats = EigenStats()
+        opts = MeanOptions(eigen=EigenOptions(stats=stats))
+        res = inductive_mean(MeanProblem(random_family(0), opts=opts))
+        assert res.certified and stats.solves == 2 * 5 * res.rounds
+        assert stats.iterations <= 925
+
+    def test_dense_rounds_are_exact(self, monkeypatch):
+        # the dense backend ignores tol, so no round repeats
+        rng = np.random.default_rng(0)
+        pts = [random_spd(48, rng) for _ in range(3)]
+        seen = spy_solves(monkeypatch)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and res.rounds == 5
+        assert len({id(X) for X, _, _, _ in seen}) == res.rounds
 
     def test_one_coefficient_pass_per_round(self, monkeypatch):
         # the radial scale and the certificate come from the same k pairs
@@ -318,6 +358,58 @@ class TestWarmStartBracket:
         # mean certified on it had a true residual near 1e-3
         rng = np.random.default_rng(3)
         pts = [random_sparse_spd(n, 0.03, rng) for _ in range(k)]
+        opts = MeanOptions()
+        res = inductive_mean(MeanProblem(pts, opts=opts))
+        assert res.certified
+        _, rn = residual(pts, res.mean, EigenOptions(backend="dense"))
+        assert rn <= opts.residual_tol
+
+
+class TestLooseRounds:
+    def test_certifying_round_is_exact_and_guarded(self, monkeypatch):
+        # in this family a loose round certifies first, so the mean solves
+        # that round again at eigen.tol, with the guard, at the same X
+        pts = random_family(1)
+        k, tol = len(pts), MeanOptions().eigen.tol
+        seen = spy_solves(monkeypatch)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and len(seen) == k * res.rounds
+        assert all(t == tol and guard for _, _, t, guard in seen[-k:])
+        assert all(t >= tol for _, _, t, _ in seen)
+        loose = seen[-2 * k]
+        assert loose[0] is seen[-k][0] and loose[2] > tol and not loose[3]
+
+    def test_round_tol_follows_the_residual(self, monkeypatch):
+        # round r + 1 solves at max(eigen.tol, min(LOOSEST_TOL, ETA r_r)),
+        # r_r the residual of round r; every pencil of a round shares it
+        pts = random_family(0)
+        k, tol = len(pts), MeanOptions().eigen.tol
+        seen = spy_solves(monkeypatch)
+        rnorms = []
+        field = spdcone.mean._residual_field
+
+        def spy(*args):
+            out = field(*args)
+            rnorms.append(out[1])
+            return out
+
+        monkeypatch.setattr(spdcone.mean, "_residual_field", spy)
+        res = inductive_mean(MeanProblem(pts))
+        rounds = [seen[i:i + k] for i in range(0, len(seen), k)]
+        assert res.certified and len(rounds) == res.rounds == len(rnorms)
+        assert all(len({(t, g) for _, _, t, g in r}) == 1 for r in rounds)
+        expected = [max(tol, min(spdcone.mean.LOOSEST_TOL, spdcone.mean.ETA * r))
+                    for r in [math.inf] + rnorms[:-1]]
+        assert [r[0][2] for r in rounds] == expected
+        assert [r[0][3] for r in rounds] == [t == tol for t in expected]
+
+    @pytest.mark.parametrize("family", [f"random-{s}" for s in range(6)] + ["banded"])
+    def test_dense_oracle_certifies_every_mean(self, family):
+        if family == "banded":
+            rng = np.random.default_rng(0)
+            pts = [banded_spd(100, 5, rng) for _ in range(5)]
+        else:
+            pts = random_family(int(family.split("-")[1]))
         opts = MeanOptions()
         res = inductive_mean(MeanProblem(pts, opts=opts))
         assert res.certified
