@@ -7,7 +7,9 @@ Dense and sparse input take one path: duplicates summed (sparse), the
 lower triangle mirrored exactly and checked against the input, then
 factored. Dense matrices are stored as full symmetric arrays, sparse ones
 as full CSR matrices with sorted indices whose lower triangle is the
-canonical pattern.
+canonical pattern. A linear combination of stored matrices (``combine``,
+``SpdMatrix.scaled``, the inductive mean's iterates) is already in that
+form, exactly symmetric, and skips the canonicalization.
 """
 
 from __future__ import annotations
@@ -62,14 +64,17 @@ class CholeskyFactor:
 
     Dense: ``X = L @ L.T`` with ``perm is None``.
     Sparse: ``X[perm][:, perm] = L @ L.T`` where ``perm`` is the
-    fill-reducing permutation chosen by the factorization, whose SuperLU
-    object is kept: :meth:`solve` reuses it, so X is factored once.
+    fill-reducing elimination order, whose SuperLU object is kept:
+    :meth:`solve` reuses it, so X is factored once. SuperLU either chose
+    the order itself or was given X[q][:, q] for an order ``q`` fixed
+    beforehand, which :meth:`solve` then applies around it.
     """
 
-    def __init__(self, L=None, perm=None, lu=None):
+    def __init__(self, L=None, perm=None, lu=None, q=None):
         self._L = L
         self.perm = perm
         self._lu = lu
+        self._q = q
         self.is_sparse = lu is not None
 
     @property
@@ -83,9 +88,14 @@ class CholeskyFactor:
 
     def solve(self, b):
         """Solve X y = b in original coordinates."""
-        if self.is_sparse:
-            return self._lu.solve(np.asarray(b, dtype=float))
-        return dpotrs(self.L, b, lower=1)[0]
+        if not self.is_sparse:
+            return dpotrs(self.L, b, lower=1)[0]
+        b = np.asarray(b, dtype=float)
+        if self._q is None:
+            return self._lu.solve(b)
+        y = np.empty_like(b)
+        y[self._q] = self._lu.solve(b[self._q])
+        return y
 
     def solve_lower(self, b):
         """Solve L y = b (b in permuted coordinates for sparse)."""
@@ -148,38 +158,57 @@ def _factor_dense(A):
     return f
 
 
-def _factor_sparse(A_csc):
+def _factor_sparse(A_csc, q=None):
     """Certifying sparse Cholesky via SuperLU in symmetric mode.
 
     With the diagonal pivot threshold at zero and symmetric mode on,
     SuperLU performs the elimination in a fill-reducing symmetric
     ordering and U equals diag(U) @ L.T up to roundoff, so
     L @ sqrt(diag(U)) is a genuine Cholesky factor of the permuted matrix.
+    Given an order ``q``, A_csc is X[q][:, q], already in a fill-reducing
+    order, and SuperLU keeps it as it stands (it only postorders the
+    elimination tree); the factor is then one of X.
     """
     try:
         lu = splu(
             A_csc,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="MMD_AT_PLUS_A" if q is None else "NATURAL",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:  # exactly singular
         raise NotPositiveDefinite(pivot_index=-1, detail=str(exc)) from exc
-    # q[k] is the row and column eliminated at step k; SuperLU swaps rows
-    # only on a zero pivot, which an SPD matrix never has
-    q = np.argsort(lu.perm_c)
-    swapped = np.nonzero(np.argsort(lu.perm_r) != q)[0]
+    # order[k] is the row and column of A_csc eliminated at step k; SuperLU
+    # swaps rows only on a zero pivot, which an SPD matrix never has
+    order = np.argsort(lu.perm_c)
+    swapped = np.nonzero(np.argsort(lu.perm_r) != order)[0]
     if swapped.size:
         raise NotPositiveDefinite(pivot_index=int(swapped[0]) + 1, detail="zero pivot")
     pivots = lu.U.diagonal()
     bad = np.nonzero(~(pivots > 0))[0]
     if bad.size:
         raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1)
-    # scipy convention: Pr @ X @ Pc = L @ U with perm_r == perm_c here,
-    # which reads X[q][:, q] = L @ L.T
-    f = CholeskyFactor(perm=q, lu=lu)
+    # scipy convention: Pr @ A @ Pc = L @ U with perm_r == perm_c here,
+    # which reads A[order][:, order] = L @ L.T
+    f = CholeskyFactor(perm=order if q is None else q[order], lu=lu, q=q)
     _check_breakdown(f, pivots, A_csc.diagonal())
     return f
+
+
+def _factor(A, q=None):
+    """Certifying factorization of a full symmetric matrix: an ndarray, or
+    a CSC matrix, X[q][:, q] when an order ``q`` is given (see
+    :func:`_factor_sparse`). A diagonal entry that is not positive is
+    rejected before anything is factored."""
+    bad = np.nonzero(~(A.diagonal() > 0))[0]
+    if bad.size:
+        raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1, detail="diagonal entry")
+    return _factor_sparse(A, q) if sp.issparse(A) else _factor_dense(A)
+
+
+def _require_finite(entries):
+    if not np.isfinite(entries).all():
+        raise InvalidMatrix("non-finite entry (nan or inf)")
 
 
 def _first_nonpositive_diagonal(A):
@@ -231,30 +260,46 @@ class SpdMatrix:
         else:
             A = A.astype(float, copy=False)
             tril, entries = np.tril, A
-        if not np.isfinite(entries).all():
-            raise InvalidMatrix("non-finite entry (nan or inf)")
+        _require_finite(entries)
         full = tril(A) + tril(A, -1).T
         # full - A is A^T - A above the diagonal and zero elsewhere
         dev, scale = abs(full - A).max(), abs(A).max()
         if dev > SYMMETRY_RTOL * max(scale, 1e-300):
             raise AsymmetricInput(dev, scale)
-        (full.data if sparse else full).setflags(write=False)
-        self._full = full
-        self._is_sparse = sparse
-        self._factor = None
-        self.certified = False
+        self._set(full, sparse, None)
         if _certify:
             self._certify()
 
+    @classmethod
+    def _canonical(cls, full, factor=None):
+        """An SpdMatrix of ``full`` as it stands, without canonicalization.
+
+        ``full`` must already be what ``__init__`` stores: an exactly
+        symmetric ndarray, or a CSR matrix with sorted indices and no
+        duplicates, such as a linear combination of stored matrices on
+        their own patterns. It is still rejected when not finite, and an
+        explicit zero is dropped. ``factor``, when given, is the certifying
+        factorization of ``full``; otherwise the result is uncertified.
+        """
+        sparse = sp.issparse(full)
+        _require_finite(full.data if sparse else full)
+        if sparse and not full.data.all():
+            full = full.copy()  # the index arrays may be shared
+            full.eliminate_zeros()
+        out = cls.__new__(cls)
+        out._set(full, sparse, factor)
+        return out
+
+    def _set(self, full, sparse, factor):
+        (full.data if sparse else full).setflags(write=False)
+        self._full = full
+        self._is_sparse = sparse
+        self._factor = factor
+        self.certified = factor is not None
+
     def _certify(self):
         if self._factor is None:
-            bad = np.nonzero(~(self._full.diagonal() > 0))[0]
-            if bad.size:
-                raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1, detail="diagonal entry")
-            if self._is_sparse:
-                self._factor = _factor_sparse(self._full.tocsc())
-            else:
-                self._factor = _factor_dense(self._full)
+            self._factor = _factor(self._full.tocsc() if self._is_sparse else self._full)
         self.certified = True
 
     # -- basic queries ---------------------------------------------------------
@@ -295,9 +340,6 @@ class SpdMatrix:
     def matvec(self, v):
         return self._full @ v
 
-    def norm_fro(self):
-        return fro_norm(self._full)
-
     def chol(self):
         """Certifying Cholesky factor (cached)."""
         self._certify()
@@ -307,7 +349,7 @@ class SpdMatrix:
         """c * X for c > 0 (certification carries over structurally)."""
         if c <= 0:
             raise InvalidArgument("scale must be positive to stay in the cone")
-        out = SpdMatrix(self._full * c, _certify=False)
+        out = SpdMatrix._canonical(self._full * c)
         out.certified = self.certified
         return out
 
@@ -392,30 +434,28 @@ def random_sparse_spd(n, density, rng, shift=0.5):
     return SpdMatrix(X)
 
 
-def _raw_sum(coeff_pairs):
-    """sum(c * M.raw()) over (c, M) pairs, added in the given order.
-
-    Sparse when every M is, with its pattern inside the union of theirs;
-    dense otherwise.
-    """
-    sparse = all(m.is_sparse for _, m in coeff_pairs)
-    # each term is a new matrix, so adding into the first is safe; sparse += adds out of place
-    return reduce(iadd, ((m.raw() if sparse else m.dense()) * c for c, m in coeff_pairs))
-
-
 def combine(coeff_pairs, *, certify=True):
     """Linear combination sum(c_i * M_i) of SpdMatrix values.
 
     Sparse inputs yield a sparse result whose pattern is contained in
     the union of the input patterns; any dense input makes the result
-    dense. With ``certify=False`` the result is left uncertified.
+    dense. With ``certify=False`` the result is left uncertified. A sum
+    of exactly symmetric stored matrices is exactly symmetric, and
+    scipy's sum of sorted CSR matrices is sorted and stores no zero, so
+    the result is not canonicalized again.
     """
     mats = [m for _, m in coeff_pairs]
     if not mats:
         raise InvalidArgument("empty combination")
     for m in mats[1:]:
         _check_dims(mats[0], m)
-    return SpdMatrix(_raw_sum(coeff_pairs), _certify=certify)
+    sparse = all(m.is_sparse for m in mats)
+    # each term is a new matrix, so adding into the first is safe; sparse += adds out of place
+    out = SpdMatrix._canonical(
+        reduce(iadd, ((m.raw() if sparse else m.dense()) * c for c, m in coeff_pairs)))
+    if certify:
+        out._certify()
+    return out
 
 
 def arithmetic_mean(points):

@@ -45,16 +45,31 @@ extremality, so a certifying round is trusted only once an inertia
 bracket confirms each warm solve's extremes; a pencil whose bracket
 fails is solved again cold. Every returned mean is thus certified by a
 round solved at eigen.tol, guarded and bracketed.
+
+Every iterate, residual field and bracket matrix is a combination of the
+points, so it lies on the union of their patterns. The points' values are
+aligned on that pattern once per mean, one row each (``_Stack``), and
+each of those matrices is one product with the rows: an iterate
+w @ D, a residual m @ D - (sum m) x, a bracket beta (1 + 10 tol) x - D_j,
+where x are the iterate's stored values (not its weights, whose exact
+combination the stored iterate only rounds). Such a combination is
+exactly symmetric, so it skips canonicalization. A fill-reducing order
+depends only on the pattern (George & Liu, 1981), so the mean's first
+sparse factorization picks it and every later one factors the matrix
+already permuted into it, with no ordering step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import iadd
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core import SpdMatrix, _raw_sum, arithmetic_mean, combine, fro_norm
+from .core import SpdMatrix, _check_dims, _factor, fro_norm
 from .eigen import EigenOptions, extreme_pair
 from .errors import (
     FixedPointStalled,
@@ -166,10 +181,91 @@ def _derivative_sums(extremes):
     return [coefficient_derivatives(e.alpha, e.beta) for e in extremes]
 
 
-def _residual_field(points, X, ms, osum):
-    """osum X + sum_j m_j Y_j and its Frobenius norm over k |X|_F."""
-    E = _raw_sum([(osum, X)] + list(zip(ms, points)))
-    return E, fro_norm(E) / (len(points) * X.norm_fro())
+class _Stack:
+    """The values of SpdMatrix members, one row each, on one pattern.
+
+    When every member is sparse, ``values`` is a members x nnz array over
+    the union of their patterns, in sorted CSR order (``indices``,
+    ``indptr``), and a combination of members is one product with it.
+    A dense member makes the stack dense: ``values`` is then the list of
+    the members' full arrays, the stored ones of dense members, so no
+    dense value is copied, and a combination takes one axpy per member.
+    Every combination of members lies on the stack's pattern and is
+    exactly symmetric, so it needs no canonicalization. The first sparse
+    factorization picks the fill-reducing order q, which depends only on
+    the pattern; every later one factors X[q][:, q], gathered through a
+    fixed index map, in that order.
+    """
+
+    def __init__(self, members):
+        for m in members[1:]:
+            _check_dims(members[0], m)
+        self.n = n = members[0].n
+        self.q = None
+        if not all(m.is_sparse for m in members):
+            self.values, self.indptr = [m.dense() for m in members], None
+            return
+        mats = [m.raw() for m in members]
+        # row-major keys i n + j sort in CSR order
+        keys = [np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(M.indptr)) + M.indices
+                for M in mats]
+        union = np.unique(np.concatenate(keys))
+        self.values = np.zeros((len(mats), union.size))
+        for row, key, M in zip(self.values, keys, mats):
+            row[np.searchsorted(union, key)] = M.data
+        index = np.int32 if union.size < 2**31 else np.int64
+        self.indices = (union % n).astype(index)
+        self.indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n).astype(index)
+
+    def combination(self, c):
+        """Values of sum_j c_j M_j over the first len(c) members."""
+        rows = self.values[:len(c)]
+        if self.indptr is None:
+            return reduce(iadd, (cj * M for cj, M in zip(c, rows)))
+        return np.asarray(c) @ rows
+
+    def raw(self, x):
+        """The matrix with values x: an ndarray, or a CSR matrix on the pattern."""
+        if self.indptr is None:
+            return x
+        return sp.csr_matrix((x, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def factor(self, x):
+        """Certifying factorization of the matrix with values x."""
+        if self.indptr is None:
+            return _factor(x)
+        shape = (self.n, self.n)
+        if self.q is None:
+            # symmetric: the CSR arrays read as CSC hold the same matrix
+            f = _factor(sp.csc_matrix((x, self.indices, self.indptr), shape=shape))
+            self._order(f.perm)
+            return f
+        return _factor(sp.csc_matrix((x[self._gather], self._pindices, self._pindptr),
+                                     shape=shape), self.q)
+
+    def _order(self, q):
+        """Fix q and the map from values to the CSC arrays of X[q][:, q]."""
+        n = self.n
+        where = np.empty_like(q)
+        where[q] = np.arange(n)
+        rows = where[np.repeat(np.arange(n), np.diff(self.indptr))]
+        cols = where[self.indices]
+        self._gather = np.lexsort((rows, cols))
+        index = self.indices.dtype
+        self._pindices = rows[self._gather].astype(index)
+        self._pindptr = np.searchsorted(cols[self._gather], np.arange(n + 1)).astype(index)
+        self.q = q
+
+    def matrix(self, x):
+        """The certified SpdMatrix with values x."""
+        return SpdMatrix._canonical(self.raw(x), self.factor(x))
+
+
+def _residual_field(stack, x, ms, osum):
+    """Values of osum X + sum_j m_j Y_j, for the points Y_j leading the stack
+    and X the matrix with values x, and its Frobenius norm over k |X|_F."""
+    E = stack.combination(ms) + osum * x
+    return E, fro_norm(E) / (len(ms) * fro_norm(x))
 
 
 def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
@@ -180,13 +276,17 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     (ndarray or sparse): it is a tangent-space object, not SPD. Every
     pencil is solved cold.
     """
+    stack = _Stack([*points, X])
     pairs = _derivative_sums(_solve_all(points, X, opts or EigenOptions()))
-    return _residual_field(points, X, [m for m, _ in pairs], sum(o for _, o in pairs))
+    E, rnorm = _residual_field(stack, stack.values[-1], [m for m, _ in pairs],
+                               sum(o for _, o in pairs))
+    return stack.raw(E), rnorm
 
 
-def _unbracketed(points, X, exts, starts, tol):
+def _unbracketed(stack, x, exts, starts, tol):
     """Indices j of the warm-started iterative solves that the inertia
-    bracket does not confirm.
+    bracket does not confirm, for the points Y_j leading the stack and
+    the iterate X with values x.
 
     A warm start can converge to an interior eigenpair that passes the
     residual test. If beta (1 + 10 tol) X - Y_j and Y_j - alpha (1 - 10 tol) X
@@ -195,12 +295,12 @@ def _unbracketed(points, X, exts, starts, tol):
     (Ericsson & Ruhe, Math. Comp. 35, 1980).
     """
     wrong = []
-    for j, (Yj, e, start) in enumerate(zip(points, exts, starts)):
+    for j, (Yj, e, start) in enumerate(zip(stack.values, exts, starts)):
         if e.backend != "iterative" or start[1] is None:
             continue
         try:
-            combine([(e.beta * (1.0 + 10.0 * tol), X), (-1.0, Yj)])
-            combine([(1.0, Yj), (-e.alpha * (1.0 - 10.0 * tol), X)])
+            stack.factor(e.beta * (1.0 + 10.0 * tol) * x - Yj)
+            stack.factor(Yj - e.alpha * (1.0 - 10.0 * tol) * x)
         except (NotPositiveDefinite, NumericalBreakdown):
             wrong.append(j)
     return wrong
@@ -238,6 +338,13 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     residual E(c X) = c (sum_j m_j Y_j - (sum_j m_j) X), whose norm over
     k |c X|_F does not depend on c.
 
+    The iterates, the residuals and the bracket matrices are
+    combinations of the rows of one ``_Stack`` of the points and
+    ``init`` (by its nonzeros when it is dense and the points are sparse;
+    its entries outside the points' union only its own round sees), and
+    they read the stored values x of the iterate, never its weights. The
+    stack's first sparse factorization fixes the order of every later one.
+
     Round r solves at max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), with
     r_0 = inf. A round looser than ``opts.tol`` runs without the guard
     sweep, and its residual only steers: if it is at most ``opts.tol``
@@ -263,11 +370,17 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     step into it.
     """
     k = len(points)
+    row = init
+    if init is not None and not init.is_sparse and all(p.is_sparse for p in points):
+        # sparse points keep sparse iterates: a dense init enters by its nonzeros
+        row = SpdMatrix._canonical(sp.csr_matrix(init.dense()))
+    stack = _Stack(points if init is None else points + [row])
     if init is None:
         w = np.full(k, 1.0 / k)
-        X = arithmetic_mean(points)
+        x = stack.combination(w)
+        X = stack.matrix(x)
     else:
-        w, X = None, init
+        w, x, X = None, stack.values[k], init
     ws, gs = [], []
     vectors = [(None, None)] * k
     disp = 0.0
@@ -281,11 +394,11 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         pairs = _derivative_sums(exts)
         ms = [m for m, _ in pairs]
         c = math.exp(sum(m + o for m, o in pairs) / k)
-        rnorm = _residual_field(points, X, ms, -sum(ms))[1]
+        rnorm = _residual_field(stack, x, ms, -sum(ms))[1]
         if rnorm <= opts.tol:
             # a loose round only says that X, solved again at opts.tol with
             # the guard, may certify
-            wrong = _unbracketed(points, X, exts, vectors, opts.tol) if exact else []
+            wrong = _unbracketed(stack, x, exts, vectors, opts.tol) if exact else []
             if exact and not wrong:
                 return X.scaled(c), rounds, disp, rnorm
             vectors = [(None, None) if j in wrong else e.vectors for j, e in enumerate(exts)]
@@ -305,7 +418,8 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
             ratio = w_next / w
             disp = math.log(ratio.max() / ratio.min())
         w = w_next
-        X = combine(list(zip(w, points)))
+        x = stack.combination(w)
+        X = stack.matrix(x)
     rnorm, c, X, disp = best
     return X.scaled(c), max_rounds, disp, rnorm
 

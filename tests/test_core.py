@@ -16,12 +16,13 @@ from spdcone.errors import (
     AsymmetricInput,
     DenseLimitExceeded,
     DimensionMismatch,
+    InvalidMatrix,
     NotPositiveDefinite,
     NumericalBreakdown,
     SpdConeError,
 )
 
-from conftest import spd_pair
+from conftest import sparse_pair, spd_pair
 
 
 class TestMakeSpd:
@@ -258,3 +259,32 @@ class TestImmutability:
         with pytest.raises(ValueError) as exc:
             combine([])
         assert isinstance(exc.value, SpdConeError)
+
+
+class TestCanonicalResults:
+    # combine and scaled skip the canonicalization, so what they build
+    # must already be what SpdMatrix stores
+    @pytest.mark.parametrize("case", ["combine", "cancelling combine", "scaled",
+                                      "underflowing scaled"])
+    def test_sparse_results_are_canonical(self, rng, case):
+        X, Y = sparse_pair(rng, 60, density=0.08)
+        make = {
+            "combine": lambda: combine([(0.3, X), (0.7, Y)]),
+            # Y's entries outside X's pattern cancel exactly
+            "cancelling combine": lambda: combine([(1.0, X), (1.0, Y), (-1.0, Y)],
+                                                  certify=False),
+            "scaled": lambda: X.scaled(2.5),
+            "underflowing scaled": lambda: X.scaled(5e-324),
+        }
+        R = make[case]().raw()
+        assert sp.isspmatrix_csr(R) and R.has_sorted_indices and R.has_canonical_format
+        assert R.data.all()
+        assert (R != R.T).nnz == 0
+
+    def test_non_finite_results_rejected(self, rng):
+        X, Y = sparse_pair(rng, 30, density=0.1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidMatrix):
+                X.scaled(1e308)
+            with pytest.raises(InvalidMatrix):
+                combine([(1e308, X), (1e308, Y)])

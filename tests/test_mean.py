@@ -1,7 +1,7 @@
 """Inductive Thompson mean: steps, residual certificate, the F iteration."""
 
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,9 @@ from spdcone import (
     MeanOptions,
     MeanProblem,
     SpdMatrix,
+    combine,
     contraction_factor,
+    extreme_pair,
     hilbert_distance,
     inductive_mean,
     inductive_step,
@@ -25,10 +27,18 @@ from spdcone import (
     star_geodesic,
     thompson_distance,
 )
+import spdcone.core
 import spdcone.mean
 from spdcone.core import arithmetic_mean
-from spdcone.errors import FixedPointStalled, InvalidOption, NonPositiveR, SpdConeError
-from spdcone.mean import _anderson, _fixed_point
+from spdcone.errors import (
+    FixedPointStalled,
+    InvalidOption,
+    NonPositiveR,
+    NotPositiveDefinite,
+    NumericalBreakdown,
+    SpdConeError,
+)
+from spdcone.mean import _anderson, _fixed_point, _Stack, _unbracketed
 
 from conftest import spd_pair
 
@@ -50,6 +60,21 @@ def banded_spd(n, bandwidth, rng):
     G = (G + G.T).tocsr()
     margin = np.asarray(abs(G).sum(axis=1)).ravel() + rng.uniform(0.5, 1.5, n)
     return SpdMatrix(G + sp.diags(margin))
+
+
+def lower_union(pts):
+    """Boolean CSR of the union of the points' lower patterns."""
+    n = pts[0].n
+    U = sp.csr_matrix((n, n), dtype=bool)
+    for p in pts:
+        r, c = p.lower_pattern()
+        U = U + sp.csr_matrix((np.ones(len(r), dtype=bool), (r, c)), shape=(n, n))
+    return U
+
+
+def inside(M, U):
+    r, c = M.lower_pattern()
+    return bool(np.all(np.asarray(U[r, c]).ravel()))
 
 
 def spy_solves(monkeypatch):
@@ -350,6 +375,85 @@ class TestFixedPointRounds:
         assert res.certified and len(calls) == len(pts) * res.rounds
 
 
+class TestStack:
+    @pytest.mark.parametrize("family", ["sparse", "dense", "mixed"])
+    def test_iterates_are_the_combinations(self, family):
+        # the first matrix fixes the order, the second is factored in it
+        rng = np.random.default_rng(4)
+        pts = [random_sparse_spd(80, 0.05, rng) for _ in range(3)]
+        if family != "sparse":
+            pts[1] = random_spd(80, rng)
+        if family == "dense":
+            pts = [SpdMatrix(p.dense()) for p in pts]
+        stack = _Stack(pts)
+        for w in ([0.2, 0.5, 0.3], [0.6, 0.1, 0.3]):
+            X = stack.matrix(stack.combination(np.array(w)))
+            ref = combine(list(zip(w, pts)))
+            assert X.certified and X.is_sparse == ref.is_sparse == (family == "sparse")
+            scale = np.abs(ref.dense()).max()
+            np.testing.assert_allclose(X.dense(), ref.dense(), rtol=0, atol=1e-15 * scale)
+            b = rng.standard_normal(80)
+            np.testing.assert_allclose(X.matvec(X.chol().solve(b)), b, rtol=0, atol=1e-12)
+            assert X.chol().reconstruction_error(X.raw()) <= 1e-14
+        assert (stack.q is not None) == (family == "sparse")
+
+    def test_mixed_family_mean_stays_inside_the_union(self, rng):
+        pts = [random_sparse_spd(40, 0.1, rng), random_sparse_spd(40, 0.1, rng),
+               SpdMatrix(np.diag(rng.uniform(1.0, 2.0, 40)))]
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and not res.mean.is_sparse
+        assert inside(res.mean, lower_union(pts))
+
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_init_off_the_union_leaves_no_trace(self, rng, storage):
+        # the init's own entries are part of the first round only, and a
+        # dense init does not make the mean of sparse points dense
+        pts = [random_sparse_spd(60, 0.05, rng) for _ in range(3)]
+        U = lower_union(pts)
+        tridiagonal = sp.diags([-0.5, 2.0, -0.5], [-1, 0, 1], shape=(60, 60))
+        init = SpdMatrix(tridiagonal if storage == "sparse" else tridiagonal.toarray())
+        assert not inside(init, U)
+        res = inductive_mean(MeanProblem(pts, init=init))
+        assert res.certified and res.mean.is_sparse and inside(res.mean, U)
+        assert thompson_distance(res.mean, inductive_mean(MeanProblem(pts)).mean) <= 1e-9
+
+    def test_reused_order_brackets_reject_a_wrong_extreme(self):
+        pts = random_family(0)
+        stack = _Stack(pts)
+        x = stack.combination(np.full(5, 0.2))
+        X = stack.matrix(x)
+        assert stack.q is not None
+        exts = [extreme_pair(X, Y) for Y in pts]
+        starts = [e.vectors for e in exts]
+        tol = EigenOptions().tol
+        assert _unbracketed(stack, x, exts, starts, tol) == []
+        for side in ("beta", "alpha"):
+            # an extreme 1e-3 inside the spectrum leaves an eigenvalue outside
+            e = exts[2]
+            wrong = replace(e, **{side: getattr(e, side) * (1.0 - 1e-3 if side == "beta"
+                                                           else 1.0 + 1e-3)})
+            assert _unbracketed(stack, x, exts[:2] + [wrong] + exts[3:], starts, tol) == [2]
+        with pytest.raises((NotPositiveDefinite, NumericalBreakdown)):
+            stack.factor(exts[2].beta * (1.0 - 1e-3) * x - stack.values[2])
+
+    def test_one_ordering_and_no_extra_factorization(self, monkeypatch):
+        # one splu per iterate and per bracket matrix, as when each was
+        # built by combine: 18 on this family at 8 rounds; only the first
+        # chooses an order
+        pts = random_family(0)
+        specs = []
+        original = spdcone.core.splu
+
+        def counting(*args, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spdcone.core, "splu", counting)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and res.rounds == 8
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 17
+
+
 class TestWarmStartBracket:
     @pytest.mark.parametrize("k, n", [(4, 150), (5, 100)])
     def test_interior_lock_on_is_caught(self, k, n):
@@ -480,6 +584,13 @@ class TestFailurePayloads:
         opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
         res = inductive_mean(MeanProblem(pts, opts=opts))
         assert res.certified
+
+    def test_two_point_residual_is_measured_not_predicted(self, rng):
+        # the residual of the stored iterate never reaches 1e-30; a residual
+        # taken from the weights alone would, and would certify
+        pts = list(spd_pair(rng, 5))
+        with pytest.raises(FixedPointStalled):
+            inductive_mean(MeanProblem(pts, opts=UNATTAINABLE))
 
     def test_stalled_iterate_needs_a_cold_residual(self, rng, monkeypatch):
         # F's best iterate comes from warm solves; the cold residual there decides
