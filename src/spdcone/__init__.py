@@ -9,12 +9,10 @@ from .core import (
     CholeskyFactor,
     DEFAULT_DENSE_CEILING,
     SpdMatrix,
-    arithmetic_mean,
     combine,
     random_sparse_spd,
     random_spd,
     spectrum_dense,
-    whiten,
 )
 from .eigen import (
     EigenOptions,
@@ -40,7 +38,6 @@ from .mean import (
     residual,
 )
 from .metrics import (
-    GaugeParameter,
     hilbert_distance,
     phi_distance,
     riemannian_distance,
@@ -56,13 +53,11 @@ __all__ = [
     "DEFAULT_DENSE_CEILING",
     "EigenOptions",
     "EigenStats",
-    "GaugeParameter",
     "MeanOptions",
     "MeanProblem",
     "MeanResult",
     "PencilExtremes",
     "SpdMatrix",
-    "arithmetic_mean",
     "coefficient_derivatives",
     "combine",
     "contraction_factor",
@@ -85,7 +80,6 @@ __all__ = [
     "spectrum_dense",
     "star_geodesic",
     "thompson_distance",
-    "whiten",
     "write_matrix",
     "write_symmetric",
 ]

@@ -1,8 +1,10 @@
 """Symmetric positive definite matrix types and dense-spectrum oracle.
 
-An :class:`SpdMatrix` is immutable and certified positive definite at
-construction: the Cholesky factorization that performs the certification
+An :class:`SpdMatrix` built from a matrix is certified positive definite
+at construction: the Cholesky factorization that performs the certification
 is cached on the instance and reused by every downstream pencil solve.
+A scaled matrix, or a combination built without certification, holds no
+factorization until its first ``chol()``; ``certified`` says which.
 Dense and sparse input take one path: duplicates summed (sparse), the
 lower triangle mirrored exactly and checked against the input, then
 factored. Dense matrices are stored as full symmetric arrays, sparse ones
@@ -44,18 +46,12 @@ BREAKDOWN_RTOL = 1e-14
 
 
 def fro_norm(a):
-    """Frobenius norm of an array or sparse matrix (2-norm of a vector).
+    """Frobenius norm of an array (2-norm of a vector).
 
     Taken in one BLAS ``nrm2`` pass, which scales as it sums, so the
     result neither overflows nor underflows to 0 when the norm itself is
     in range.
     """
-    if sp.issparse(a):
-        a = a.tocsr()
-        if not a.has_canonical_format:
-            a = a.copy()
-            a.sum_duplicates()
-        a = a.data
     return float(norm(np.ravel(a), check_finite=False))
 
 
@@ -108,17 +104,6 @@ class CholeskyFactor:
         if self.is_sparse:
             return spsolve_triangular(self.L.T.tocsr(), b, lower=False)
         return solve_triangular(self.L, b, lower=True, trans="T")
-
-    def reconstruction_error(self, X):
-        """Relative Frobenius error of L L^T against (permuted) X.
-
-        The norms are taken by :func:`fro_norm`, so they neither overflow
-        nor underflow at any scale.
-        """
-        if self.is_sparse:
-            X = X.tocsr()[self.perm][:, self.perm]
-        L = self.L
-        return fro_norm(L @ L.T - X) / fro_norm(X)
 
 
 def _check_breakdown(f, pivots, diagonal):
@@ -234,12 +219,12 @@ class SpdMatrix:
     (complex, string, object) raises :class:`InvalidMatrix`; a failed
     certification raises :class:`NotPositiveDefinite` or
     :class:`NumericalBreakdown` rather than producing an invalid instance.
-    Instances are immutable.
+    Instances are immutable, apart from the factorization they cache.
     """
 
-    __slots__ = ("_full", "_is_sparse", "_factor", "certified")
+    __slots__ = ("_full", "_is_sparse", "_factor")
 
-    def __init__(self, matrix, *, _certify=True):
+    def __init__(self, matrix):
         sparse = sp.issparse(matrix)
         A = matrix if sparse else np.asarray(matrix)
         if A.dtype.kind not in "biuf":  # the float cast would drop imaginary parts or raise
@@ -249,7 +234,7 @@ class SpdMatrix:
         if A.shape[0] == 0:
             raise InvalidMatrix("empty (0 x 0)")
         if sparse:
-            if _certify and A.nnz < A.shape[0]:
+            if A.nnz < A.shape[0]:
                 # some diagonal entry is not stored; found before anything of size n is built
                 raise NotPositiveDefinite(_first_nonpositive_diagonal(A) + 1,
                                           detail="diagonal entry")
@@ -267,8 +252,7 @@ class SpdMatrix:
         if dev > SYMMETRY_RTOL * max(scale, 1e-300):
             raise AsymmetricInput(dev, scale)
         self._set(full, sparse, None)
-        if _certify:
-            self._certify()
+        self.chol()
 
     @classmethod
     def _canonical(cls, full, factor=None):
@@ -295,14 +279,13 @@ class SpdMatrix:
         self._full = full
         self._is_sparse = sparse
         self._factor = factor
-        self.certified = factor is not None
-
-    def _certify(self):
-        if self._factor is None:
-            self._factor = _factor(self._full.tocsc() if self._is_sparse else self._full)
-        self.certified = True
 
     # -- basic queries ---------------------------------------------------------
+
+    @property
+    def certified(self):
+        """Whether the matrix holds its certifying factorization."""
+        return self._factor is not None
 
     @property
     def n(self):
@@ -341,17 +324,17 @@ class SpdMatrix:
         return self._full @ v
 
     def chol(self):
-        """Certifying Cholesky factor (cached)."""
-        self._certify()
+        """Certifying Cholesky factor, computed on first use and cached;
+        NotPositiveDefinite or NumericalBreakdown if the matrix fails."""
+        if self._factor is None:
+            self._factor = _factor(self._full.tocsc() if self._is_sparse else self._full)
         return self._factor
 
     def scaled(self, c):
-        """c * X for c > 0 (certification carries over structurally)."""
+        """c * X for c > 0, uncertified until its first ``chol()``."""
         if c <= 0:
             raise InvalidArgument("scale must be positive to stay in the cone")
-        out = SpdMatrix._canonical(self._full * c)
-        out.certified = self.certified
-        return out
+        return SpdMatrix._canonical(self._full * c)
 
     def __repr__(self):
         kind = "sparse" if self._is_sparse else "dense"
@@ -369,20 +352,6 @@ def _check_dense_ceiling(n, opts):
     ceiling = DEFAULT_DENSE_CEILING if opts is None else opts.dense_ceiling
     if n > ceiling:
         raise DenseLimitExceeded(n, ceiling)
-
-
-def whiten(X: SpdMatrix, Y: SpdMatrix) -> np.ndarray:
-    """Congruence transform L^-1 Y L^-T with X = L L^T.
-
-    The result is symmetric and isospectral with the pencil Y X^-1.
-    Materializes a dense n x n matrix; intended for dense-scale use.
-    """
-    _check_dims(X, Y)
-    f = X.chol()
-    Yp = Y.dense() if f.perm is None else Y.dense()[np.ix_(f.perm, f.perm)]
-    Z = f.solve_lower(Yp)
-    W = f.solve_lower(Z.T)
-    return (W + W.T) / 2.0
 
 
 def spectrum_dense(
@@ -454,11 +423,5 @@ def combine(coeff_pairs, *, certify=True):
     out = SpdMatrix._canonical(
         reduce(iadd, ((m.raw() if sparse else m.dense()) * c for c, m in coeff_pairs)))
     if certify:
-        out._certify()
+        out.chol()
     return out
-
-
-def arithmetic_mean(points):
-    """Entrywise average of SPD matrices (SPD by convexity of the cone)."""
-    k = len(points)
-    return combine([(1.0 / k, p) for p in points])

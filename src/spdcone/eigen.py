@@ -17,10 +17,11 @@ largest eigenvalue of the swapped pencil X Y^-1, so the Krylov iteration
 only ever chases a largest eigenvalue, where its convergence is robust.
 The iteration stops once the cheap Ritz estimate |b_m s_m| says the top
 pair has converged. The only acceptance test is the backward-error style
-residual ``|Y v - lam X v| / (|Y v| + |lam| |X v|)`` in the original
-pencil, and a few steps from a fresh direction must then find no larger
-Ritz value. A solve may start from a given vector, e.g. an eigenvector of
-a nearby pencil; ``max_iter`` and iteration counts are operator applies.
+residual ``|Y v - lam X v| / (|Y v| + |lam| |X v|)`` of the pencil
+solved (for alpha the swapped one, whose residual is the original's), and
+a few steps from a fresh direction must then find no larger Ritz value.
+A solve may start from a given vector, e.g. an eigenvector of a nearby
+pencil; ``max_iter`` and iteration counts are operator applies.
 """
 
 from __future__ import annotations
@@ -296,16 +297,16 @@ def _smallest(Y, X, backend, opts, seed, start, guard):
 
     The swapped formulation keeps lambda_min relatively accurate for
     wide-spread pencils, where the low end of one dense decomposition only
-    has absolute accuracy on the lambda_max scale.
+    has absolute accuracy on the lambda_max scale. The residual is the
+    swapped solve's: times mu over mu, it is that of (1/mu, v) for (Y, X).
     """
     try:
-        mu, v, iters, _ = _largest(X, Y, backend, opts, seed, start, guard)
+        mu, v, iters, resid = _largest(X, Y, backend, opts, seed, start, guard)
     except NoConvergence as exc:
         mu, v = exc.best
         raise NoConvergence(str(exc), best=(1.0 / mu, v), residual=exc.residual,
                             iterations=exc.iterations) from exc
-    lam = 1.0 / mu
-    return lam, v, iters, pencil_residual(Y, X, lam, v)
+    return 1.0 / mu, v, iters, resid
 
 
 def extreme_pair(

@@ -13,11 +13,14 @@ Three interpolation paths between SPD matrices X and Y are provided:
 
 Each takes t as one float, returning one point, or as a sequence of
 floats, returning the list of points; the pencil work (one extreme pair,
-or the two eigendecompositions) is done once per call. The star and
-diamond points are both combinations c_Y * Y + c_X * X, sampled by one
-helper that certifies them on [0, 1] and warns outside. A t so far out
-that a point is no finite float raises InvalidArgument naming t, on
-every family.
+or the two eigendecompositions) is done once per call, and t = 0 and
+t = 1 give the inputs X and Y themselves, in their own storage, even
+where the points between are stored otherwise (dense Riemannian points
+of sparse inputs, dense star points of a sparse and a dense input).
+The other star and diamond points are combinations c_Y * Y + c_X * X,
+sampled by one helper that certifies them on [0, 1] and warns outside.
+A t so far out that a point is no finite float raises InvalidArgument
+naming t, on every family.
 
 ``geodesic_coefficients`` gives the star pair (phi, psi) at t, and
 ``coefficient_derivatives`` their t = 0 derivatives (m, o), the building
@@ -96,8 +99,8 @@ def geodesic_coefficients(alpha: float, beta: float, t: float) -> tuple[float, f
             at = alpha ** t
             phi, psi = t * at / alpha, (1.0 - t) * at
         elif t == 0.0 or t == 1.0:
-            # the endpoint values are identities of the formulas; pinning them
-            # exactly keeps t=0 and t=1 outputs bit-identical to the inputs
+            # the endpoint values are identities of the formulas, pinned
+            # exactly rather than left to rounding
             phi, psi = (0.0, 1.0) if t == 0.0 else (1.0, 0.0)
         else:
             em = math.expm1(delta)
@@ -122,13 +125,23 @@ def _require_finite(t, values):
         raise _not_finite(t)
 
 
-def _path(t, point):
-    """point(t) for one parameter t, or [point(s) for s in t] for a sequence.
+def _path(X, Y, t, point):
+    """point(t) for one parameter t, or [point(s) for s in t] for a sequence,
+    except that t = 0 gives X and t = 1 gives Y as they stand, certified.
 
-    ``map`` keeps the call depth of point the same on both routes, so the
-    warning's stacklevel names the caller either way.
+    point is called from this frame on both routes, so the warning's
+    stacklevel names the caller either way.
     """
-    return point(t) if np.ndim(t) == 0 else list(map(point, t))
+    scalar = np.ndim(t) == 0
+    points = []
+    for s in [t] if scalar else t:
+        if s == 0 or s == 1:
+            end = X if s == 0 else Y
+            end.chol()  # held already unless the input is uncertified
+            points.append(end)
+        else:
+            points.append(point(s))
+    return points[0] if scalar else points
 
 
 def _combination_path(X, Y, t, coefficients):
@@ -161,7 +174,7 @@ def _combination_path(X, Y, t, coefficients):
             )
         return out
 
-    return _path(t, point)
+    return _path(X, Y, t, point)
 
 
 def star_geodesic(
@@ -182,7 +195,7 @@ def star_geodesic(
     X, Y : SpdMatrix
         Endpoints, same dimension.
     t : float or sequence of float
-        Position on the path; t = 0 gives X and t = 1 gives Y exactly.
+        Position on the path; t = 0 gives X and t = 1 gives Y themselves.
         Values outside [0, 1] extrapolate. A sequence samples the path
         with one extreme-eigenvalue solve for all its points.
     opts : EigenOptions, optional
@@ -231,7 +244,7 @@ def riemannian_geodesic(
         _require_finite(s, R)
         return SpdMatrix(R)
 
-    return _path(t, point)
+    return _path(X, Y, t, point)
 
 
 def diamond_geodesic(

@@ -165,22 +165,6 @@ def inductive_step(
     return star_geodesic(X, Yj, 1.0 / (i + 1.0), opts)
 
 
-def _solve_all(points, X, opts, starts=None, guard=True):
-    """extreme_pair for every pencil (Y_j, X), each optionally warm-started.
-
-    ``starts`` are the ``vectors`` of a previous call at a nearby X, passed
-    explicitly so that nothing outlives one mean computation. ``guard``
-    False skips the guard sweep of iterative solves.
-    """
-    starts = starts or [(None, None)] * len(points)
-    return [extreme_pair(X, Yj, opts, s, _guard=guard) for Yj, s in zip(points, starts)]
-
-
-def _derivative_sums(extremes):
-    """Per-pencil derivative pairs (m_j, o_j) of the pencils' extremes."""
-    return [coefficient_derivatives(e.alpha, e.beta) for e in extremes]
-
-
 class _Stack:
     """The values of SpdMatrix members, one row each, on one pattern.
 
@@ -277,9 +261,10 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     pencil is solved cold.
     """
     stack = _Stack([*points, X])
-    pairs = _derivative_sums(_solve_all(points, X, opts or EigenOptions()))
-    E, rnorm = _residual_field(stack, stack.values[-1], [m for m, _ in pairs],
-                               sum(o for _, o in pairs))
+    opts = opts or EigenOptions()
+    exts = [extreme_pair(X, Yj, opts, (None, None)) for Yj in points]
+    ms, os = zip(*(coefficient_derivatives(e.alpha, e.beta) for e in exts))
+    E, rnorm = _residual_field(stack, stack.values[-1], ms, sum(os))
     return stack.raw(E), rnorm
 
 
@@ -389,9 +374,11 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     for rounds in range(1, max_rounds + 1):
         tol = max(opts.tol, min(LOOSEST_TOL, ETA * rnorm))
         tight = tol == opts.tol
-        exts = _solve_all(points, X, replace(opts, tol=tol), vectors, tight)
+        round_opts = replace(opts, tol=tol)
+        exts = [extreme_pair(X, Yj, round_opts, start, _guard=tight)
+                for Yj, start in zip(points, vectors)]
         exact = tight or all(e.backend == "dense" for e in exts)
-        pairs = _derivative_sums(exts)
+        pairs = [coefficient_derivatives(e.alpha, e.beta) for e in exts]
         ms = [m for m, _ in pairs]
         c = math.exp(sum(m + o for m, o in pairs) / k)
         rnorm = _residual_field(stack, x, ms, -sum(ms))[1]
@@ -431,13 +418,18 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     mean of the points when None; any initialization converges to the
     same limit) until the radially corrected iterate's residual is at
     most ``eigen.tol``. If F stalls, its best iterate is returned when
-    a cold ``residual`` there is at most ``residual_tol``.
+    a cold ``residual`` there is at most ``residual_tol``. The mean of one
+    point is that point, certified by its ``chol()`` and then with
+    residual 0 and no solve. The mean of more
+    points is an iterate scaled by its radial correction, so it holds no
+    factorization until its first ``chol()``.
 
     Parameters
     ----------
     problem : MeanProblem
-        Points (k >= 1, equal dimensions), optional initialization, and
-        MeanOptions (certificate threshold, eigensolver options).
+        Points (k >= 1, equal dimensions), optional initialization of
+        their dimension (else DimensionMismatch), and MeanOptions
+        (certificate threshold, eigensolver options).
 
     Returns
     -------
@@ -458,18 +450,15 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     points = list(problem.points)
     if not points:
         raise InvalidArgument("mean of an empty family is undefined")
+    if problem.init is not None:
+        _check_dims(points[0], problem.init)
     opts = problem.opts
     eigen = opts.eigen
-
     if len(points) == 1:
-        _, rnorm = residual(points, points[0], eigen)
-        return MeanResult(
-            mean=points[0],
-            cycles_used=0,
-            final_displacement=0.0,
-            residual_norm=rnorm,
-            certified=rnorm <= opts.residual_tol,
-        )
+        # once Y certifies, the pencil (Y, Y) has alpha = beta = 1, so m = 1,
+        # o = -1 and E = 0 exactly; chol() raises for a Y that does not
+        points[0].chol()
+        return MeanResult(points[0], 0, 0.0, 0.0, True)
 
     X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
     if rnorm > eigen.tol:

@@ -10,24 +10,11 @@ that no dense solve can hide inside a nominally scalable call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SpdMatrix, spectrum_dense
 from .eigen import EigenOptions, extreme_pair
 from .errors import InvalidGauge
-
-
-@dataclass(frozen=True)
-class GaugeParameter:
-    """Exponent p >= 1 selecting the l_p symmetric gauge (p = inf allowed)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise InvalidGauge(self.p)
 
 
 def thompson_distance(
@@ -68,18 +55,20 @@ def riemannian_distance(
 def phi_distance(
     X: SpdMatrix,
     Y: SpdMatrix,
-    gauge: GaugeParameter | float,
+    p: float,
     opts: EigenOptions | None = None,
 ) -> float:
     """l_p gauge distance: the p-norm of the log generalized spectrum.
 
-    p = 2 reproduces the Riemannian distance and p = inf the Thompson
-    distance (through the dense path, so above ``opts.dense_ceiling`` it
-    raises DenseLimitExceeded).
+    p >= 1 (else InvalidGauge), p = inf allowed. p = 2 reproduces the
+    Riemannian distance and p = inf the Thompson distance (through the
+    dense path, so above ``opts.dense_ceiling`` it raises
+    DenseLimitExceeded).
     """
-    if not isinstance(gauge, GaugeParameter):
-        gauge = GaugeParameter(float(gauge))
+    p = float(p)
+    if not p >= 1.0:
+        raise InvalidGauge(p)
     logs = np.abs(np.log(spectrum_dense(X, Y, opts)))
-    if math.isinf(gauge.p):
+    if math.isinf(p):
         return float(np.max(logs))
-    return float(np.sum(logs ** gauge.p) ** (1.0 / gauge.p))
+    return float(np.sum(logs ** p) ** (1.0 / p))

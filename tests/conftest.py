@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spdcone import random_spd, random_sparse_spd
+from spdcone.core import fro_norm
 
 
 @pytest.fixture
@@ -31,3 +33,21 @@ def spd_pair(rng, n, spread=1.5):
 
 def sparse_pair(rng, n, density=0.05):
     return random_sparse_spd(n, density, rng), random_sparse_spd(n, density, rng)
+
+
+def _fro(A):
+    """Frobenius norm of an array or sparse matrix, scale-safe (fro_norm)."""
+    if sp.issparse(A):
+        A = A.tocsr(copy=True)
+        A.sum_duplicates()
+        A = A.data
+    return fro_norm(A)
+
+
+def factor_error(X):
+    """Relative Frobenius error of L L^T against X, permuted into the
+    factor's elimination order when sparse; at any scale, since the norms
+    neither overflow nor underflow."""
+    f = X.chol()
+    A = X.raw() if f.perm is None else X.raw()[f.perm][:, f.perm]
+    return _fro(f.L @ f.L.T - A) / _fro(A)

@@ -22,7 +22,7 @@ from spdcone import (
 )
 from spdcone.errors import InvalidMatrix, NotPositiveDefinite, NumericalBreakdown, SpdConeError
 
-from conftest import sparse_pair, spd_pair
+from conftest import factor_error, sparse_pair, spd_pair
 
 
 def _sparse(A):
@@ -104,11 +104,11 @@ class TestCertificationHoles:
             with pytest.raises(NotPositiveDefinite) as exc:
                 SpdMatrix(A)
             with pytest.raises(NotPositiveDefinite) as built:
-                SpdMatrix(A, _certify=False).chol()
+                SpdMatrix._canonical(A.tocsr()).chol()
             assert exc.value.pivot_index == built.value.pivot_index == pivot
 
     def test_unchecked_wrap_certifies_on_use(self):
-        X = SpdMatrix(np.diag([1.0, -2.0]), _certify=False)
+        X = SpdMatrix._canonical(np.diag([1.0, -2.0]))
         assert not X.certified
         with pytest.raises(NotPositiveDefinite) as exc:
             X.chol()
@@ -221,4 +221,4 @@ def test_certified_or_rejected(A):
         return
     assert np.linalg.eigvalsh(X.dense())[0] > 0
     assert _exact_lambda_min(X.dense()) > 0
-    assert X.chol().reconstruction_error(X.raw()) <= 1e-12
+    assert factor_error(X) <= 1e-12

@@ -10,19 +10,17 @@ from spdcone import (
     combine,
     random_spd,
     spectrum_dense,
-    whiten,
 )
 from spdcone.errors import (
     AsymmetricInput,
     DenseLimitExceeded,
-    DimensionMismatch,
     InvalidMatrix,
     NotPositiveDefinite,
     NumericalBreakdown,
     SpdConeError,
 )
 
-from conftest import sparse_pair, spd_pair
+from conftest import factor_error, sparse_pair, spd_pair
 
 
 class TestMakeSpd:
@@ -147,7 +145,7 @@ class TestCholesky:
         for _ in range(1000):
             n = int(rng.integers(2, 51))
             X = random_spd(n, rng, spread=rng.uniform(0.2, 3.0))
-            err = X.chol().reconstruction_error(X.raw())
+            err = factor_error(X)
             assert err <= 1e-12
 
     def test_sparse_records_permutation(self, rng):
@@ -156,40 +154,9 @@ class TestCholesky:
         X = random_sparse_spd(80, 0.05, rng)
         f = X.chol()
         assert f.perm is not None
-        assert f.reconstruction_error(X.raw()) <= 1e-12
+        assert factor_error(X) <= 1e-12
         # L is genuinely lower triangular with positive diagonal
         assert (sp.triu(f.L, k=1).nnz == 0) and np.all(f.L.diagonal() > 0)
-
-
-class TestWhiten:
-    def test_identity_base(self, rng):
-        X = SpdMatrix(np.eye(5))
-        Y = random_spd(5, rng)
-        np.testing.assert_allclose(whiten(X, Y), Y.dense(), atol=1e-14)
-
-    def test_diagonal_ratio(self):
-        X = SpdMatrix(np.diag([4.0, 1.0]))
-        Y = SpdMatrix(np.diag([8.0, 3.0]))
-        np.testing.assert_allclose(whiten(X, Y), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_spectrum_matches_nonsymmetric_oracle(self, rng):
-        # oracle: general (non-symmetric) eigensolve of Y X^-1
-        X, Y = spd_pair(rng, 5)
-        oracle = np.sort(np.linalg.eigvals(Y.dense() @ np.linalg.inv(X.dense())).real)
-        ours = np.sort(np.linalg.eigvalsh(whiten(X, Y)))
-        np.testing.assert_allclose(ours, oracle, rtol=1e-10)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
-            whiten(random_spd(3, rng), random_spd(4, rng))
-
-    def test_sparse_matches_dense(self, rng):
-        from spdcone import random_sparse_spd
-
-        X, Y = random_sparse_spd(30, 0.1, rng), random_sparse_spd(30, 0.1, rng)
-        sparse = np.linalg.eigvalsh(whiten(X, Y))
-        dense = np.linalg.eigvalsh(whiten(SpdMatrix(X.dense()), SpdMatrix(Y.dense())))
-        np.testing.assert_allclose(sparse, dense, rtol=1e-12)
 
 
 class TestSpectrumDense:
@@ -259,6 +226,30 @@ class TestImmutability:
         with pytest.raises(ValueError) as exc:
             combine([])
         assert isinstance(exc.value, SpdConeError)
+
+
+class TestCertified:
+    # certified says that the matrix holds its certifying factorization
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_scaled_certifies_on_first_chol(self, rng, sparse):
+        X = sparse_pair(rng, 30)[0] if sparse else random_spd(5, rng)
+        S = X.scaled(2.0)
+        assert X.certified and not S.certified
+        S.chol()
+        assert S.certified
+
+    def test_scaled_below_the_breakdown_threshold(self, rng):
+        # every pivot of 1e-310 X is subnormal: X's certificate cannot carry over
+        S = random_spd(5, rng).scaled(1e-310)
+        assert not S.certified
+        with pytest.raises(NumericalBreakdown):
+            S.chol()
+        assert not S.certified
+
+    def test_read_only(self, rng):
+        X = random_spd(3, rng)
+        with pytest.raises(AttributeError):
+            X.certified = False
 
 
 class TestCanonicalResults:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdcone.core
 from spdcone import (
     EigenOptions,
     SpdMatrix,
@@ -30,7 +31,7 @@ from spdcone.errors import (
     OrderViolation,
 )
 
-from conftest import spd_pair
+from conftest import sparse_pair, spd_pair
 
 
 def mp_phi_psi(a, b, t):
@@ -348,6 +349,36 @@ class TestPaths:
         with pytest.warns(RuntimeWarning) as record:
             family(X, Y, 1.8)
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic, riemannian_geodesic])
+    def test_endpoints_are_the_inputs(self, rng, family, monkeypatch):
+        # t = 0 and t = 1 factor nothing again: they return X and Y themselves
+        X, Y = spd_pair(rng, 6)
+        factored = []
+        factor = spdcone.core._factor
+        monkeypatch.setattr(spdcone.core, "_factor", lambda *a: factored.append(a) or factor(*a))
+        path = family(X, Y, [0.0, 1.0, 0.0])
+        assert path[0] is X and path[1] is Y and path[2] is X
+        assert family(X, Y, 0) is X and family(X, Y, np.float64(1.0)) is Y
+        assert factored == []
+        # an uncertified input comes back certified, like every point on [0, 1]
+        S = X.scaled(2.0)
+        assert family(S, Y, -0.0) is S and S.certified
+
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic, riemannian_geodesic])
+    @pytest.mark.parametrize("storage", ["sparse", "mixed"])
+    def test_endpoints_keep_their_storage(self, rng, family, storage):
+        # the endpoints are the inputs, so each keeps its own storage even
+        # where the points between are dense: on the Riemannian path of any
+        # pair, and on a star or diamond path of a sparse and a dense input
+        X, Y = sparse_pair(rng, 30, density=0.1)
+        if storage == "mixed":
+            Y = SpdMatrix(Y.dense())
+        path = family(X, Y, [0.0, 0.5, 1.0])
+        assert path[0] is X and path[2] is Y
+        assert path[0].is_sparse and path[2].is_sparse == (storage == "sparse")
+        inside_sparse = family is not riemannian_geodesic and storage == "sparse"
+        assert path[1].is_sparse == inside_sparse
 
     def test_degenerate_pencil(self, rng):
         X = random_spd(4, rng)

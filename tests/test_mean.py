@@ -29,8 +29,8 @@ from spdcone import (
 )
 import spdcone.core
 import spdcone.mean
-from spdcone.core import arithmetic_mean
 from spdcone.errors import (
+    DimensionMismatch,
     FixedPointStalled,
     InvalidOption,
     NonPositiveR,
@@ -40,7 +40,7 @@ from spdcone.errors import (
 )
 from spdcone.mean import _anderson, _fixed_point, _Stack, _unbracketed
 
-from conftest import spd_pair
+from conftest import factor_error, spd_pair
 
 
 def points(rng, k, n, spread=1.5):
@@ -162,11 +162,31 @@ class TestFixedPointInit:
 
 
 class TestInductiveMean:
-    def test_single_point(self, rng):
+    def test_single_point(self, rng, monkeypatch):
+        # the pencil (Y, Y) has alpha = beta = 1, so m = 1, o = -1 and E(Y) = 0
         Y = random_spd(4, rng)
+        seen = spy_solves(monkeypatch)
         res = inductive_mean(MeanProblem([Y]))
         assert res.mean is Y and res.certified
-        assert res.residual_norm <= 1e-12
+        assert res.residual_norm == 0.0 and res.rounds == 0 and seen == []
+
+    def test_single_point_is_certified_first(self, rng):
+        # alpha = beta = 1 holds only for a Y that certifies, so an
+        # uncertified point that does not raises instead of a zero residual
+        with pytest.raises(NotPositiveDefinite):
+            inductive_mean(MeanProblem([SpdMatrix._canonical(np.diag([1.0, -2.0]))]))
+        with pytest.raises(NumericalBreakdown):
+            inductive_mean(MeanProblem([random_spd(5, rng).scaled(1e-310)]))
+        # SuperLU reports the underflowed pivot of a sparse point as singular
+        with pytest.raises((NumericalBreakdown, NotPositiveDefinite)):
+            inductive_mean(MeanProblem([random_sparse_spd(30, 0.1, rng).scaled(1e-310)]))
+        Y = random_spd(4, rng).scaled(2.0)
+        assert inductive_mean(MeanProblem([Y])).mean is Y and Y.certified
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_init_of_another_dimension_rejected(self, rng, k):
+        with pytest.raises(DimensionMismatch):
+            inductive_mean(MeanProblem(points(rng, k, 50), init=random_spd(6, rng)))
 
     def test_two_points_closed_form(self, rng):
         Y1, Y2 = spd_pair(rng, 9)
@@ -228,7 +248,7 @@ class TestInductiveMean:
         res = inductive_mean(MeanProblem(pts))
         assert res.rounds > 0 and res.cycles_used == 0
         assert 0.0 <= res.final_displacement < math.inf
-        X = arithmetic_mean(pts)
+        X = combine([(1.0 / len(pts), p) for p in pts])
         assert thompson_distance(res.mean, X) > 0.1
         i = 1
         for _ in range(50):
@@ -394,7 +414,7 @@ class TestStack:
             np.testing.assert_allclose(X.dense(), ref.dense(), rtol=0, atol=1e-15 * scale)
             b = rng.standard_normal(80)
             np.testing.assert_allclose(X.matvec(X.chol().solve(b)), b, rtol=0, atol=1e-12)
-            assert X.chol().reconstruction_error(X.raw()) <= 1e-14
+            assert factor_error(X) <= 1e-14
         assert (stack.q is not None) == (family == "sparse")
 
     def test_mixed_family_mean_stays_inside_the_union(self, rng):

@@ -7,7 +7,6 @@ import pytest
 
 from spdcone import (
     EigenOptions,
-    GaugeParameter,
     SpdMatrix,
     hilbert_distance,
     phi_distance,
@@ -106,7 +105,7 @@ class TestPhiFamily:
         with pytest.raises(InvalidGauge):
             phi_distance(X, Y, 0.5)
         with pytest.raises(InvalidGauge):
-            GaugeParameter(0.99)
+            phi_distance(X, Y, 0.99)
 
 
 class TestMetricAxioms:
