@@ -224,6 +224,7 @@ def spectrum(run, file_x, file_y, mode):
             "beta": ext.beta,
             "residuals": list(ext.residuals),
             "iterations": list(ext.iterations),
+            "proven": list(ext.proven),
             "backend": ext.backend,
         }
         lines = [

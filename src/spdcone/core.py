@@ -82,6 +82,12 @@ class CholeskyFactor:
             return (self._lu.L @ sp.diags(np.sqrt(self._lu.U.diagonal()))).tocsc()
         return self._L
 
+    @property
+    def nnz(self):
+        """Entries a solve runs through: SuperLU's L and U, or the n x n
+        array of a dense factor, read as L and L^T."""
+        return self._lu.nnz if self.is_sparse else self._L.size
+
     def solve(self, b):
         """Solve X y = b in original coordinates."""
         if not self.is_sparse:
@@ -106,6 +112,12 @@ class CholeskyFactor:
         return solve_triangular(self.L, b, lower=True, trans="T")
 
 
+def _breakdown_threshold(diagonal):
+    """Smallest pivot a certificate accepts: 1e-14 times the largest
+    diagonal entry, and never subnormal."""
+    return max(BREAKDOWN_RTOL * diagonal.max(), np.finfo(float).tiny)
+
+
 def _check_breakdown(f, pivots, diagonal):
     """Raise NumericalBreakdown on a near-singular matrix.
 
@@ -115,7 +127,7 @@ def _check_breakdown(f, pivots, diagonal):
     of the factorization can pass every pivot. Two steps of inverse
     iteration from a fixed vector bound lambda_min from above.
     """
-    threshold = max(BREAKDOWN_RTOL * diagonal.max(), np.finfo(float).tiny)
+    threshold = _breakdown_threshold(diagonal)
     small = np.nonzero(pivots < threshold)[0]
     if small.size:
         i = int(small[0])
@@ -162,6 +174,13 @@ def _factor_sparse(A_csc, q=None):
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:  # exactly singular
+        # SuperLU takes a subnormal pivot for zero. Any diagonal entry bounds
+        # lambda_min from above, so one below the threshold is a breakdown,
+        # as the dense factorization reports it.
+        diagonal = A_csc.diagonal()
+        threshold = _breakdown_threshold(diagonal)
+        if diagonal.min() < threshold:
+            raise NumericalBreakdown(-1, float(diagonal.min()), float(threshold)) from exc
         raise NotPositiveDefinite(pivot_index=-1, detail=str(exc)) from exc
     # order[k] is the row and column of A_csc eliminated at step k; SuperLU
     # swaps rows only on a zero pivot, which an SPD matrix never has

@@ -22,21 +22,42 @@ solved (for alpha the swapped one, whose residual is the original's), and
 a few steps from a fresh direction must then find no larger Ritz value.
 A solve may start from a given vector, e.g. an eigenvector of a nearby
 pencil; ``max_iter`` and iteration counts are operator applies.
+
+A slow solve is finished by shift-invert. At a thick restart, once the
+solve has spent as many applies as the finish costs (two factorizations,
+each counted as nnz(factor) / n applies, and one Krylov basis of steps)
+and the decay of the Ritz estimate predicts as many again, the leading
+Ritz pair (theta, v) gives the shift sigma = theta (1 + resid). If
+sigma X - Y certifies positive definite, in X's elimination order, the
+same Lanczos loop runs on (sigma X - Y)^-1 X, whose top eigenvalue
+1 / (sigma - beta) stands far apart from the rest, and returns the
+Rayleigh quotient rho <= beta of its Ritz vector. If
+rho (1 + 10 tol) X - Y certifies too, Sylvester's law of inertia proves
+that no eigenvalue lies above the bracket, and that proof replaces the
+guard (``PencilExtremes.proven``). A factorization that fails means an
+eigenvalue lies above its shift: the plain iteration goes on and tries
+again at its next restart. A solve that converges before it has spent
+the finish's cost never factors anything.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, hessenberg
+import scipy.sparse as sp
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs, hessenberg
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, fro_norm
+from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, _factor, fro_norm
 from .errors import (
     DimensionMismatch,
     InvalidOption,
     NoConvergence,
+    NotPositiveDefinite,
+    NumericalBreakdown,
     require_integer,
     require_positive_finite,
 )
@@ -46,6 +67,8 @@ _KEEP = 20  # leading Ritz vectors kept across a restart
 _CHECK = 4  # steps between Ritz-estimate checks without a decay rate
 _WAIT_MAX = 16  # most steps between Ritz-estimate checks
 _GUARD = 8  # steps from a fresh direction before accepting a pair
+
+_stebz, _stein = get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
 
 
 @dataclass
@@ -84,10 +107,13 @@ class EigenOptions:
 class PencilExtremes:
     """(alpha, beta) = (lambda_min, lambda_max) of Y X^-1 with certificates.
 
-    ``iterations`` and ``residuals`` are ordered (alpha solve, beta solve);
-    ``iterations`` counts operator applications, and the dense backend
-    reports zero. ``vectors`` holds the matching generalized eigenvectors,
-    a start for a nearby pencil; they take no part in comparison.
+    ``iterations``, ``residuals`` and ``proven`` are ordered (alpha solve,
+    beta solve); ``iterations`` counts operator applications, and the
+    dense backend reports zero. ``proven`` says whether Sylvester's law of
+    inertia proves the extreme to within 10 tol: true for the dense
+    backend and for a solve finished by shift-invert. ``vectors`` holds
+    the matching generalized eigenvectors, a start for a nearby pencil;
+    they take no part in comparison.
     """
 
     alpha: float
@@ -95,6 +121,7 @@ class PencilExtremes:
     iterations: tuple
     residuals: tuple
     backend: str
+    proven: tuple = (False, False)
     vectors: tuple = field(default=(None, None), compare=False, repr=False)
 
 
@@ -140,11 +167,36 @@ def _fresh(rng, X, B):
     return q / nq if nq > 1e-8 * size else None
 
 
-def _lanczos_largest(Y, X, opts, seed, start, guard):
-    """Thick-restart Lanczos for lambda_max(Y X^-1). Returns (lam, v, applies, resid).
+def _top_ritz(d, e):
+    """Largest eigenpair (theta, s) of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e.
 
-    The operator A = X^-1 Y is self-adjoint in the X inner product. The
-    basis Q (one vector per row, Q X Q^T = I) and the tridiagonal
+    LAPACK bisection (stebz) and inverse iteration (stein), called as
+    ``eigh_tridiagonal(d, e, select="i")`` calls them, with its quick
+    exit for one row, but without its argument checks, which cost more
+    than the solve at these sizes.
+    """
+    j = d.size
+    if j == 1:
+        return float(d[0]), np.ones(1)
+    m, w, iblock, isplit, info = _stebz(d, e, 2, 0.0, 1.0, j, j, 0.0, "B")
+    if info == 0:
+        s, info = _stein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal eigensolver failed: info = {info}")
+    return float(w[0]), s[:, 0]
+
+
+def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
+    """Thick-restart Lanczos for the largest eigenvalue of the pencil (Y, X).
+    Returns (lam, v, applies, resid, proven).
+
+    ``op`` is (step, value): ``step(q)`` returns (w, X w) for w = A q, A
+    an operator self-adjoint in the X inner product whose largest
+    eigenvalue belongs to lambda_max; ``value(theta, v)`` maps a Ritz pair
+    to its eigenvalue of (Y, X), None when it is theta (the only case
+    that runs the guard, which compares Ritz values with it).
+    The basis Q (one vector per row, Q X Q^T = I) and the tridiagonal
     T = (d, e) satisfy A Q[:j].T = Q[:j].T T + e[j-1] Q[j] e_j^T at every
     step, and Ritz vectors are generalized eigenvectors of (Y, X) as they
     stand. A full basis is cut back to its ``_KEEP`` leading Ritz vectors,
@@ -153,11 +205,17 @@ def _lanczos_largest(Y, X, opts, seed, start, guard):
     alone while ``_GUARD`` steps from a seeded fresh direction look for a
     larger Ritz value; the candidate is returned only if none shows up.
     Without ``guard`` the first pair that passes the residual test is
-    returned as it stands.
+    returned as it stands. ``applies`` counts on from the given number.
+
+    ``finish``, the cost in applies of a shift-invert finish (inf: never
+    finish so), is weighed at every restart: once the solve has spent
+    that much and the decay of the Ritz estimate since its last check
+    predicts more than that still to go, ``_shift_invert`` finishes it
+    from the leading Ritz pair, so a wrong switch at most doubles the
+    cost. When the finish fails, the iteration goes on as before.
     """
-    f = X.chol()
+    step, value = op
     n = X.n
-    rng = np.random.default_rng(seed)
     m = min(_BASIS, n)
     keep = min(_KEEP, m - 1)
     Q = np.empty((m + 1, n))
@@ -167,23 +225,28 @@ def _lanczos_largest(Y, X, opts, seed, start, guard):
     Q[0] = start / nq if nq > 0 else _fresh(rng, X, Q[:0])
     j = 0  # basis length
     ritz_tol = opts.tol  # Ritz-estimate threshold relative to the Ritz value
-    applies = 0
     wait = _CHECK if start is None else 1  # steps to the next Ritz-estimate check
     last = None  # (applies, estimate) at the previous check
+    due = math.inf  # applies by which the Ritz estimate is predicted to meet its target
     candidate = None  # (lam, v, resid) waiting for the guard's verdict
     best = None  # (resid, lam, v)
     scale = 0.0  # largest Rayleigh quotient seen, for the breakdown test
     while True:
         if j == m:
+            if finish <= applies and finish < due - applies:
+                theta, s = _top_ritz(d, e[: m - 1])
+                done, applies = _shift_invert(Y, X, theta, s @ Q[:m], opts, rng, applies,
+                                              guard)
+                if done is not None:
+                    return done
             j = _thick_restart(Q, d, e, m, keep)
-        y = Y.matvec(Q[j])
-        w = f.solve(y)
+        w, xw = step(Q[j])
         applies += 1
-        h = Q[: j + 1] @ y  # X inner products with w = X^-1 y
+        h = Q[: j + 1] @ xw  # X inner products with w
         d[j] = h[j]
         scale = max(scale, abs(d[j]))
         w -= h @ Q[: j + 1]
-        # X w afresh, not w . y - |h|^2, which cancels on near-identity
+        # X w afresh, not w . X w - |h|^2, which cancels on near-identity
         # pencils; the second pass only moves w by rounding, so b stays exact
         xw = X.matvec(w)
         w -= (Q[: j + 1] @ xw) @ Q[: j + 1]  # second pass: robust orthogonality
@@ -200,26 +263,25 @@ def _lanczos_largest(Y, X, opts, seed, start, guard):
         spent = applies >= opts.max_iter and candidate is None  # a guard runs to its end
         if wait > 0 and not (exhausted or spent):
             continue
-        theta, s = eigh_tridiagonal(d[:j], e[: j - 1], select="i", select_range=(j - 1, j - 1),
-                                    check_finite=False)
-        theta, s = float(theta[0]), s[:, 0]
+        theta, s = _top_ritz(d[:j], e[: j - 1])
         if candidate is not None:
             lam, v, resid = candidate
             if theta <= lam * (1.0 + 10.0 * opts.tol) + 10.0 * opts.tol:
-                return lam, v, applies, resid
+                return lam, v, applies, resid, False
             candidate = None  # the guard found a larger Ritz value: iterate on
         est = abs(e[j - 1] * s[-1])
         if est <= ritz_tol * abs(theta) or exhausted or spent:
             u = s @ Q[:j]
             v = u / np.linalg.norm(u)
-            resid = pencil_residual(Y, X, theta, v)
+            lam = theta if value is None else value(theta, v)
+            resid = pencil_residual(Y, X, lam, v)
             if best is None or resid < best[0]:
-                best = (resid, theta, v)
+                best = (resid, lam, v)
             if resid <= opts.tol:
                 if exhausted or not guard:  # exhausted: the basis spans everything
-                    return theta, v, applies, resid
+                    return lam, v, applies, resid, False
                 # keep the pair alone and restart from a fresh direction
-                candidate = (theta, v, resid)
+                candidate = (lam, v, resid)
                 Q[0] = u / _x_norm(X, u)
                 d[0], e[0] = theta, 0.0
                 Q[1] = _fresh(rng, X, Q[:1])
@@ -228,7 +290,9 @@ def _lanczos_largest(Y, X, opts, seed, start, guard):
             if exhausted or spent or est <= np.finfo(float).eps * abs(theta):
                 break  # out of budget, or converged to working precision
             ritz_tol = 0.1 * est / abs(theta)
-        wait = _next_check(est, ritz_tol * abs(theta), applies, last)
+        need = _remaining(est, ritz_tol * abs(theta), applies, last)
+        due = applies + need
+        wait = _CHECK if need == math.inf else int(min(max(0.5 * need, 1), _WAIT_MAX))
         last = (applies, est)
     resid, lam, v = best
     raise NoConvergence(
@@ -237,17 +301,82 @@ def _lanczos_largest(Y, X, opts, seed, start, guard):
         best=(lam, v), residual=resid, iterations=applies)
 
 
-def _next_check(est, target, applies, last):
-    """Steps to the next Ritz-estimate check, in [1, _WAIT_MAX].
+def _remaining(est, target, applies, last):
+    """Applies until the Ritz estimate meets its target at the geometric
+    decay rate since the last check (Paige), inf without a decay.
 
-    Half the number of steps in which the geometric decay since the last
-    check would take the estimate to its target: a slow solve is checked
-    rarely, a fast one again on the step it is predicted to converge.
+    The next check comes after half of them, at most ``_WAIT_MAX``: a
+    slow solve is checked rarely, a fast one again on the step it is
+    predicted to converge.
     """
     if last is None or not 0 < est < last[1]:
-        return _CHECK
+        return math.inf
     rate = math.log(est / last[1]) / (applies - last[0])
-    return int(min(max(0.5 * math.log(target / est) / rate, 1), _WAIT_MAX))
+    return math.log(target / est) / rate
+
+
+def _shift_invert(Y, X, theta, u, opts, rng, applies, prove):
+    """Finish lambda_max(Y X^-1) from the Ritz pair (theta, u) by
+    shift-invert Lanczos, and prove it by inertia.
+
+    The shift is sigma = theta (1 + resid), resid the pair's residual. If
+    sigma X - Y certifies, in X's elimination order, every eigenvalue lies
+    below sigma (Sylvester's law of inertia), and the operator
+    (sigma X - Y)^-1 X, self-adjoint in the X inner product, maps
+    lambda_max to its largest eigenvalue 1 / (sigma - lambda_max), far
+    above the images of the rest when sigma is close (Ericsson & Ruhe,
+    Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIMAX 15(1), 1994). Its
+    Lanczos run returns the Rayleigh quotient rho <= lambda_max of the
+    Ritz vector, so rho (1 + 10 tol) X - Y certifying proves
+    lambda_max <= rho (1 + 10 tol); that proof stands in for the guard,
+    and like the guard it runs only when asked to ``prove``.
+    Returns (result, applies), with result (rho, v, applies, resid, prove),
+    or None when sigma X - Y or the proof does not certify.
+    """
+    f = X.chol()
+    v = u / np.linalg.norm(u)
+    sigma = theta * (1.0 + pencil_residual(Y, X, theta, v))
+    try:
+        F = _factor_like(f, sigma * X.raw() - Y.raw())
+    except (NotPositiveDefinite, NumericalBreakdown):
+        return None, applies  # an eigenvalue lies above sigma
+
+    def step(q):
+        w = F.solve(X.matvec(q))
+        return w, X.matvec(w)
+
+    def rayleigh(theta, v):
+        return float(v @ Y.matvec(v)) / float(v @ X.matvec(v))
+
+    lam, v, applies, resid, _ = _lanczos(Y, X, (step, rayleigh), opts, rng, u, False,
+                                         applies, math.inf)
+    if prove and not _bounded(partial(_factor_like, f), lam, Y.raw(), X.raw(), opts.tol):
+        return None, applies
+    return (lam, v, applies, resid, prove), applies
+
+
+def _factor_like(f, M):
+    """Certifying factorization of the full symmetric M, a CSR matrix on
+    any pattern in the elimination order of the factor f, else dense."""
+    if not sp.issparse(M):  # a dense matrix combined with a dense or sparse one
+        return _factor(np.asarray(M))
+    return _factor(M[f.perm][:, f.perm].tocsc(), f.perm)
+
+
+def _bounded(factor, top, A, B, tol):
+    """Whether every eigenvalue of the pencil (A, B) lies below
+    top (1 + 10 tol): whether ``factor`` certifies top (1 + 10 tol) B - A.
+
+    By Sylvester's law of inertia, top (1 + 10 tol) B - A is positive
+    definite exactly when every eigenvalue of A B^-1 lies below
+    top (1 + 10 tol). ``factor`` takes what ``top * B - A`` gives: a
+    matrix, or the values of one on a fixed pattern.
+    """
+    try:
+        factor(top * (1.0 + 10.0 * tol) * B - A)
+    except (NotPositiveDefinite, NumericalBreakdown):
+        return False
+    return True
 
 
 def _thick_restart(Q, d, e, m, keep):
@@ -282,18 +411,31 @@ def _dense_largest(Y, X):
         # (a scalar pencil); the full decomposition cannot
         w, U = eigh(Y.dense(), X.dense())
     lam, v = float(w[-1]), U[:, -1] / np.linalg.norm(U[:, -1])
-    return lam, v, 0, pencil_residual(Y, X, lam, v)
+    return lam, v, 0, pencil_residual(Y, X, lam, v), True
 
 
 def _largest(Y, X, backend, opts, seed, start, guard):
-    """lambda_max of (Y, X) on the given backend: (lam, v, iters, resid)."""
+    """lambda_max of (Y, X) on the given backend: (lam, v, iters, resid, proven).
+
+    The iterative backend runs Lanczos on X^-1 Y, one product with Y and
+    one solve with the certifying factorization of X per apply, and
+    weighs a shift-invert finish that costs two factorizations of X's
+    size, each counted as nnz(factor) / n applies, and one basis of steps.
+    """
     if backend == "dense":
         return _dense_largest(Y, X)
-    return _lanczos_largest(Y, X, opts, seed, start, guard)
+    f = X.chol()
+
+    def step(q):
+        y = Y.matvec(q)
+        return f.solve(y), y  # X (X^-1 y) = y
+
+    return _lanczos(Y, X, (step, None), opts, np.random.default_rng(seed), start, guard, 0,
+                    2.0 * f.nnz / X.n + _BASIS)
 
 
 def _smallest(Y, X, backend, opts, seed, start, guard):
-    """lambda_min of (Y, X) as 1 / lambda_max(X Y^-1): (lam, v, iters, resid).
+    """lambda_min of (Y, X) as 1 / lambda_max(X Y^-1): (lam, v, iters, resid, proven).
 
     The swapped formulation keeps lambda_min relatively accurate for
     wide-spread pencils, where the low end of one dense decomposition only
@@ -301,12 +443,12 @@ def _smallest(Y, X, backend, opts, seed, start, guard):
     swapped solve's: times mu over mu, it is that of (1/mu, v) for (Y, X).
     """
     try:
-        mu, v, iters, resid = _largest(X, Y, backend, opts, seed, start, guard)
+        mu, v, iters, resid, proven = _largest(X, Y, backend, opts, seed, start, guard)
     except NoConvergence as exc:
         mu, v = exc.best
         raise NoConvergence(str(exc), best=(1.0 / mu, v), residual=exc.residual,
                             iterations=exc.iterations) from exc
-    return 1.0 / mu, v, iters, resid
+    return 1.0 / mu, v, iters, resid, proven
 
 
 def extreme_pair(
@@ -321,17 +463,20 @@ def extreme_pair(
     wide pencils. Iterative per-solve seeds derive from ``opts.seed``.
     Public calls always run the guard: an iterative extreme that passes
     the residual test is returned only after the guard sweep finds no
-    larger Ritz value. ``_guard`` is private to the inductive mean, whose
-    loose rounds skip the sweep because their extremes only steer it.
+    larger Ritz value, or, for a solve finished by shift-invert, after
+    the inertia proof. ``_guard`` is private to the inductive mean, whose
+    loose rounds skip sweep and proof because their extremes only steer it.
     ``start`` optionally gives (alpha, beta) start vectors in the original
     coordinates, e.g. the ``vectors`` of a nearby pencil's result; the
     dense backend ignores it. A given start not of shape (n,) raises
     DimensionMismatch. A warm start is not a proof of extremality: from a
     start close to an interior eigenvector, the iteration can return that
     eigenpair, which passes the residual test, and the guard's few steps
-    from a fresh direction can miss the larger one. A caller that needs
-    the extremes proven brackets them by inertia, as the inductive mean
-    does.
+    from a fresh direction can miss the larger one. ``proven`` says, per
+    extreme, whether an inertia proof backs it: every dense extreme, and
+    every iterative one finished by shift-invert under the guard. A caller
+    that needs the others proven bounds them by inertia too, as the
+    inductive mean does with ``_bounded``.
     """
     opts = opts or EigenOptions()
     _check_dims(X, Y)
@@ -340,12 +485,12 @@ def extreme_pair(
             raise DimensionMismatch(X.n, np.shape(v))
     backend = _resolve_backend(Y, X, opts)
     seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
-    beta, vb, it_b, rb = _largest(Y, X, backend, opts, seed_b, start[1], _guard)
-    alpha, va, it_a, ra = _smallest(Y, X, backend, opts, seed_a, start[0], _guard)
+    beta, vb, it_b, rb, pb = _largest(Y, X, backend, opts, seed_b, start[1], _guard)
+    alpha, va, it_a, ra, pa = _smallest(Y, X, backend, opts, seed_a, start[0], _guard)
     if opts.stats is not None:
         opts.stats.iterations += it_a + it_b
         opts.stats.solves += 2
     # solver noise can invert a scalar pencil's extremes by an ulp
     if alpha > beta:
         alpha = beta = (alpha + beta) / 2.0
-    return PencilExtremes(alpha, beta, (it_a, it_b), (ra, rb), backend, (va, vb))
+    return PencilExtremes(alpha, beta, (it_a, it_b), (ra, rb), backend, (pa, pb), (va, vb))

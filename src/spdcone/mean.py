@@ -41,10 +41,14 @@ eigen.tol is solved again at eigen.tol, with the guard, at the same X,
 warm-started from its own vectors. Dense solves are exact whatever the
 tolerance, so a dense round never repeats. The solves are warm-started
 from the previous round, and a warm start proves nothing about
-extremality, so a certifying round is trusted only once an inertia
-bracket confirms each warm solve's extremes; a pencil whose bracket
-fails is solved again cold. Every returned mean is thus certified by a
-round solved at eigen.tol, guarded and bracketed.
+extremality, so a certifying round is trusted only once each extreme of
+a warm iterative solve is proven. A dense solve is, and so is one that
+the eigensolver finished by shift-invert (``PencilExtremes.proven``);
+any other is proven here by the same inertia bound: beta (1 + 10 tol) X - Y_j,
+or (1 + 10 tol) Y_j / alpha - X, must certify (Sylvester's law of
+inertia; Ericsson & Ruhe, Math. Comp. 35, 1980). A pencil with an
+extreme left unproven is solved again cold. Every returned mean is thus
+certified by a round solved at eigen.tol, guarded and proven.
 
 Every iterate, residual field and bracket matrix is a combination of the
 points, so it lies on the union of their patterns. The points' values are
@@ -70,14 +74,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import SpdMatrix, _check_dims, _factor, fro_norm
-from .eigen import EigenOptions, extreme_pair
+from .eigen import EigenOptions, _bounded, extreme_pair
 from .errors import (
     FixedPointStalled,
     InvalidArgument,
     InvalidOption,
     NonPositiveR,
-    NotPositiveDefinite,
-    NumericalBreakdown,
     require_positive_finite,
 )
 from .geodesics import coefficient_derivatives, star_geodesic
@@ -268,27 +270,15 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     return stack.raw(E), rnorm
 
 
-def _unbracketed(stack, x, exts, starts, tol):
-    """Indices j of the warm-started iterative solves that the inertia
-    bracket does not confirm, for the points Y_j leading the stack and
-    the iterate X with values x.
-
-    A warm start can converge to an interior eigenpair that passes the
-    residual test. If beta (1 + 10 tol) X - Y_j and Y_j - alpha (1 - 10 tol) X
-    both certify positive definite, Sylvester's law of inertia puts the
-    whole spectrum of Y_j X^-1 inside [alpha (1 - 10 tol), beta (1 + 10 tol)]
-    (Ericsson & Ruhe, Math. Comp. 35, 1980).
-    """
-    wrong = []
-    for j, (Yj, e, start) in enumerate(zip(stack.values, exts, starts)):
-        if e.backend != "iterative" or start[1] is None:
-            continue
-        try:
-            stack.factor(e.beta * (1.0 + 10.0 * tol) * x - Yj)
-            stack.factor(Yj - e.alpha * (1.0 - 10.0 * tol) * x)
-        except (NotPositiveDefinite, NumericalBreakdown):
-            wrong.append(j)
-    return wrong
+def _trusted(stack, x, Yj, ext, start, tol):
+    """Whether a certifying round may trust both extremes of the pencil
+    (Y_j, X), X with values x: each was proven by its solve, or solved
+    from a cold start under the guard, or is proven here by inertia
+    (``eigen._bounded``) in the stack's order, beta first."""
+    sides = ((ext.proven[1], start[1], ext.beta, Yj, x),
+             (ext.proven[0], start[0], 1.0 / ext.alpha, x, Yj))
+    return all(proven or s is None or _bounded(stack.factor, top, A, B, tol)
+               for proven, s, top, A, B in sides)
 
 
 def _anderson(ws, gs):
@@ -337,9 +327,9 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     ``opts.tol`` with the guard, warm-started from its own vectors. A
     round at ``opts.tol`` (or a loose round whose solves were all dense,
     hence exact) whose residual is at most ``opts.tol`` certifies once
-    every warm-started iterative solve passes the inertia bracket of
-    ``_unbracketed``; a pencil that fails it is solved again cold, in a
-    repeat of the round at the same X. ``rounds`` counts repeats. Otherwise
+    every extreme of a warm-started solve is proven (``_trusted``); a
+    pencil with one that is not is solved again cold, in a repeat of the
+    round at the same X. ``rounds`` counts repeats. Otherwise
     the next weights are the Anderson mix of the last k weight pairs
     (depth k - 1, the dimension of the simplex), or plain F weights with
     the history restarted when the mix leaves the simplex; either way the
@@ -385,7 +375,8 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         if rnorm <= opts.tol:
             # a loose round only says that X, solved again at opts.tol with
             # the guard, may certify
-            wrong = _unbracketed(stack, x, exts, vectors, opts.tol) if exact else []
+            wrong = [j for j, (Yj, e, start) in enumerate(zip(stack.values, exts, vectors))
+                     if exact and not _trusted(stack, x, Yj, e, start, opts.tol)]
             if exact and not wrong:
                 return X.scaled(c), rounds, disp, rnorm
             vectors = [(None, None) if j in wrong else e.vectors for j, e in enumerate(exts)]

@@ -270,6 +270,8 @@ class TestSpectrumCommand:
         m = manifest_of(r)
         assert m["outputs"]["alpha"] == pytest.approx(1.0, abs=1e-12)
         assert m["outputs"]["beta"] == pytest.approx(9.0, abs=1e-12)
+        # dense extremes are exact, so proven
+        assert m["outputs"]["proven"] == [True, True]
 
     def test_self_pencil(self, runner, files):
         r = invoke(runner, "--json", "spectrum", files["r6a"], files["r6a"])

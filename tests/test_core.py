@@ -8,6 +8,7 @@ from spdcone import (
     EigenOptions,
     SpdMatrix,
     combine,
+    random_sparse_spd,
     random_spd,
     spectrum_dense,
 )
@@ -238,9 +239,12 @@ class TestCertified:
         S.chol()
         assert S.certified
 
-    def test_scaled_below_the_breakdown_threshold(self, rng):
-        # every pivot of 1e-310 X is subnormal: X's certificate cannot carry over
-        S = random_spd(5, rng).scaled(1e-310)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_scaled_below_the_breakdown_threshold(self, rng, sparse):
+        # every pivot of 1e-310 X is subnormal: X's certificate cannot carry
+        # over, and SuperLU's taking such a pivot for zero is no exception
+        X = random_sparse_spd(30, 0.1, rng) if sparse else random_spd(5, rng)
+        S = X.scaled(1e-310)
         assert not S.certified
         with pytest.raises(NumericalBreakdown):
             S.chol()

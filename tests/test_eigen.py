@@ -1,11 +1,12 @@
 """Extreme generalized eigenvalue solver against the dense oracle."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from spdcone import (
     CholeskyFactor,
@@ -17,7 +18,9 @@ from spdcone import (
     random_spd,
     spectrum_dense,
 )
-from spdcone.errors import DimensionMismatch, InvalidOption, NoConvergence
+import spdcone.eigen as eigen
+from spdcone.eigen import _bounded, _factor_like, _top_ritz
+from spdcone.errors import DimensionMismatch, InvalidOption, NoConvergence, NotPositiveDefinite
 
 from conftest import sparse_pair, spd_pair
 
@@ -264,12 +267,21 @@ def banded_toeplitz(n, coeffs, margin):
     return sp.diags(diagonals * 2 + [np.full(n, c0)], list(-k) + list(k) + [0]).tocoo()
 
 
+def banded(n, bandwidth, rng):
+    G = sp.diags([rng.uniform(-1.0, 1.0, n - k) for k in range(1, bandwidth + 1)],
+                 [-k for k in range(1, bandwidth + 1)], shape=(n, n))
+    G = (G + G.T).tocsr()
+    row_weight = np.asarray(abs(G).sum(axis=1)).ravel()
+    return SpdMatrix(G + sp.diags(row_weight + rng.uniform(0.5, 1.5, n)))
+
+
 class TestClusteredExtremes:
-    def test_grid_pencil_closed_form(self):
-        # (L + 0.1 I, L + I) on a 64 x 64 grid: both extremes sit in
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_grid_pencil_closed_form(self, m):
+        # (L + 0.1 I, L + I) on an m x m grid: both extremes sit in
         # clusters of Laplacian eigenvalues, 1e-4 apart relative at the
-        # low end; a restart that drops the Krylov basis stalls here
-        m = 64
+        # low end at m = 64; a restart that drops the Krylov basis stalls
+        # here, and the slow alpha side is finished by shift-invert
         L = grid_laplacian(m)
         I = sp.identity(m * m)
         X, Y = SpdMatrix(L + 0.1 * I), SpdMatrix(L + I)
@@ -279,6 +291,7 @@ class TestClusteredExtremes:
         assert e.beta == pytest.approx((lo + 1.0) / (lo + 0.1), rel=1e-8)
         assert e.alpha == pytest.approx((hi + 1.0) / (hi + 0.1), rel=1e-8)
         assert max(e.residuals) <= 1e-10
+        assert e.proven[0]
 
     def test_banded_toeplitz_pair(self):
         X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
@@ -288,6 +301,67 @@ class TestClusteredExtremes:
         assert e.alpha == pytest.approx(w[0], rel=1e-8)
         assert e.beta == pytest.approx(w[-1], rel=1e-8)
         assert max(e.residuals) <= 1e-10
+        assert e.proven == (True, True)
+
+    @pytest.mark.parametrize("failing", ["shift", "proof"])
+    def test_failed_finish_iterates_on(self, monkeypatch, failing):
+        # a shift below lambda_max, or a proof that does not certify,
+        # leaves the plain iteration to converge under its guard
+        if failing == "shift":
+            def fail(f, M):
+                raise NotPositiveDefinite(pivot_index=1)
+            monkeypatch.setattr(eigen, "_factor_like", fail)
+        else:
+            monkeypatch.setattr(eigen, "_bounded", lambda *args: False)
+        X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
+        Y = SpdMatrix(banded_toeplitz(1000, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
+        e = extreme_pair(X, Y, iter_opts())
+        w = eigh(Y.dense(), X.dense(), eigvals_only=True)
+        assert e.alpha == pytest.approx(w[0], rel=1e-8)
+        assert e.beta == pytest.approx(w[-1], rel=1e-8)
+        assert e.proven == (False, False)
+
+    def test_bound_fails_below_lambda_max(self, rng):
+        # the inertia proof of a shift-invert finish, in X's order
+        X, Y = sparse_pair(rng, 200, density=0.03)
+        lam = spectrum_dense(X, Y)[-1]
+        factor = partial(_factor_like, X.chol())
+        assert _bounded(factor, lam, Y.raw(), X.raw(), 1e-10)
+        assert not _bounded(factor, lam * (1.0 - 1e-6), Y.raw(), X.raw(), 1e-10)
+        # the swapped pencil bounds lambda_min from below
+        low = spectrum_dense(X, Y)[0]
+        assert _bounded(factor, 1.0 / low, X.raw(), Y.raw(), 1e-10)
+        assert not _bounded(factor, (1.0 - 1e-6) / low, X.raw(), Y.raw(), 1e-10)
+
+    def test_fast_pencils_keep_the_plain_iteration(self, monkeypatch):
+        # a random and a banded pair whose solves pass a thick restart but
+        # converge soon after: the finish never starts, so these stay
+        # bit for bit what the plain iteration returned before it existed
+        def no_finish(*args):
+            raise AssertionError("shift-invert finish started")
+
+        monkeypatch.setattr(eigen, "_shift_invert", no_finish)
+        rng = np.random.default_rng(2)
+        X, Y = random_sparse_spd(4000, 3.0 / 4000, rng), random_sparse_spd(4000, 3.0 / 4000, rng)
+        e = extreme_pair(X, Y)
+        assert (e.alpha.hex(), e.beta.hex()) == ("0x1.ed2b4786a2c96p-4", "0x1.8f43892001694p+2")
+        assert e.iterations == (32, 49) and e.proven == (False, False)
+        rng = np.random.default_rng(3)
+        X, Y = banded(8000, 5, rng), banded(8000, 5, rng)
+        e = extreme_pair(X, Y)
+        assert (e.alpha.hex(), e.beta.hex()) == ("0x1.2f4000f2dbecdp-2", "0x1.b931829c0ee2cp+1")
+        assert e.iterations == (69, 70) and e.proven == (False, False)
+
+
+class TestRitz:
+    def test_top_ritz_matches_eigh_tridiagonal(self, rng):
+        for _ in range(5):
+            d, e = rng.standard_normal(40), rng.standard_normal(39)
+            for j in range(1, 41):
+                theta, s = _top_ritz(d[:j], e[: j - 1])
+                w, S = eigh_tridiagonal(d[:j], e[: j - 1], select="i",
+                                        select_range=(j - 1, j - 1))
+                assert theta == w[0] and np.array_equal(s, S[:, 0])
 
 
 class TestWorkAndStarts:

@@ -38,7 +38,7 @@ from spdcone.errors import (
     NumericalBreakdown,
     SpdConeError,
 )
-from spdcone.mean import _anderson, _fixed_point, _Stack, _unbracketed
+from spdcone.mean import _anderson, _fixed_point, _Stack, _trusted
 
 from conftest import factor_error, spd_pair
 
@@ -444,15 +444,20 @@ class TestStack:
         X = stack.matrix(x)
         assert stack.q is not None
         exts = [extreme_pair(X, Y) for Y in pts]
-        starts = [e.vectors for e in exts]
+        warm = [e.vectors for e in exts]
         tol = EigenOptions().tol
-        assert _unbracketed(stack, x, exts, starts, tol) == []
+        assert all(_trusted(stack, x, Y, e, start, tol)
+                   for Y, e, start in zip(stack.values, exts, warm))
         for side in ("beta", "alpha"):
             # an extreme 1e-3 inside the spectrum leaves an eigenvalue outside
             e = exts[2]
             wrong = replace(e, **{side: getattr(e, side) * (1.0 - 1e-3 if side == "beta"
                                                            else 1.0 + 1e-3)})
-            assert _unbracketed(stack, x, exts[:2] + [wrong] + exts[3:], starts, tol) == [2]
+            assert not _trusted(stack, x, stack.values[2], wrong, warm[2], tol)
+            # a cold solve ran the guard, and a proven extreme needs no bound
+            assert _trusted(stack, x, stack.values[2], wrong, (None, None), tol)
+            assert _trusted(stack, x, stack.values[2], replace(wrong, proven=(True, True)),
+                            warm[2], tol)
         with pytest.raises((NotPositiveDefinite, NumericalBreakdown)):
             stack.factor(exts[2].beta * (1.0 - 1e-3) * x - stack.values[2])
 
