@@ -23,7 +23,13 @@ from .core import DEFAULT_DENSE_CEILING, spectrum_dense
 from .eigen import EigenOptions, EigenStats, extreme_pair
 from .errors import InvalidArgument, NumericalError, SpdConeError, require_positive_finite
 from .mean import MeanOptions, MeanProblem, inductive_mean
-from .mmio import _fmt, read_spd, write_matrix
+from .mmio import read_spd, write_matrix
+
+_VALUE = "%.16e"  # 17 significant digits
+
+
+def _fmt(x: float) -> str:
+    return _VALUE % float(x)
 
 
 class _Run:

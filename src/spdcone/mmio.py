@@ -1,29 +1,29 @@
 """Matrix Market reading and writing.
 
 Sparse matrices travel as ``coordinate real symmetric`` files holding the
-lower triangle; dense matrices as ``array real symmetric`` files holding
-the lower triangle in column-major order. Values are printed with 17
-significant digits so that write-then-read reproduces every float64 bit
-for bit. The parser reports errors with 1-based line numbers.
+lower triangle in row order; dense matrices as ``array real symmetric``
+files holding the lower triangle in column-major order. scipy's C++
+writer prints a ``%`` line after the header and every value as the
+shortest decimal that reads back to the same float64, so write-then-read
+reproduces every value bit for bit. The reader is spdcone's own, stricter
+than scipy's: Python's ``float`` parses every value, and errors carry
+1-based line numbers.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
 from .core import SpdMatrix
 from .errors import ParseError, SpdConeError
 
 _HEADER_PREFIX = "%%MatrixMarket"
-_VALUE = "%.16e"  # 17 significant digits
 _INDEX_MAX = np.iinfo(np.int64).max
-
-
-def _fmt(x: float) -> str:
-    return _VALUE % float(x)
 
 
 def write_matrix(path, X: SpdMatrix) -> None:
@@ -35,23 +35,15 @@ def write_symmetric(path, A) -> None:
     """Write a symmetric matrix (ndarray or sparse) as its lower triangle.
 
     There is no SPD requirement: geodesic extrapolation outputs may leave
-    the cone. Sparse entries are written column by column.
+    the cone. The field is ``real`` whatever the dtype, and sparse entries
+    are written row by row. The file is opened here, so that a missing
+    directory raises and the name is kept as given (scipy, given a path,
+    appends ``.mtx`` to it).
     """
-    n = A.shape[0]
     if sp.issparse(A):
-        lower = sp.tril(A, format="coo")
-        order = np.lexsort((lower.row, lower.col))
-        header = f"coordinate real symmetric\n{n} {n} {lower.nnz}"
-        lines = map(f"%d %d {_VALUE}\n".__mod__, zip((lower.row[order] + 1).tolist(),
-                                                     (lower.col[order] + 1).tolist(),
-                                                     lower.data[order].tolist()))
-    else:
-        j, i = np.triu_indices(n)  # the lower triangle in column-major order
-        header = f"array real symmetric\n{n} {n}"
-        lines = map(f"{_VALUE}\n".__mod__, np.asarray(A, dtype=float)[i, j].tolist())
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER_PREFIX} matrix {header}\n")
-        fh.writelines(lines)
+        A = A.tocsr()
+    with open(path, "wb") as fh:
+        mmwrite(fh, A, field="real", symmetry="symmetric")
 
 
 def read_matrix(path):
@@ -84,12 +76,12 @@ def read_matrix(path):
     coordinate, symmetry = header[2] == "coordinate", header[4]
 
     # the index of every line after the header that is neither blank nor a
-    # comment; arrays, not lists, so that no int or float object is kept per entry
-    entries = array("q", (k for k, text in enumerate(lines)
-                          if k and (text.lstrip() or "%")[0] != "%"))
-    if not entries:
+    # comment, made as it is needed: the first is the size line's
+    content = (k for k, text in enumerate(lines) if k and (text.lstrip() or "%")[0] != "%")
+    size_no = next(content, None)
+    if size_no is None:
         raise ParseError(path, len(lines), "missing size line")
-    size_no = entries.pop(0) + 1
+    size_no += 1
     try:
         nrow, ncol, *nnz = map(int, lines[size_no - 1].split())
         if len(nnz) != coordinate:
@@ -106,24 +98,37 @@ def read_matrix(path):
         raise ParseError(path, size_no, "symmetric array must be square")
     else:
         expected = nrow * (nrow + 1) // 2
-    if len(entries) != expected:
-        no = entries[expected] + 1 if len(entries) > expected else len(lines)
-        raise ParseError(path, no, f"expected {expected} entries, found {len(entries)}")
 
-    rows, cols, values = array("q"), array("q"), array("d")
-    for k in entries:
-        text = lines[k]
+    values = None
+    if not coordinate and len(lines) - size_no == expected:
+        # as many lines after the size line as values: convert them in one
+        # pass; a blank, comment or malformed line makes float raise, and the
+        # per-line loop below reads the body again to find it
         try:
-            if coordinate:
-                i, j, text = text.split()
-                i, j = int(i), int(j)
-                if not (0 < i <= nrow and 0 < j <= ncol):
-                    raise ParseError(path, k + 1, f"index ({i}, {j}) out of range")
-                rows.append(i - 1)
-                cols.append(j - 1)
-            values.append(float(text))
+            values = np.fromiter(map(float, islice(lines, size_no, None)), float, expected)
+            entries = range(size_no, len(lines))
         except ValueError:
-            raise ParseError(path, k + 1, f"malformed entry {lines[k].strip()!r}") from None
+            pass
+    if values is None:
+        # arrays, not lists, so that no int or float object is kept per entry
+        entries = array("q", content)
+        if len(entries) != expected:
+            no = entries[expected] + 1 if len(entries) > expected else len(lines)
+            raise ParseError(path, no, f"expected {expected} entries, found {len(entries)}")
+        rows, cols, values = array("q"), array("q"), array("d")
+        for k in entries:
+            text = lines[k]
+            try:
+                if coordinate:
+                    i, j, text = text.split()
+                    i, j = int(i), int(j)
+                    if not (0 < i <= nrow and 0 < j <= ncol):
+                        raise ParseError(path, k + 1, f"index ({i}, {j}) out of range")
+                    rows.append(i - 1)
+                    cols.append(j - 1)
+                values.append(float(text))
+            except ValueError:
+                raise ParseError(path, k + 1, f"malformed entry {lines[k].strip()!r}") from None
     values = np.asarray(values)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:

@@ -253,6 +253,18 @@ class TestMeanCommand:
         assert max((t.size for t in snapshot.traces), default=0) < 0.5 * dense_bytes
         assert peak < 3 * dense_bytes
 
+    def test_missing_out_directory_exit_2(self, runner, files, tmp_path):
+        out = tmp_path / "missing" / "m.mtx"
+        r = runner.invoke(main, ["mean", files["r6a"], files["r6b"], "--out", str(out)])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert str(out) in r.output
+
+    def test_out_name_kept_as_given(self, runner, files, tmp_path):
+        out = tmp_path / "m"
+        r = invoke(runner, "mean", files["r6a"], files["r6b"], "--out", str(out))
+        assert r.exit_code == 0
+        assert out.is_file() and not (tmp_path / "m.mtx").exists()
+
     def test_manifest_file(self, runner, files, tmp_path):
         import pathlib
 

@@ -293,6 +293,19 @@ class TestClusteredExtremes:
         assert max(e.residuals) <= 1e-10
         assert e.proven[0]
 
+    def test_grid_pencil_stored_dense(self):
+        # a dense factorization is weighed at its flop cost, n / 18 applies,
+        # so the dense copy of the m = 32 grid pencil is finished by
+        # shift-invert and proven as the sparse one is
+        L = grid_laplacian(32)
+        I = sp.identity(32 * 32)
+        X, Y = SpdMatrix(L + 0.1 * I), SpdMatrix(L + I)
+        e = extreme_pair(X, Y, iter_opts())
+        d = extreme_pair(SpdMatrix(X.dense()), SpdMatrix(Y.dense()), iter_opts())
+        assert d.proven[0] and d.iterations[0] < 200
+        assert d.alpha == pytest.approx(e.alpha, rel=1e-12)
+        assert d.beta == pytest.approx(e.beta, rel=1e-12)
+
     def test_banded_toeplitz_pair(self):
         X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
         Y = SpdMatrix(banded_toeplitz(1000, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spdcone import (
     SpdMatrix,
@@ -69,8 +71,74 @@ class TestRoundTrip:
         p = tmp_path / "x.mtx"
         write_matrix(p, X)
         # symmetric array format: column-major lower triangle = 3 values
-        body = [ln for ln in p.read_text().splitlines()[2:] if ln.strip()]
+        # after the size line; comment lines may follow the header
+        lines = [ln for ln in p.read_text().splitlines()[1:] if not ln.startswith("%")]
+        body = [ln for ln in lines[1:] if ln.strip()]
         assert [float(v) for v in body] == [2.0, 1.0, 3.0]
+
+
+_MAX = np.finfo(float).max
+EDGES = [-0.0, 5e-324, _MAX, -_MAX, 1 / 3]
+
+
+def _bits(a):
+    """The float64 bits of ``a``, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_spd_bit_exact(self, tmp_path, sparse):
+        # the largest float on the diagonal, the smallest subnormal and 1/3
+        # off it; -0.0 and -max cannot sit in a stored SPD matrix
+        A = np.diag([_MAX, _MAX / 2, _MAX / 2, _MAX / 2])
+        A[2, 0] = A[0, 2] = 5e-324
+        A[3, 1] = A[1, 3] = 1 / 3
+        A[3, 2] = A[2, 3] = -1 / 3
+        X = SpdMatrix(sp.csr_matrix(A) if sparse else A)
+        p = tmp_path / "x.mtx"
+        write_matrix(p, X)
+        back = read_spd(p)
+        assert back.is_sparse == sparse
+        if sparse:
+            R, B = X.raw(), back.raw()
+            assert np.array_equal(R.indptr, B.indptr) and np.array_equal(R.indices, B.indices)
+            assert np.array_equal(_bits(R.data), _bits(B.data))
+        else:
+            assert np.array_equal(_bits(back.dense()), _bits(A))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_symmetric_bit_exact(self, tmp_path, sparse):
+        # every edge value, -0.0 and -max too, through the raw writer
+        i, j = np.tril_indices(4)
+        values = np.resize(EDGES, i.size)
+        S = np.zeros((4, 4))
+        S[i, j] = S[j, i] = values
+        p = tmp_path / "s.mtx"
+        write_symmetric(p, sp.coo_matrix((values, (i, j)), shape=(4, 4)) if sparse else S)
+        back = read_matrix(p)
+        if sparse:
+            # the stored entries come first, in row order; their mirrors follow
+            assert np.array_equal(back.row[: i.size], i) and np.array_equal(back.col[: i.size], j)
+            assert np.array_equal(_bits(back.data[: i.size]), _bits(values))
+        else:
+            assert np.array_equal(_bits(back), _bits(S))
+
+
+class TestWriteTargets:
+    def test_missing_directory_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_matrix(tmp_path / "missing" / "x.mtx", SpdMatrix(np.eye(2)))
+
+    @pytest.mark.parametrize("dtype", [int, bool])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_field_real_for_any_dtype(self, tmp_path, dtype, sparse):
+        A = np.array([[2, 1], [1, 3]]).astype(dtype)
+        p = tmp_path / "a.mtx"
+        write_symmetric(p, sp.csr_matrix(A) if sparse else A)
+        assert p.read_text().split("\n")[0].split()[3] == "real"
+        back = read_matrix(p)
+        assert np.array_equal(back.toarray() if sparse else back, A.astype(float))
 
 
 class TestForeignFiles:
@@ -149,6 +217,10 @@ class TestParseErrors:
             # a coordinate entry with two fields, an array line with two values
             ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1\n", 3),
             ("%%MatrixMarket matrix array real symmetric\n1 1\n1.0 2.0\n", 3),
+            # a hex float, which Python's float rejects; a fourth token on a
+            # coordinate line
+            ("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 0x1p3\n", 3),
+            ("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2.0 3.0\n", 3),
         ],
     )
     def test_line_numbers(self, tmp_path, content, line_no):
@@ -181,3 +253,46 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             read_matrix(p)
         assert exc.value.line_no == 1
+
+
+# values that are not one finite float: malformed, non-finite, or two on a line
+_BAD_VALUES = ["bad", "0x1p3", "1,5", "--1", "1.0 2.0", "nan", "-inf", "1e400"]
+
+
+@st.composite
+def corrupted_array_files(draw):
+    """A symmetric array file of order n <= 6, maybe with comment and blank
+    lines between its lines, and one value replaced by a bad token: the
+    text and the line number of that value."""
+    n = draw(st.integers(1, 6))
+    count = n * (n + 1) // 2
+    values = [repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=count, max_size=count))]
+    bad = draw(st.integers(0, count - 1))
+    values[bad] = draw(st.sampled_from(_BAD_VALUES))
+    # half the files hold nothing but values, so both read paths are drawn
+    gap = st.lists(st.sampled_from(["", "   ", "%", "% a comment"]),
+                   max_size=2 * draw(st.booleans()))
+    lines = ["%%MatrixMarket matrix array real symmetric", *draw(gap), f"{n} {n}"]
+    for k, value in enumerate(values):
+        lines += draw(gap)
+        if k == bad:
+            line_no = len(lines) + 1
+        lines.append(value)
+    lines += draw(gap)
+    return "\n".join(lines) + "\n", line_no
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupted_array_files())
+def test_corrupted_value_line_number(tmp_path, case):
+    # a body with nothing but values goes through the one-pass conversion,
+    # one with comment or blank lines through the per-line loop; both name
+    # the corrupted line
+    text, line_no = case
+    p = tmp_path / "bad.mtx"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_matrix(p)
+    assert exc.value.line_no == line_no
