@@ -137,9 +137,11 @@ def _check_breakdown(f, pivots, diagonal):
     for _ in range(2):
         # (X / scale)^-1 of a unit vector: in range at any scale X certifies at
         x = f.solve(x / np.linalg.norm(x) * scale)
-        estimate = scale / np.linalg.norm(x)
-        if not estimate >= threshold:
-            raise NumericalBreakdown(-1, float(estimate), float(threshold))
+        size = np.linalg.norm(x)
+        # the estimate scale / size, compared without dividing: at the
+        # largest float, a size just below 1 overflows the quotient
+        if not size * threshold <= scale:
+            raise NumericalBreakdown(-1, float(scale / size), float(threshold))
 
 
 def _factor_dense(A):

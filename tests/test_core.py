@@ -1,5 +1,7 @@
 """Matrix types, factorization, and the dense spectrum oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -81,6 +83,17 @@ class TestMakeSpd:
         A = np.diag([1.0, 1e-16])
         with pytest.raises(NumericalBreakdown):
             SpdMatrix(A)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_largest_float_certifies_without_overflow(self, n, sparse):
+        # the lambda_min estimate is scale / |x| with |x| a hair below 1
+        # here; it must be compared without that overflowing division
+        big = np.finfo(float).max
+        A = sp.diags([big] * n) if sparse else np.diag([big] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SpdMatrix(A).certified
 
 
 def _storage_forms():

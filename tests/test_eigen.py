@@ -1,6 +1,10 @@
 """Extreme generalized eigenvalue solver against the dense oracle."""
 
 import dataclasses
+import math
+import multiprocessing
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -243,6 +247,138 @@ class TestConcurrentInvocation:
             values = list(pool.map(lambda _: thompson_distance(X, Y, opts), range(16)))
         assert all(v == reference for v in values)
 
+    def test_pencil_above_the_work_count(self, monkeypatch):
+        # callers share the one worker: those who find it busy run their
+        # alpha solve inline, and every one gets the serial value
+        from concurrent.futures import ThreadPoolExecutor
+
+        from spdcone import thompson_distance
+
+        monkeypatch.setattr(eigen, "_one_cpu", lambda: False)
+        X, Y = random_4000_pair()
+        assert eigen._apply_work(X, Y) > eigen._CONCURRENT_WORK
+        reference = thompson_distance(X, Y)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose races
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                values = list(pool.map(lambda _: thompson_distance(X, Y), range(16)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert values == [reference] * 16
+
+
+def random_4000_pair():
+    rng = np.random.default_rng(2)
+    return random_sparse_spd(4000, 3.0 / 4000, rng), random_sparse_spd(4000, 3.0 / 4000, rng)
+
+
+@pytest.fixture
+def sides(monkeypatch):
+    """Run extreme_pair with both sides at once (threaded=True) or one
+    after the other, whatever the work count; threaded alpha solves must
+    run on the worker."""
+    monkeypatch.setattr(eigen, "_one_cpu", lambda: False)
+    threads = []
+    smallest = eigen._smallest
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return smallest(*args)
+
+    monkeypatch.setattr(eigen, "_smallest", recording)
+
+    def run(threaded, *args, **kwargs):
+        monkeypatch.setattr(eigen, "_CONCURRENT_WORK", -1 if threaded else math.inf)
+        del threads[:]
+        try:
+            return extreme_pair(*args, **kwargs)
+        finally:
+            assert threads or not threaded
+            assert all((t is not threading.current_thread()) == threaded for t in threads)
+
+    return run
+
+
+def assert_identical(e, f):
+    assert (e.alpha, e.beta, e.iterations, e.residuals, e.backend, e.proven) == (
+        f.alpha, f.beta, f.iterations, f.residuals, f.backend, f.proven)
+    for u, v in zip(e.vectors, f.vectors):
+        np.testing.assert_array_equal(u, v)
+
+
+class TestConcurrentSides:
+    def test_random_pair_bit_identical(self, sides):
+        X, Y = random_4000_pair()
+        assert_identical(sides(True, X, Y), sides(False, X, Y))
+
+    def test_shift_invert_finish_bit_identical(self, sides):
+        # the m = 64 grid pencil's slow alpha side is finished by shift-invert
+        m = 64
+        L, I = grid_laplacian(m), sp.identity(m * m)
+        X, Y = SpdMatrix(L + 0.1 * I), SpdMatrix(L + I)
+        threaded = sides(True, X, Y, iter_opts())
+        assert threaded.proven[0]
+        assert_identical(threaded, sides(False, X, Y, iter_opts()))
+
+    @pytest.mark.parametrize("max_iter, swap, failing", [(5, False, "beta"), (40, True, "alpha")])
+    def test_serial_error_order(self, sides, max_iter, swap, failing):
+        # (X, Y) at 5 applies: both sides fail, and beta's error is raised;
+        # (Y, X) at 40: only the alpha side, which needs about 50, fails
+        X, Y = random_4000_pair()
+        if swap:
+            X, Y = Y, X
+        opts = EigenOptions(max_iter=max_iter)
+        errors = []
+        for threaded in (True, False):
+            with pytest.raises(NoConvergence) as exc:
+                sides(threaded, X, Y, opts)
+            errors.append(exc.value)
+        # beta is near 6.2 for (X, Y) and 8.3 for (Y, X), alpha near 0.12 and 0.16
+        assert (errors[0].best[0] > 1.0) == (failing == "beta")
+        assert (errors[0].best[0], errors[0].residual, errors[0].iterations) == (
+            errors[1].best[0], errors[1].residual, errors[1].iterations)
+
+    def test_at_most_one_thread_gained(self, sides, rng):
+        X, Y = sparse_pair(rng, 200, density=0.02)
+        before = threading.active_count()
+        for seed in range(20):
+            sides(True, X, Y, iter_opts(seed=seed))
+        assert threading.active_count() <= before + 1
+
+    def test_stats_totals_match_serial(self, sides, rng):
+        X, Y = sparse_pair(rng, 300, density=0.01)
+        totals = []
+        for threaded in (True, False):
+            stats = EigenStats()
+            for seed in range(3):
+                sides(threaded, X, Y, EigenOptions(backend="iterative", seed=seed, stats=stats))
+            totals.append((stats.iterations, stats.solves))
+        assert totals[0] == totals[1] and totals[0][1] == 6
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_runs_its_own_pair(self, sides, rng):
+        # a forked child inherits the pool but not its worker thread; a
+        # regression hangs the child, so it is joined with a timeout
+        X, Y = sparse_pair(rng, 200, density=0.02)
+        reference = sides(True, X, Y, iter_opts())
+        parent_pool = eigen._alpha_pool
+
+        def child():
+            e = sides(True, X, Y, iter_opts())
+            assert eigen._alpha_pool is not parent_pool
+            assert_identical(e, reference)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("forked child hung on a threaded pair")
+        assert process.exitcode == 0
+
 
 class TestResidualDefinition:
     def test_residual_reported_below_tol(self, rng):
@@ -354,8 +490,7 @@ class TestClusteredExtremes:
             raise AssertionError("shift-invert finish started")
 
         monkeypatch.setattr(eigen, "_shift_invert", no_finish)
-        rng = np.random.default_rng(2)
-        X, Y = random_sparse_spd(4000, 3.0 / 4000, rng), random_sparse_spd(4000, 3.0 / 4000, rng)
+        X, Y = random_4000_pair()
         e = extreme_pair(X, Y)
         assert (e.alpha.hex(), e.beta.hex()) == ("0x1.ed2b4786a2c96p-4", "0x1.8f43892001694p+2")
         assert e.iterations == (32, 49) and e.proven == (False, False)
