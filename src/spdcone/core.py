@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, get_lapack_funcs, norm, solve_triangular
-from scipy.linalg.lapack import dpotrs
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs, norm, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dsygst
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import (
@@ -375,6 +376,28 @@ def _check_dense_ceiling(n, opts):
         raise DenseLimitExceeded(n, ceiling)
 
 
+def _reduce(A: SpdMatrix, B: SpdMatrix):
+    """(C, L) for the pencil (A, B): L the lower Cholesky factor of B as an
+    array, C = L^-1 A L^-T in its lower triangle (LAPACK dsygst, itype 1).
+
+    C has the pencil's eigenvalues, and its eigenvector z gives the
+    pencil's L^-T z. A dense-stored B lends its held factor, the potrf
+    that a generalized ``eigh`` would run (``chol()`` certifies B first if
+    it holds none); SuperLU's factor of a sparse-stored B is not one L, so
+    B.dense() takes one potrf.
+    """
+    if B.is_sparse:
+        L, info = dpotrf(B.dense(), lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            raise NotPositiveDefinite(pivot_index=int(info))
+    else:
+        L = B.chol().L
+    C, info = dsygst(A.dense(), L, itype=1, lower=1)
+    if info != 0:
+        raise ValueError(f"internal LAPACK error in sygst: info={info}")
+    return C, L
+
+
 def spectrum_dense(
     X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None
 ) -> np.ndarray:
@@ -382,11 +405,16 @@ def spectrum_dense(
 
     This is the full-spectrum oracle; it refuses to run above the dense
     ceiling ``opts.dense_ceiling`` (None: ``DEFAULT_DENSE_CEILING``), so
-    that callers cannot mistake it for a scalable path.
+    that callers cannot mistake it for a scalable path. One reduction
+    with X's factor (:func:`_reduce`) and one dsyevd: the eigenvalues of
+    ``scipy.linalg.eigh(Y, X, eigvals_only=True)``, bit for bit.
     """
     _check_dims(X, Y)
     _check_dense_ceiling(X.n, opts)
-    return eigh(Y.dense(), X.dense(), eigvals_only=True)
+    w, _, info = dsyevd(_reduce(Y, X)[0], compute_v=0, lower=1, overwrite_a=1)
+    if info != 0:
+        raise LinAlgError(f"symmetric eigensolver failed: info={info}")
+    return w
 
 
 def random_spd(n, rng, spread=1.0):

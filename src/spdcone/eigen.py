@@ -4,7 +4,12 @@ Everything downstream (distances, geodesics, the inductive mean) consumes
 only the smallest and largest eigenvalues (alpha, beta) of a pencil
 Y X^-1. Two backends compute them:
 
-* ``dense``   - the top eigenpair of the generalized problem (LAPACK), the oracle.
+* ``dense`` - what ``auto`` picks for a dense pencil: one reduction
+  C = L^-1 Y L^-T with X's held factor X = L L^T (Martin & Wilkinson,
+  Numer. Math. 11, 1968), one tridiagonalization of C, and bisection and
+  inverse iteration for both of its ends. Its alpha errs by about
+  eps beta / alpha, so above a spread beta / alpha of ``_SPREAD`` alpha
+  comes from the swapped pencil X Y^-1 reduced with Y's factor.
 * ``iterative`` - thick-restart Lanczos with full reorthogonalization on
   the operator q -> X^-1 (Y q), self-adjoint in the X inner product,
   applied through one product with Y, one with X and one solve with the
@@ -12,9 +17,10 @@ Y X^-1. Two backends compute them:
   formed and Y is never copied. A restart keeps the leading Ritz vectors, so a
   clustered top of the spectrum keeps its Krylov information.
 
-The smallest eigenvalue is always computed as the reciprocal of the
-largest eigenvalue of the swapped pencil X Y^-1, so the Krylov iteration
-only ever chases a largest eigenvalue, where its convergence is robust.
+The iterative backend computes the smallest eigenvalue as the reciprocal
+of the largest eigenvalue of the swapped pencil X Y^-1, so the Krylov
+iteration only ever chases a largest eigenvalue, where its convergence is
+robust.
 The iteration stops once the cheap Ritz estimate |b_m s_m| says the top
 pair has converged. The only acceptance test is the backward-error style
 residual ``|Y v - lam X v| / (|Y v| + |lam| |X v|)`` of the pencil
@@ -63,7 +69,7 @@ import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs, hessenberg
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, _factor, fro_norm
+from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, _factor, _reduce, fro_norm
 from .errors import (
     DimensionMismatch,
     InvalidOption,
@@ -85,7 +91,13 @@ _GUARD = 8  # steps from a fresh direction before accepting a pair
 # (banded n = 8000, random n = 4000)
 _CONCURRENT_WORK = 400_000
 
-_stebz, _stein = get_lapack_funcs(("stebz", "stein"), (np.empty(0),))
+# widest beta / alpha whose alpha the dense backend takes from the reduction
+# that gives beta: that alpha errs by about eps beta / alpha, so by at most
+# 32 ulps (measured: 100 broke the scale-free residual test at n = 6)
+_SPREAD = 32.0
+
+_stebz, _stein, _sytrd, _sytrd_lwork, _ormqr, _trtrs = get_lapack_funcs(
+    ("stebz", "stein", "sytrd", "sytrd_lwork", "ormqr", "trtrs"), (np.empty(0),))
 
 
 @dataclass
@@ -184,24 +196,33 @@ def _fresh(rng, X, B):
     return q / nq if nq > 1e-8 * size else None
 
 
-def _top_ritz(d, e):
-    """Largest eigenpair (theta, s) of the symmetric tridiagonal matrix
-    with diagonal d and off-diagonal e.
+def _tridiagonal_eig(d, e, i):
+    """Eigenpair i (1 = smallest) (theta, s) of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, or None when LAPACK's
+    bisection misses it (the top of a scalar pencil can hide so).
 
     LAPACK bisection (stebz) and inverse iteration (stein), called as
     ``eigh_tridiagonal(d, e, select="i")`` calls them, with its quick
     exit for one row, but without its argument checks, which cost more
     than the solve at these sizes.
     """
-    j = d.size
-    if j == 1:
+    if d.size == 1:
         return float(d[0]), np.ones(1)
-    m, w, iblock, isplit, info = _stebz(d, e, 2, 0.0, 1.0, j, j, 0.0, "B")
-    if info == 0:
-        s, info = _stein(d, e, w[:m], iblock, isplit)
-    if info != 0:
-        raise LinAlgError(f"tridiagonal eigensolver failed: info = {info}")
-    return float(w[0]), s[:, 0]
+    m, w, iblock, isplit, info = _stebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "B")
+    if info == 0 and m == 1:
+        s, info = _stein(d, e, w[:1], iblock, isplit)
+        if info == 0:
+            return float(w[0]), s[:, 0]
+    return None
+
+
+def _top_ritz(d, e):
+    """Largest eigenpair (theta, s) of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e."""
+    pair = _tridiagonal_eig(d, e, d.size)
+    if pair is None:
+        raise LinAlgError("tridiagonal eigensolver failed")
+    return pair
 
 
 def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
@@ -420,29 +441,68 @@ def _thick_restart(Q, d, e, m, keep):
     return keep
 
 
-def _dense_largest(Y, X):
+def _dense_ends(Y, X, both):
+    """The top eigenpair of the pencil (Y, X), and with ``both`` the
+    bottom one first, from one reduction with X's dense factor: a list of
+    (lam, v), v of unit norm.
+
+    C = L^-1 Y L^-T (:func:`core._reduce`) is tridiagonalized once
+    (dsytrd, at its optimal work size: the unblocked code runs 1.4x
+    longer at n = 512), its end pairs found by bisection and inverse
+    iteration, and their vectors taken back through the reflectors
+    (dormqr on the trailing block, as dormtr does) and L^T. Where
+    bisection misses an end, the full decomposition of C gives both.
+    """
+    C, L = _reduce(Y, X)
     n = X.n
-    w, U = eigh(Y.dense(), X.dense(), subset_by_index=[n - 1, n - 1])
-    if w.size == 0:
-        # LAPACK's bisection can miss a top eigenvalue of high multiplicity
-        # (a scalar pencil); the full decomposition cannot
-        w, U = eigh(Y.dense(), X.dense())
-    lam, v = float(w[-1]), U[:, -1] / np.linalg.norm(U[:, -1])
-    return lam, v, 0, pencil_residual(Y, X, lam, v), True
+    picks = (1, n) if both else (n,)
+    if n == 1:
+        lams, Z = [float(C[0, 0])] * len(picks), np.ones((1, len(picks)))
+    else:
+        lwork = int(_sytrd_lwork(n, lower=1)[0])
+        T, d, e, tau, _ = _sytrd(C, lower=1, lwork=lwork)
+        ends = [_tridiagonal_eig(d, e, i) for i in picks]
+        if None in ends:
+            w, U = eigh(C, lower=True, check_finite=False)
+            lams, Z = [float(w[i - 1]) for i in picks], U[:, [i - 1 for i in picks]]
+        else:
+            lams = [lam for lam, _ in ends]
+            Z = np.column_stack([s for _, s in ends])
+            Z[1:] = _ormqr("L", "N", T[1:, :-1], tau, Z[1:], len(picks))[0]
+    V, _ = _trtrs(L, Z, lower=1, trans=1)
+    V /= np.linalg.norm(V, axis=0)
+    return [(lam, V[:, j]) for j, lam in enumerate(lams)]
 
 
-def _largest(Y, X, backend, opts, seed, start, guard):
-    """lambda_max of (Y, X) on the given backend: (lam, v, iters, resid, proven).
+def _dense_pair(Y, X):
+    """Both extremes of the pencil (Y, X) on the dense backend, as
+    ((beta, vb, 0, rb, True), (alpha, va, 0, ra, True)).
 
-    The iterative backend runs Lanczos on X^-1 Y, one product with Y and
-    one solve with the certifying factorization of X per apply, and
-    weighs a shift-invert finish that costs two factorizations of X's
-    size, each counted as nnz(factor) / n applies, and one basis of steps.
+    One reduction gives both ends. Bisection errs by about eps beta, so
+    its alpha is relatively accurate only on a narrow pencil: above
+    ``_SPREAD``, alpha is the reciprocal of the top of the swapped
+    pencil (X, Y), reduced with Y's factor, whose residual is the
+    original's as in :func:`_smallest`.
+    """
+    (alpha, va), (beta, vb) = _dense_ends(Y, X, True)
+    if beta > _SPREAD * alpha:
+        (mu, va), = _dense_ends(X, Y, False)
+        alpha, ra = 1.0 / mu, pencil_residual(X, Y, mu, va)
+    else:
+        ra = pencil_residual(Y, X, alpha, va)
+    return (beta, vb, 0, pencil_residual(Y, X, beta, vb), True), (alpha, va, 0, ra, True)
+
+
+def _largest(Y, X, opts, seed, start, guard):
+    """lambda_max of (Y, X) by Lanczos: (lam, v, iters, resid, proven).
+
+    Lanczos runs on X^-1 Y, one product with Y and one solve with the
+    certifying factorization of X per apply, and weighs a shift-invert
+    finish that costs two factorizations of X's size, each counted as
+    nnz(factor) / n applies, and one basis of steps.
     A dense factorization counts n / 18 applies: n^3 / 3 flops against
     about 6 n^2 for an apply (a dpotrs and two gemvs).
     """
-    if backend == "dense":
-        return _dense_largest(Y, X)
     f = X.chol()
 
     def step(q):
@@ -454,16 +514,17 @@ def _largest(Y, X, backend, opts, seed, start, guard):
                     2.0 * factor_cost + _BASIS)
 
 
-def _smallest(Y, X, backend, opts, seed, start, guard):
-    """lambda_min of (Y, X) as 1 / lambda_max(X Y^-1): (lam, v, iters, resid, proven).
+def _smallest(Y, X, opts, seed, start, guard):
+    """lambda_min of (Y, X) by Lanczos, as 1 / lambda_max(X Y^-1):
+    (lam, v, iters, resid, proven).
 
-    The swapped formulation keeps lambda_min relatively accurate for
-    wide-spread pencils, where the low end of one dense decomposition only
-    has absolute accuracy on the lambda_max scale. The residual is the
-    swapped solve's: times mu over mu, it is that of (1/mu, v) for (Y, X).
+    The iteration only ever chases a largest eigenvalue, and the swapped
+    formulation keeps lambda_min relatively accurate for wide-spread
+    pencils. The residual is the swapped solve's: times mu over mu, it is
+    that of (1/mu, v) for (Y, X).
     """
     try:
-        mu, v, iters, resid, proven = _largest(X, Y, backend, opts, seed, start, guard)
+        mu, v, iters, resid, proven = _largest(X, Y, opts, seed, start, guard)
     except NoConvergence as exc:
         mu, v = exc.best
         raise NoConvergence(str(exc), best=(1.0 / mu, v), residual=exc.residual,
@@ -503,9 +564,9 @@ def _apply_work(X, Y):
     return min(fx.nnz, fy.nnz) + X.nnz + Y.nnz + _BASIS * X.n
 
 
-def _concurrent(X, Y, backend):
-    """Whether the two sides of the pair should run at once."""
-    return (backend == "iterative" and X.is_sparse and Y.is_sparse and not _one_cpu()
+def _concurrent(X, Y):
+    """Whether the two sides of an iterative pair should run at once."""
+    return (X.is_sparse and Y.is_sparse and not _one_cpu()
             and _apply_work(X, Y) > _CONCURRENT_WORK)
 
 
@@ -540,10 +601,13 @@ def extreme_pair(
 ) -> PencilExtremes:
     """(alpha, beta) = extreme eigenvalues of Y X^-1 with residual certificates.
 
-    Both backends compute both extremes as largest-eigenvalue problems
-    (beta from the pencil (Y, X), alpha as the reciprocal of the swapped
-    pencil's maximum), so the two routes agree to rounding even on very
-    wide pencils. Iterative per-solve seeds derive from ``opts.seed``.
+    The iterative backend computes both extremes as largest-eigenvalue
+    problems (beta from the pencil (Y, X), alpha as the reciprocal of the
+    swapped pencil's maximum). The dense backend takes both from one
+    reduction with X's factor while beta / alpha is at most ``_SPREAD``,
+    and otherwise alpha as the iterative backend does, so the two agree
+    to rounding even on very wide pencils. Iterative per-solve seeds
+    derive from ``opts.seed``.
     Public calls always run the guard: an iterative extreme that passes
     the residual test is returned only after the guard sweep finds no
     larger Ritz value, or, for a solve finished by shift-invert, after
@@ -574,11 +638,14 @@ def extreme_pair(
         if v is not None and np.shape(v) != (X.n,):
             raise DimensionMismatch(X.n, np.shape(v))
     backend = _resolve_backend(Y, X, opts)
-    seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
-    (beta, vb, it_b, rb, pb), (alpha, va, it_a, ra, pa) = _both(
-        partial(_largest, Y, X, backend, opts, seed_b, start[1], _guard),
-        partial(_smallest, Y, X, backend, opts, seed_a, start[0], _guard),
-        _concurrent(X, Y, backend))
+    if backend == "dense":
+        sides = _dense_pair(Y, X)
+    else:
+        seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
+        sides = _both(partial(_largest, Y, X, opts, seed_b, start[1], _guard),
+                      partial(_smallest, Y, X, opts, seed_a, start[0], _guard),
+                      _concurrent(X, Y))
+    (beta, vb, it_b, rb, pb), (alpha, va, it_a, ra, pa) = sides
     if opts.stats is not None:
         opts.stats.iterations += it_a + it_b
         opts.stats.solves += 2

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
 from spdcone import (
     EigenOptions,
@@ -202,6 +203,16 @@ class TestSpectrumDense:
         s0 = spectrum_dense(X, Y)
         s1 = spectrum_dense(AX, AY)
         np.testing.assert_allclose(s1, s0, rtol=1e-9)
+
+    @pytest.mark.parametrize("stored", ["dense", "sparse"])
+    def test_bit_identical_to_generalized_eigh(self, rng, stored):
+        # one reduction with X's factor and one dsyevd: the eigenvalues of
+        # the generalized eigh, bit for bit, whether X lends its held dense
+        # factor or a sparse-stored X takes one potrf of its dense copy
+        X, Y = spd_pair(rng, 48) if stored == "dense" else sparse_pair(rng, 120)
+        assert X.is_sparse == (stored == "sparse")
+        np.testing.assert_array_equal(
+            spectrum_dense(X, Y), eigh(Y.dense(), X.dense(), eigvals_only=True))
 
 
 class TestSparseDenseAgreement:

@@ -22,6 +22,7 @@ from spdcone import (
     random_spd,
     spectrum_dense,
 )
+import spdcone.core as core
 import spdcone.eigen as eigen
 from spdcone.eigen import _bounded, _factor_like, _top_ritz
 from spdcone.errors import DimensionMismatch, InvalidOption, NoConvergence, NotPositiveDefinite
@@ -499,6 +500,117 @@ class TestClusteredExtremes:
         e = extreme_pair(X, Y)
         assert (e.alpha.hex(), e.beta.hex()) == ("0x1.2f4000f2dbecdp-2", "0x1.b931829c0ee2cp+1")
         assert e.iterations == (69, 70) and e.proven == (False, False)
+
+
+DENSE = EigenOptions(backend="dense")
+
+
+def wide_pencil(rng, n, spread):
+    """(X, Y) whose pencil has eigenvalues geometrically from 1 to ``spread``."""
+    X = random_spd(n, rng)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Lx = np.linalg.cholesky(X.dense())
+    Y = Lx @ (Q * np.geomspace(1.0, spread, n)) @ Q.T @ Lx.T
+    return X, SpdMatrix((Y + Y.T) / 2.0)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """counted(*args) runs extreme_pair(*args) and returns its result with
+    the counts of dense factorizations and tridiagonalizations it made."""
+    counts = {"potrf": 0, "sytrd": 0}
+
+    def counting(name, owner, attr):
+        original = getattr(owner, attr)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, call)
+
+    counting("potrf", core, "dpotrf")  # a sparse-stored matrix's dense factor
+    counting("potrf", core, "_factor_dense")  # a dense matrix's certifying one
+    counting("sytrd", eigen, "_sytrd")
+
+    def counted(*args):
+        counts.update(potrf=0, sytrd=0)
+        return extreme_pair(*args), dict(counts)
+
+    return counted
+
+
+class TestDenseReduction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 48, 256])
+    def test_ends_of_the_full_spectrum(self, n):
+        X, Y = spd_pair(np.random.default_rng(n), n)
+        w = spectrum_dense(X, Y)
+        e = extreme_pair(X, Y, DENSE)
+        assert (e.alpha, e.beta) == (pytest.approx(w[0], rel=1e-13),
+                                     pytest.approx(w[-1], rel=1e-13))
+        assert e.iterations == (0, 0) and e.proven == (True, True)
+        assert max(e.residuals) <= 1e-13
+        for v in e.vectors:
+            assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+
+    def test_scalar_pencils(self):
+        # the reduction's rounding leaves C = c I with ulp-sized noise, and
+        # both ends come back c to that rounding, alpha <= beta
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            for c in (0.4, 1.0, 3.25):
+                e = extreme_pair(X := random_spd(n, rng), X.scaled(c), DENSE)
+                assert e.alpha <= e.beta
+                assert (e.alpha, e.beta) == (pytest.approx(c, rel=1e-14),
+                                             pytest.approx(c, rel=1e-14))
+
+    def test_bisection_miss_takes_the_full_decomposition(self):
+        # a tridiagonal within a few ulps of I whose top LAPACK's bisection
+        # misses; with X = I the reduction keeps it as it stands
+        eps = np.finfo(float).eps
+        d = 1.0 + eps * np.array([-2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
+        off = eps * np.array([1.0, -1.0, 2.0, 0.0, 1.0])
+        assert eigen._tridiagonal_eig(d, off, 6) is None
+        X, Y = SpdMatrix(np.eye(6)), SpdMatrix(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
+        e = extreme_pair(X, Y, DENSE)
+        w = spectrum_dense(X, Y)
+        assert (e.alpha, e.beta) == (pytest.approx(w[0], rel=1e-15),
+                                     pytest.approx(w[-1], rel=1e-15))
+        assert max(e.residuals) <= 1e-15
+
+    def test_wide_pencil_takes_the_swapped_reduction(self, lapack_calls):
+        # at spread 1e8 the stored Y fixes alpha only to about 1e-8: the
+        # reference is the swapped pencil's own dense top
+        X, Y = wide_pencil(np.random.default_rng(1), 20, 1e8)
+        e, calls = lapack_calls(X, Y, DENSE)
+        assert calls == {"potrf": 0, "sytrd": 2}
+        assert e.alpha == pytest.approx(1.0 / eigh(X.dense(), Y.dense(), eigvals_only=True)[-1],
+                                        rel=1e-13)
+        assert e.beta == pytest.approx(eigh(Y.dense(), X.dense(), eigvals_only=True)[-1],
+                                       rel=1e-13)
+        assert e.residuals[1] <= 1e-13 and e.proven == (True, True)
+
+    def test_spread_bound(self, lapack_calls):
+        # at spread 30 the alpha of the shared reduction stands; at 34 the
+        # swapped pencil is reduced too
+        for spread, reductions in ((30.0, 1), (34.0, 2)):
+            X, Y = wide_pencil(np.random.default_rng(2), 12, spread)
+            e, calls = lapack_calls(X, Y, DENSE)
+            assert e.alpha == pytest.approx(spectrum_dense(X, Y)[0], rel=1e-13)
+            assert calls == {"potrf": 0, "sytrd": reductions}
+
+    def test_one_reduction_with_the_held_factor(self, lapack_calls):
+        # two certified dense matrices: no factorization, one tridiagonalization
+        X, Y = spd_pair(np.random.default_rng(3), 48, spread=0.5)
+        stats = EigenStats()
+        _, calls = lapack_calls(X, Y, EigenOptions(backend="dense", stats=stats))
+        assert calls == {"potrf": 0, "sytrd": 1}
+        assert (stats.solves, stats.iterations) == (2, 0)
+        # a sparse-stored X holds SuperLU's factor: its dense copy takes one potrf
+        Xs, Ys = sparse_pair(np.random.default_rng(4), 60, density=0.3)
+        e, calls = lapack_calls(Xs, Ys, DENSE)
+        assert calls == {"potrf": 1, "sytrd": 1}
+        assert e.alpha == pytest.approx(spectrum_dense(Xs, Ys)[0], rel=1e-13)
 
 
 class TestRitz:
