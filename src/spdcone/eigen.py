@@ -47,19 +47,19 @@ the finish's cost never factors anything.
 
 The two solves of a pair share nothing, and SuperLU's solves and numpy's
 basis products release the GIL. So when the estimated GIL-free work of
-one apply exceeds ``_CONCURRENT_WORK``, the alpha solve runs on one
-private worker thread while the calling thread runs the beta solve.
-Dense pencils (LAPACK holds the GIL here) and processes that may run on
-one CPU only stay serial. Each solve keeps its own seed, and the results
-are combined in the order (beta, alpha), so outputs do not depend on
-thread timing; the process gains at most one thread.
+one apply exceeds ``_CONCURRENT_WORK``, the alpha solve runs on a
+worker thread of the pair's own while the calling thread runs the beta
+solve. Dense pencils (LAPACK holds the GIL here) and processes that may
+run on one CPU only stay serial. Each solve keeps its own seed, and the
+results are combined in the order (beta, alpha), so outputs do not
+depend on thread timing; a threaded pair gains one thread, joined before
+it returns.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -532,20 +532,6 @@ def _smallest(Y, X, opts, seed, start, guard):
     return 1.0 / mu, v, iters, resid, proven
 
 
-_alpha_pool = None  # one worker thread for alpha solves, created on first use
-_alpha_lock = threading.Lock()  # held by the caller whose alpha solve the worker runs
-
-
-def _drop_pool():
-    """Forget the pool in a forked child, where its worker thread does not exist."""
-    global _alpha_pool, _alpha_lock
-    _alpha_pool, _alpha_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _one_cpu():
     """Whether this process may run on one CPU only."""
     if hasattr(os, "sched_getaffinity"):
@@ -571,28 +557,18 @@ def _concurrent(X, Y):
 
 
 def _both(beta_side, alpha_side, concurrent):
-    """(beta_side(), alpha_side()), alpha on the worker thread when
-    ``concurrent`` and the worker is free, else inline after beta.
+    """(beta_side(), alpha_side()), alpha on a worker thread of this pair's
+    own when ``concurrent``, else inline after beta.
 
     Both sides run to their end; beta's error is raised before alpha's,
-    as in the serial order. A caller never waits for another caller's
-    pair, and the worker never submits, so nothing can deadlock.
+    as in the serial order. The worker is joined before this returns.
     """
-    global _alpha_pool
-    lock = _alpha_lock
-    if not (concurrent and lock.acquire(blocking=False)):
+    if not concurrent:
         return beta_side(), alpha_side()
-    try:
-        if _alpha_pool is None:
-            _alpha_pool = ThreadPoolExecutor(1, thread_name_prefix="spdcone-alpha")
-        alpha = _alpha_pool.submit(alpha_side)
-        try:
-            beta = beta_side()
-        finally:
-            alpha.exception()  # waits for the alpha side
-        return beta, alpha.result()
-    finally:
-        lock.release()
+    with ThreadPoolExecutor(1, thread_name_prefix="spdcone-alpha") as worker:
+        alpha = worker.submit(alpha_side)
+        beta = beta_side()
+    return beta, alpha.result()
 
 
 def extreme_pair(
@@ -626,11 +602,11 @@ def extreme_pair(
     inductive mean does with ``_bounded``.
 
     Above a work count of one apply, a sparse pencil's alpha solve runs
-    on one private worker thread while the calling thread runs the beta
-    solve; dense pencils and processes that may run on one CPU only stay
-    serial. The result, every count in ``opts.stats`` and the error
-    raised (beta's before alpha's) do not depend on thread timing, and
-    the process gains at most one thread.
+    on a worker thread of the pair's own while the calling thread runs
+    the beta solve; dense pencils and processes that may run on one CPU
+    only stay serial. The result, every count in ``opts.stats`` and the
+    error raised (beta's before alpha's) do not depend on thread timing;
+    a threaded pair gains one thread, joined before it returns.
     """
     opts = opts or EigenOptions()
     _check_dims(X, Y)

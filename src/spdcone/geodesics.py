@@ -13,10 +13,11 @@ Three interpolation paths between SPD matrices X and Y are provided:
 
 Each takes t as one float, returning one point, or as a sequence of
 floats, returning the list of points; the pencil work (one extreme pair,
-or the two eigendecompositions) is done once per call, and t = 0 and
-t = 1 give the inputs X and Y themselves, in their own storage, even
-where the points between are stored otherwise (dense Riemannian points
-of sparse inputs, dense star points of a sparse and a dense input).
+or one reduction with X's factor and one eigendecomposition) is done once
+per call, and t = 0 and t = 1 give the inputs X and Y themselves, in
+their own storage, even where the points between are stored otherwise
+(dense Riemannian points of sparse inputs, dense star points of a sparse
+and a dense input).
 The other star and diamond points are combinations c_Y * Y + c_X * X,
 sampled by one helper that certifies them on [0, 1] and warns outside.
 A t so far out that a point is no finite float raises InvalidArgument
@@ -37,7 +38,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import SpdMatrix, _check_dense_ceiling, _check_dims, combine
+from .core import SpdMatrix, _check_dense_ceiling, _check_dims, _reduce, combine
 from .eigen import EigenOptions, extreme_pair
 from .errors import (
     DegeneratePencil,
@@ -220,26 +221,24 @@ def riemannian_geodesic(
 ) -> SpdMatrix | list[SpdMatrix]:
     """Affine-invariant Riemannian geodesic X^(1/2)(X^(-1/2) Y X^(-1/2))^t X^(1/2).
 
-    Requires two full eigendecompositions, so it raises
+    Computed as L (L^-1 Y L^-T)^t L^T with X's Cholesky factor X = L L^T,
+    the same point for any factor of X: one reduction with X's held
+    factor and one full eigendecomposition, so it raises
     DenseLimitExceeded above ``opts.dense_ceiling``; a sequence of t
     shares them. The result is SPD for every real t at which it is a
     finite float; where it is not, InvalidArgument names t.
     """
     _check_dims(X, Y)
     _check_dense_ceiling(X.n, opts)
-    w, V = eigh(X.dense())
-    sqrt_w = w ** 0.5
-    Xh = (V * sqrt_w) @ V.T
-    Xmh = (V / sqrt_w) @ V.T
-    M = Xmh @ Y.dense() @ Xmh
-    M = (M + M.T) / 2.0
-    wm, Vm = eigh(M)
+    C, L = _reduce(Y, X)
+    w, V = eigh(C, lower=True, check_finite=False)
+    LV = L @ V
 
     def point(s):
-        # far from [0, 1] wm ** s overflows: reported below as the t it came
+        # far from [0, 1] w ** s overflows: reported below as the t it came
         # from, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            R = Xh @ ((Vm * wm ** s) @ Vm.T) @ Xh
+            R = (LV * w ** s) @ LV.T
             R = (R + R.T) / 2.0
         _require_finite(s, R)
         return SpdMatrix(R)

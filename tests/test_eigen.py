@@ -249,8 +249,8 @@ class TestConcurrentInvocation:
         assert all(v == reference for v in values)
 
     def test_pencil_above_the_work_count(self, monkeypatch):
-        # callers share the one worker: those who find it busy run their
-        # alpha solve inline, and every one gets the serial value
+        # each caller's pair runs on a worker of its own, and every one
+        # gets the serial value
         from concurrent.futures import ThreadPoolExecutor
 
         from spdcone import thompson_distance
@@ -340,12 +340,13 @@ class TestConcurrentSides:
         assert (errors[0].best[0], errors[0].residual, errors[0].iterations) == (
             errors[1].best[0], errors[1].residual, errors[1].iterations)
 
-    def test_at_most_one_thread_gained(self, sides, rng):
+    def test_no_thread_outlives_its_pair(self, sides, rng):
         X, Y = sparse_pair(rng, 200, density=0.02)
         before = threading.active_count()
         for seed in range(20):
             sides(True, X, Y, iter_opts(seed=seed))
-        assert threading.active_count() <= before + 1
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("spdcone-alpha")]
 
     def test_stats_totals_match_serial(self, sides, rng):
         X, Y = sparse_pair(rng, 300, density=0.01)
@@ -360,16 +361,13 @@ class TestConcurrentSides:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     def test_forked_child_runs_its_own_pair(self, sides, rng):
-        # a forked child inherits the pool but not its worker thread; a
-        # regression hangs the child, so it is joined with a timeout
+        # a forked child inherits no thread of the parent; a regression
+        # hangs the child, so it is joined with a timeout
         X, Y = sparse_pair(rng, 200, density=0.02)
         reference = sides(True, X, Y, iter_opts())
-        parent_pool = eigen._alpha_pool
 
         def child():
-            e = sides(True, X, Y, iter_opts())
-            assert eigen._alpha_pool is not parent_pool
-            assert_identical(e, reference)
+            assert_identical(sides(True, X, Y, iter_opts()), reference)
 
         process = multiprocessing.get_context("fork").Process(target=child)
         process.start()

@@ -269,6 +269,44 @@ class TestRiemannianGeodesic:
         with pytest.raises(DenseLimitExceeded):
             riemannian_geodesic(X, Y, 0.5, EigenOptions(dense_ceiling=4))
 
+    @pytest.mark.parametrize("n, stored", [(6, "dense"), (48, "dense"), (60, "sparse")])
+    def test_square_root_form(self, rng, n, stored):
+        # the path through X's Cholesky factor is X^(1/2) M^t X^(1/2)
+        X, Y = spd_pair(rng, n) if stored == "dense" else sparse_pair(rng, n, 0.1)
+        assert X.is_sparse == (stored == "sparse")
+        w, V = np.linalg.eigh(X.dense())
+        Xh, Xmh = (V * w ** 0.5) @ V.T, (V / w ** 0.5) @ V.T
+        wm, Vm = np.linalg.eigh(Xmh @ Y.dense() @ Xmh)
+        ts = (-0.5, 0.25, 0.5, 0.75, 1.5)
+        for t, R in zip(ts, riemannian_geodesic(X, Y, ts)):
+            expected = Xh @ ((Vm * wm ** t) @ Vm.T) @ Xh
+            assert np.linalg.norm(R.dense() - expected) <= 1e-12 * np.linalg.norm(expected)
+        M = riemannian_geodesic(X, Y, 0.5).dense()
+        assert np.linalg.norm(M @ np.linalg.solve(X.dense(), M) - Y.dense()) <= (
+            1e-10 * np.linalg.norm(Y.dense()))
+
+    def test_one_eigendecomposition_on_the_held_factor(self, rng, monkeypatch):
+        # a certified dense X lends its factor: the path factors nothing but
+        # its interior points, each certified once, and runs one eigh
+        X, Y = spd_pair(rng, 48)
+        X.chol()
+        calls = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counting(spdcone.geodesics, "eigh")
+        counting(spdcone.core, "dpotrf")
+        counting(spdcone.core, "_factor_dense")
+        riemannian_geodesic(X, Y, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert sorted(calls) == ["_factor_dense"] * 3 + ["eigh"]
+
 
 class TestDiamondGeodesic:
     def test_hand_example(self):
