@@ -6,8 +6,9 @@ Y X^-1. Two backends compute them:
 
 * ``dense`` - what ``auto`` picks for a dense pencil: one reduction
   C = L^-1 Y L^-T with X's held factor X = L L^T (Martin & Wilkinson,
-  Numer. Math. 11, 1968), one tridiagonalization of C, and bisection and
-  inverse iteration for both of its ends. Its alpha errs by about
+  Numer. Math. 11, 1968), one tridiagonalization of C, and bisection for
+  both of its ends, with inverse iteration for their vectors and
+  residuals unless the caller reads only the values. Its alpha errs by about
   eps beta / alpha, so above a spread beta / alpha of ``_SPREAD`` alpha
   comes from the swapped pencil X Y^-1 reduced with Y's factor.
 * ``iterative`` - thick-restart Lanczos with full reorthogonalization on
@@ -142,7 +143,8 @@ class PencilExtremes:
     inertia proves the extreme to within 10 tol: true for the dense
     backend and for a solve finished by shift-invert. ``vectors`` holds
     the matching generalized eigenvectors, a start for a nearby pencil;
-    they take no part in comparison.
+    they take no part in comparison. A dense solve asked for values only
+    holds no vectors and nan residuals (not computed).
     """
 
     alpha: float
@@ -196,10 +198,11 @@ def _fresh(rng, X, B):
     return q / nq if nq > 1e-8 * size else None
 
 
-def _tridiagonal_eig(d, e, i):
+def _tridiagonal_eig(d, e, i, vector=True):
     """Eigenpair i (1 = smallest) (theta, s) of the symmetric tridiagonal
     matrix with diagonal d and off-diagonal e, or None when LAPACK's
-    bisection misses it (the top of a scalar pencil can hide so).
+    bisection misses it (the top of a scalar pencil can hide so). Without
+    ``vector``, s is None and inverse iteration is skipped.
 
     LAPACK bisection (stebz) and inverse iteration (stein), called as
     ``eigh_tridiagonal(d, e, select="i")`` calls them, with its quick
@@ -210,6 +213,8 @@ def _tridiagonal_eig(d, e, i):
         return float(d[0]), np.ones(1)
     m, w, iblock, isplit, info = _stebz(d, e, 2, 0.0, 1.0, i, i, 0.0, "B")
     if info == 0 and m == 1:
+        if not vector:
+            return float(w[0]), None
         s, info = _stein(d, e, w[:1], iblock, isplit)
         if info == 0:
             return float(w[0]), s[:, 0]
@@ -441,17 +446,18 @@ def _thick_restart(Q, d, e, m, keep):
     return keep
 
 
-def _dense_ends(Y, X, both):
+def _dense_ends(Y, X, both, vectors):
     """The top eigenpair of the pencil (Y, X), and with ``both`` the
     bottom one first, from one reduction with X's dense factor: a list of
-    (lam, v), v of unit norm.
+    (lam, v), v of unit norm, or None without ``vectors``.
 
     C = L^-1 Y L^-T (:func:`core._reduce`) is tridiagonalized once
     (dsytrd, at its optimal work size: the unblocked code runs 1.4x
-    longer at n = 512), its end pairs found by bisection and inverse
-    iteration, and their vectors taken back through the reflectors
-    (dormqr on the trailing block, as dormtr does) and L^T. Where
-    bisection misses an end, the full decomposition of C gives both.
+    longer at n = 512) and its ends found by bisection. With ``vectors``,
+    inverse iteration gives their vectors, taken back through the
+    reflectors (dormqr on the trailing block, as dormtr does) and L^T.
+    Where bisection misses an end, the full decomposition of C gives
+    both.
     """
     C, L = _reduce(Y, X)
     n = X.n
@@ -461,22 +467,26 @@ def _dense_ends(Y, X, both):
     else:
         lwork = int(_sytrd_lwork(n, lower=1)[0])
         T, d, e, tau, _ = _sytrd(C, lower=1, lwork=lwork)
-        ends = [_tridiagonal_eig(d, e, i) for i in picks]
+        ends = [_tridiagonal_eig(d, e, i, vectors) for i in picks]
         if None in ends:
             w, U = eigh(C, lower=True, check_finite=False)
             lams, Z = [float(w[i - 1]) for i in picks], U[:, [i - 1 for i in picks]]
         else:
             lams = [lam for lam, _ in ends]
-            Z = np.column_stack([s for _, s in ends])
-            Z[1:] = _ormqr("L", "N", T[1:, :-1], tau, Z[1:], len(picks))[0]
+            if vectors:
+                Z = np.column_stack([s for _, s in ends])
+                Z[1:] = _ormqr("L", "N", T[1:, :-1], tau, Z[1:], len(picks))[0]
+    if not vectors:
+        return [(lam, None) for lam in lams]
     V, _ = _trtrs(L, Z, lower=1, trans=1)
     V /= np.linalg.norm(V, axis=0)
     return [(lam, V[:, j]) for j, lam in enumerate(lams)]
 
 
-def _dense_pair(Y, X):
+def _dense_pair(Y, X, vectors):
     """Both extremes of the pencil (Y, X) on the dense backend, as
-    ((beta, vb, 0, rb, True), (alpha, va, 0, ra, True)).
+    ((beta, vb, 0, rb, True), (alpha, va, 0, ra, True)); without
+    ``vectors``, every v is None and every r nan.
 
     One reduction gives both ends. Bisection errs by about eps beta, so
     its alpha is relatively accurate only on a narrow pencil: above
@@ -484,13 +494,15 @@ def _dense_pair(Y, X):
     pencil (X, Y), reduced with Y's factor, whose residual is the
     original's as in :func:`_smallest`.
     """
-    (alpha, va), (beta, vb) = _dense_ends(Y, X, True)
+    (alpha, va), (beta, vb) = _dense_ends(Y, X, True, vectors)
+    alpha_pencil = (Y, X, alpha)
     if beta > _SPREAD * alpha:
-        (mu, va), = _dense_ends(X, Y, False)
-        alpha, ra = 1.0 / mu, pencil_residual(X, Y, mu, va)
-    else:
-        ra = pencil_residual(Y, X, alpha, va)
-    return (beta, vb, 0, pencil_residual(Y, X, beta, vb), True), (alpha, va, 0, ra, True)
+        (mu, va), = _dense_ends(X, Y, False, vectors)
+        alpha, alpha_pencil = 1.0 / mu, (X, Y, mu)
+    if not vectors:
+        return (beta, None, 0, math.nan, True), (alpha, None, 0, math.nan, True)
+    return ((beta, vb, 0, pencil_residual(Y, X, beta, vb), True),
+            (alpha, va, 0, pencil_residual(*alpha_pencil, va), True))
 
 
 def _largest(Y, X, opts, seed, start, guard):
@@ -573,7 +585,7 @@ def _both(beta_side, alpha_side, concurrent):
 
 def extreme_pair(
     X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None, start=(None, None),
-    *, _guard: bool = True,
+    *, _guard: bool = True, _vectors: bool = True,
 ) -> PencilExtremes:
     """(alpha, beta) = extreme eigenvalues of Y X^-1 with residual certificates.
 
@@ -600,6 +612,13 @@ def extreme_pair(
     every iterative one finished by shift-invert under the guard. A caller
     that needs the others proven bounds them by inertia too, as the
     inductive mean does with ``_bounded``.
+    ``_vectors=False`` is private to callers that read only alpha and
+    beta: the dense backend then stops after bisection, skipping inverse
+    iteration, the back-transformation and the residuals, and returns the
+    same alpha and beta (unless inverse iteration would have failed and
+    sent the default call to the full decomposition) with ``vectors``
+    (None, None) and ``residuals`` (nan, nan), not computed. The
+    iterative backend ignores it.
 
     Above a work count of one apply, a sparse pencil's alpha solve runs
     on a worker thread of the pair's own while the calling thread runs
@@ -615,7 +634,7 @@ def extreme_pair(
             raise DimensionMismatch(X.n, np.shape(v))
     backend = _resolve_backend(Y, X, opts)
     if backend == "dense":
-        sides = _dense_pair(Y, X)
+        sides = _dense_pair(Y, X, _vectors)
     else:
         seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
         sides = _both(partial(_largest, Y, X, opts, seed_b, start[1], _guard),

@@ -209,7 +209,7 @@ def star_geodesic(
         may leave the cone: it comes back uncertified with a
         RuntimeWarning, and its ``chol()`` certifies it or raises.
     """
-    ext = extreme_pair(X, Y, opts)
+    ext = extreme_pair(X, Y, opts, _vectors=False)
     return _combination_path(X, Y, t, partial(geodesic_coefficients, ext.alpha, ext.beta))
 
 
@@ -260,7 +260,7 @@ def diamond_geodesic(
     case the star geodesic is the drop-in replacement. t may be a
     sequence, as for ``star_geodesic``.
     """
-    ext = extreme_pair(X, Y, opts)
+    ext = extreme_pair(X, Y, opts, _vectors=False)
     alpha, beta = ext.alpha, ext.beta
     if math.log(beta) - math.log(alpha) <= BRANCH_TOL:
         raise DegeneratePencil(alpha, beta)

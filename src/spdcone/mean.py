@@ -37,18 +37,22 @@ round's residual (Eisenstat & Walker, SISC 17(1), 1996), and skips the
 eigensolver's guard sweep. A loose extreme only steers F, whose
 Anderson mixing tolerates such inexact maps (Toth & Kelley, SINUM 53(2),
 2015): it can slow F, never certify. A loose round whose residual meets
-eigen.tol is solved again at eigen.tol, with the guard, at the same X,
-warm-started from its own vectors. Dense solves are exact whatever the
-tolerance, so a dense round never repeats. The solves are warm-started
-from the previous round, and a warm start proves nothing about
-extremality, so a certifying round is trusted only once each extreme of
-a warm iterative solve is proven. A dense solve is, and so is one that
-the eigensolver finished by shift-invert (``PencilExtremes.proven``);
-any other is proven here by the same inertia bound: beta (1 + 10 tol) X - Y_j,
+eigen.tol is solved again at eigen.tol at the same X, warm-started from
+its own vectors. Dense solves are exact whatever the tolerance, so a
+dense round never repeats. The solves are warm-started from the previous
+round, and a warm start proves nothing about extremality, which the
+guard's few steps cannot repair either, so a round at eigen.tol guards
+only its cold solves, and certifies only once each extreme of a warm
+iterative solve is proven. A dense solve is, and so is one that the
+eigensolver finished by shift-invert (``PencilExtremes.proven``); any
+other is proven here by the same inertia bound: beta (1 + 10 tol) X - Y_j,
 or (1 + 10 tol) Y_j / alpha - X, must certify (Sylvester's law of
 inertia; Ericsson & Ruhe, Math. Comp. 35, 1980). A pencil with an
-extreme left unproven is solved again cold. Every returned mean is thus
-certified by a round solved at eigen.tol, guarded and proven.
+extreme left unproven is solved again cold, under the guard. Every
+returned mean is thus certified by a round solved at eigen.tol whose
+every extreme is proven by inertia or comes from a cold guarded solve.
+The mean reads only alpha and beta, so its dense solves skip the
+eigenvectors and residuals.
 
 Every iterate, residual field and bracket matrix is a combination of the
 points, so it lies on the union of their patterns. The points' values are
@@ -264,7 +268,7 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     """
     stack = _Stack([*points, X])
     opts = opts or EigenOptions()
-    exts = [extreme_pair(X, Yj, opts, (None, None)) for Yj in points]
+    exts = [extreme_pair(X, Yj, opts, (None, None), _vectors=False) for Yj in points]
     ms, os = zip(*(coefficient_derivatives(e.alpha, e.beta) for e in exts))
     E, rnorm = _residual_field(stack, stack.values[-1], ms, sum(os))
     return stack.raw(E), rnorm
@@ -324,12 +328,16 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     r_0 = inf. A round looser than ``opts.tol`` runs without the guard
     sweep, and its residual only steers: if it is at most ``opts.tol``
     and any solve was iterative, the round is repeated at the same X at
-    ``opts.tol`` with the guard, warm-started from its own vectors. A
-    round at ``opts.tol`` (or a loose round whose solves were all dense,
-    hence exact) whose residual is at most ``opts.tol`` certifies once
-    every extreme of a warm-started solve is proven (``_trusted``); a
-    pencil with one that is not is solved again cold, in a repeat of the
-    round at the same X. ``rounds`` counts repeats. Otherwise
+    ``opts.tol``, warm-started from its own vectors. A round at
+    ``opts.tol`` runs the guard on its cold solves only. Such a round (or
+    a loose round whose solves were all dense, hence exact) whose
+    residual is at most ``opts.tol`` certifies once every extreme of a
+    warm-started solve is proven (``_trusted``); a pencil with one that
+    is not is solved again cold and guarded, in a repeat of the round at
+    the same X. ``rounds`` counts repeats. Every solve asks for values
+    only (``_vectors=False``), so a dense solve returns no vectors and
+    the pencil's next solve starts cold (a dense one ignores its start).
+    Otherwise
     the next weights are the Anderson mix of the last k weight pairs
     (depth k - 1, the dimension of the simplex), or plain F weights with
     the history restarted when the mix leaves the simplex; either way the
@@ -365,7 +373,9 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         tol = max(opts.tol, min(LOOSEST_TOL, ETA * rnorm))
         tight = tol == opts.tol
         round_opts = replace(opts, tol=tol)
-        exts = [extreme_pair(X, Yj, round_opts, start, _guard=tight)
+        # a tight round guards its cold solves only: _trusted proves the warm ones
+        exts = [extreme_pair(X, Yj, round_opts, start, _vectors=False,
+                             _guard=tight and any(s is None for s in start))
                 for Yj, start in zip(points, vectors)]
         exact = tight or all(e.backend == "dense" for e in exts)
         pairs = [coefficient_derivatives(e.alpha, e.beta) for e in exts]
@@ -373,8 +383,8 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         c = math.exp(sum(m + o for m, o in pairs) / k)
         rnorm = _residual_field(stack, x, ms, -sum(ms))[1]
         if rnorm <= opts.tol:
-            # a loose round only says that X, solved again at opts.tol with
-            # the guard, may certify
+            # a loose round only says that X, solved again at opts.tol, may
+            # certify
             wrong = [j for j, (Yj, e, start) in enumerate(zip(stack.values, exts, vectors))
                      if exact and not _trusted(stack, x, Yj, e, start, opts.tol)]
             if exact and not wrong:

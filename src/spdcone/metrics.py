@@ -25,7 +25,7 @@ def thompson_distance(
     Uses only the two extreme eigenvalues of Y X^-1, never the full
     spectrum, so it runs matrix-free on large sparse pairs.
     """
-    ext = extreme_pair(X, Y, opts)
+    ext = extreme_pair(X, Y, opts, _vectors=False)
     return max(math.log(ext.beta), -math.log(ext.alpha))
 
 
@@ -36,7 +36,7 @@ def hilbert_distance(
 
     A pseudo-metric: it vanishes exactly on rays Y = c X, c > 0.
     """
-    ext = extreme_pair(X, Y, opts)
+    ext = extreme_pair(X, Y, opts, _vectors=False)
     return math.log(ext.beta) - math.log(ext.alpha)
 
 

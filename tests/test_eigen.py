@@ -17,10 +17,15 @@ from spdcone import (
     EigenOptions,
     SpdMatrix,
     EigenStats,
+    diamond_geodesic,
     extreme_pair,
+    hilbert_distance,
     random_sparse_spd,
     random_spd,
+    residual,
     spectrum_dense,
+    star_geodesic,
+    thompson_distance,
 )
 import spdcone.core as core
 import spdcone.eigen as eigen
@@ -609,6 +614,87 @@ class TestDenseReduction:
         e, calls = lapack_calls(Xs, Ys, DENSE)
         assert calls == {"potrf": 1, "sytrd": 1}
         assert e.alpha == pytest.approx(spectrum_dense(Xs, Ys)[0], rel=1e-13)
+
+
+@pytest.fixture
+def vector_work(monkeypatch):
+    """Counts of the dense backend's calls that only vectors and residuals
+    need (inverse iteration, back-transformation, triangular solve, pencil
+    residuals) and of its full decompositions, reset by each call of
+    ``values_only(X, Y, opts)``, which checks that a values-only call
+    returns the default call's alpha and beta to the bit and returns both
+    results."""
+    counts = dict.fromkeys(("_stein", "_ormqr", "_trtrs", "pencil_residual", "eigh"), 0)
+    for attr in counts:
+        def call(*args, _attr=attr, _original=getattr(eigen, attr), **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, attr, call)
+
+    def values_only(X, Y, opts):
+        full = extreme_pair(X, Y, opts)
+        assert counts["pencil_residual"] == 2 and counts["_trtrs"] >= 1  # the spies see
+        counts.update(dict.fromkeys(counts, 0))
+        lean = extreme_pair(X, Y, opts, _vectors=False)
+        assert (lean.alpha.hex(), lean.beta.hex()) == (full.alpha.hex(), full.beta.hex())
+        return full, lean
+
+    return values_only, counts
+
+
+class TestValuesOnly:
+    def check_dense(self, full, lean, counts, full_decompositions=0):
+        assert lean.vectors == (None, None) and all(map(math.isnan, lean.residuals))
+        assert (lean.backend, lean.iterations, lean.proven) == ("dense", (0, 0), (True, True))
+        assert all(v is not None for v in full.vectors)
+        assert counts == {"_stein": 0, "_ormqr": 0, "_trtrs": 0, "pencil_residual": 0,
+                          "eigh": full_decompositions}
+
+    @pytest.mark.parametrize("n", [1, 2, 48, 256])
+    def test_dense_values_of_the_default_call(self, n, vector_work):
+        values_only, counts = vector_work
+        X, Y = spd_pair(np.random.default_rng(n), n)
+        self.check_dense(*values_only(X, Y, DENSE), counts)
+
+    def test_swapped_reduction(self, vector_work):
+        values_only, counts = vector_work
+        X, Y = wide_pencil(np.random.default_rng(1), 20, 1e8)
+        full, lean = values_only(X, Y, DENSE)
+        assert lean.beta > eigen._SPREAD * lean.alpha
+        self.check_dense(full, lean, counts)
+
+    def test_bisection_miss_keeps_the_full_decomposition(self, vector_work):
+        # the scalar pencil of TestDenseReduction whose top bisection misses
+        values_only, counts = vector_work
+        eps = np.finfo(float).eps
+        d = 1.0 + eps * np.array([-2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
+        off = eps * np.array([1.0, -1.0, 2.0, 0.0, 1.0])
+        assert eigen._tridiagonal_eig(d, off, 6, False) is None
+        X, Y = SpdMatrix(np.eye(6)), SpdMatrix(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
+        self.check_dense(*values_only(X, Y, DENSE), counts, full_decompositions=1)
+
+    def test_sparse_stored_pair_on_the_dense_backend(self, vector_work):
+        values_only, counts = vector_work
+        X, Y = sparse_pair(np.random.default_rng(4), 60, density=0.3)
+        self.check_dense(*values_only(X, Y, DENSE), counts)
+
+    @pytest.mark.parametrize("call", [
+        thompson_distance, hilbert_distance, partial(star_geodesic, t=0.5),
+        partial(diamond_geodesic, t=0.5), lambda X, Y: residual([Y], X),
+    ], ids=["thompson", "hilbert", "star", "diamond", "mean residual"])
+    def test_callers_of_the_values_ask_for_no_vectors(self, call, vector_work):
+        _, counts = vector_work
+        X, Y = spd_pair(np.random.default_rng(5), 48)
+        call(X, Y)
+        assert counts == dict.fromkeys(counts, 0)
+
+    def test_iterative_backend_ignores_it(self, rng):
+        X, Y = sparse_pair(rng, 300, density=0.01)
+        full = extreme_pair(X, Y, iter_opts(seed=6))
+        lean = extreme_pair(X, Y, iter_opts(seed=6), _vectors=False)
+        assert lean == full and lean.backend == "iterative"
+        assert all(np.array_equal(a, b) for a, b in zip(lean.vectors, full.vectors))
 
 
 class TestRitz:

@@ -78,13 +78,15 @@ def inside(M, U):
 
 
 def spy_solves(monkeypatch):
-    """List that gains (X, Y, tol, guard) per pencil solve of the mean."""
+    """List that gains (X, Y, tol, guard, cold) per pencil solve of the
+    mean, cold when neither side has a start."""
     seen = []
     solve = spdcone.mean.extreme_pair
 
-    def spy(X, Y, opts, start, _guard=True):
-        seen.append((X, Y, opts.tol, _guard))
-        return solve(X, Y, opts, start, _guard=_guard)
+    def spy(X, Y, opts, start, **kwargs):
+        cold = all(s is None for s in start)
+        seen.append((X, Y, opts.tol, kwargs.get("_guard", True), cold))
+        return solve(X, Y, opts, start, **kwargs)
 
     monkeypatch.setattr(spdcone.mean, "extreme_pair", spy)
     return seen
@@ -357,18 +359,19 @@ class TestFixedPointRounds:
         seen = spy_solves(monkeypatch)
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and res.cycles_used == 0
-        assert all(any(Y is p for p in pts) for _, Y, _, _ in seen)
+        assert all(any(Y is p for p in pts) for _, Y, *_ in seen)
         assert len(seen) == len(pts) * res.rounds
         assert res.rounds <= max_rounds
 
     def test_loose_rounds_halve_the_applies(self):
         # the family above took 1,847 applies in 8 rounds when every round
-        # solved at eigen.tol with the guard
+        # solved at eigen.tol with the guard, and 634 when the certifying
+        # round still swept its warm solves with the guard
         stats = EigenStats()
         opts = MeanOptions(eigen=EigenOptions(stats=stats))
         res = inductive_mean(MeanProblem(random_family(0), opts=opts))
         assert res.certified and stats.solves == 2 * 5 * res.rounds
-        assert stats.iterations <= 925
+        assert stats.iterations <= 600
 
     def test_dense_rounds_are_exact(self, monkeypatch):
         # the dense backend ignores tol, so no round repeats
@@ -377,7 +380,7 @@ class TestFixedPointRounds:
         seen = spy_solves(monkeypatch)
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and res.rounds == 5
-        assert len({id(X) for X, _, _, _ in seen}) == res.rounds
+        assert len({id(X) for X, *_ in seen}) == res.rounds
 
     def test_one_coefficient_pass_per_round(self, monkeypatch):
         # the radial scale and the certificate come from the same k pairs
@@ -495,18 +498,30 @@ class TestWarmStartBracket:
 
 
 class TestLooseRounds:
-    def test_certifying_round_is_exact_and_guarded(self, monkeypatch):
+    def test_certifying_round_is_exact_and_proven(self, monkeypatch):
         # in this family a loose round certifies first, so the mean solves
-        # that round again at eigen.tol, with the guard, at the same X
+        # that round again at eigen.tol at the same X, warm-started and so
+        # without the guard; each extreme is then proven by its solve or
+        # by an inertia bracket
         pts = random_family(1)
         k, tol = len(pts), MeanOptions().eigen.tol
         seen = spy_solves(monkeypatch)
+        log = []  # the mean's solve results and bracket verdicts, in order
+        for name in ("extreme_pair", "_bounded"):
+            def logged(*args, _f=getattr(spdcone.mean, name), **kwargs):
+                log.append(_f(*args, **kwargs))
+                return log[-1]
+            monkeypatch.setattr(spdcone.mean, name, logged)
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and len(seen) == k * res.rounds
-        assert all(t == tol and guard for _, _, t, guard in seen[-k:])
-        assert all(t >= tol for _, _, t, _ in seen)
+        assert all(t == tol and not guard and not cold for _, _, t, guard, cold in seen[-k:])
+        assert all(t >= tol for _, _, t, *_ in seen)
         loose = seen[-2 * k]
         assert loose[0] is seen[-k][0] and loose[2] > tol and not loose[3]
+        last = [i for i, e in enumerate(log) if not isinstance(e, bool)][-k]
+        finals, brackets = log[last:last + k], log[last + k:]
+        unproven = sum(not p for e in finals for p in e.proven)
+        assert unproven > 0 and brackets == [True] * unproven
 
     def test_round_tol_follows_the_residual(self, monkeypatch):
         # round r + 1 solves at max(eigen.tol, min(LOOSEST_TOL, ETA r_r)),
@@ -526,11 +541,36 @@ class TestLooseRounds:
         res = inductive_mean(MeanProblem(pts))
         rounds = [seen[i:i + k] for i in range(0, len(seen), k)]
         assert res.certified and len(rounds) == res.rounds == len(rnorms)
-        assert all(len({(t, g) for _, _, t, g in r}) == 1 for r in rounds)
+        assert all(len({t for _, _, t, *_ in r}) == 1 for r in rounds)
         expected = [max(tol, min(spdcone.mean.LOOSEST_TOL, spdcone.mean.ETA * r))
                     for r in [math.inf] + rnorms[:-1]]
         assert [r[0][2] for r in rounds] == expected
-        assert [r[0][3] for r in rounds] == [t == tol for t in expected]
+        # the guard runs exactly on the tight cold solves
+        assert all(cold for *_, cold in rounds[0])
+        assert all(g == (t == tol and cold) for _, _, t, g, cold in seen)
+
+    @pytest.mark.parametrize("family", ["dense", "random sparse"])
+    def test_values_only_and_unguarded_warm_solves_keep_the_mean(self, family, monkeypatch):
+        # a mean whose solves all return vectors, and whose tight rounds
+        # all run the guard, is the same to the bit
+        if family == "dense":
+            rng = np.random.default_rng(0)
+            pts = [random_spd(48, rng) for _ in range(3)]
+        else:
+            pts = random_family(0)
+        lean = inductive_mean(MeanProblem(pts))
+        tol = MeanOptions().eigen.tol
+        solve = spdcone.mean.extreme_pair
+
+        def full(X, Y, opts, start, **_):
+            return solve(X, Y, opts, start, _guard=opts.tol == tol, _vectors=True)
+
+        monkeypatch.setattr(spdcone.mean, "extreme_pair", full)
+        ref = inductive_mean(MeanProblem(pts))
+        assert (lean.rounds, lean.residual_norm, lean.final_displacement) == (
+            ref.rounds, ref.residual_norm, ref.final_displacement)
+        assert lean.mean.is_sparse == ref.mean.is_sparse == (family != "dense")
+        assert np.array_equal(lean.mean.dense(), ref.mean.dense())
 
     @pytest.mark.parametrize("family", [f"random-{s}" for s in range(6)] + ["banded"])
     def test_dense_oracle_certifies_every_mean(self, family):
