@@ -1,13 +1,15 @@
 """SPD certification at the SpdMatrix boundary, and one factorization per matrix."""
 
+import gc
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spdcone.core
@@ -78,10 +80,8 @@ class TestCertificationHoles:
         # lambda_min of the stored floats is about -6e-18 (50-digit mpmath):
         # indefinite, yet every Cholesky pivot clears 1e-14; only the
         # smallest-eigenvalue estimate sees it
-        Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
-        A = (Q * [-1e-17, 1e-9, 1.0, 1.0, 1.0]) @ Q.T
         with pytest.raises(NumericalBreakdown):
-            SpdMatrix(np.tril(A) + np.tril(A, -1).T)
+            SpdMatrix(_below_rounding())
 
     def test_fewer_entries_than_rows_rejected_before_building(self):
         # 1e14 rows and no entry: n + 1 CSR row pointers would take 728 TiB
@@ -222,3 +222,199 @@ def test_certified_or_rejected(A):
     assert np.linalg.eigvalsh(X.dense())[0] > 0
     assert _exact_lambda_min(X.dense()) > 0
     assert factor_error(X) <= 1e-12
+
+
+_BIG = np.finfo(float).max
+_TOEPLITZ = {"X": ([-0.6, 0.25, -0.1, 0.05, -0.02], 0.2), "Y": ([0.4, -0.3, 0.2, -0.1, 0.05], 0.5)}
+
+
+def _tridiagonal(n, off, diagonal):
+    return sp.diags([[off] * (n - 1), [diagonal] * n, [off] * (n - 1)], [-1, 0, 1])
+
+
+def _banded(n, bandwidth, rng):
+    """Random symmetric banded matrix made strictly diagonally dominant."""
+    G = sp.diags([rng.uniform(-1.0, 1.0, n - k) for k in range(1, bandwidth + 1)],
+                 list(range(-1, -bandwidth - 1, -1)), shape=(n, n))
+    G = G + G.T
+    return G + sp.diags(np.asarray(abs(G).sum(axis=1)).ravel() + rng.uniform(0.5, 1.5, n))
+
+
+def _grid(m, shift):
+    """L + shift I, L the 5-point Dirichlet Laplacian on an m x m grid."""
+    T = _tridiagonal(m, -1.0, 2.0)
+    return sp.kronsum(T, T) + shift * sp.identity(m * m)
+
+
+def _toeplitz(n, side):
+    """Banded Toeplitz matrix whose symbol is bounded below by its margin."""
+    coeffs, margin = _TOEPLITZ[side]
+    k = list(range(1, len(coeffs) + 1))
+    return sp.diags([2.0 * np.abs(coeffs).sum() + margin] + coeffs * 2,
+                    [0] + k + [-j for j in k], shape=(n, n))
+
+
+def _below_rounding():
+    """A symmetric 5 x 5 matrix with lambda_min about -6e-18."""
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
+    A = (Q * [-1e-17, 1e-9, 1.0, 1.0, 1.0]) @ Q.T
+    return np.tril(A) + np.tril(A, -1).T
+
+
+# name: (matrix from a generator, whether Gershgorin proves it)
+CORPUS = {
+    "random": (lambda rng: random_sparse_spd(300, 0.02, rng).raw(), True),
+    "banded": (lambda rng: _banded(500, 5, rng), True),
+    "grid L + 0.1 I": (lambda rng: _grid(16, 0.1), True),
+    "grid L + I": (lambda rng: _grid(16, 1.0), True),
+    "Toeplitz X": (lambda rng: _toeplitz(200, "X"), True),
+    "Toeplitz Y": (lambda rng: _toeplitz(200, "Y"), True),
+    "largest diagonal, coupled": (lambda rng: _tridiagonal(6, _BIG / 4, _BIG), True),
+    "subnormal couplings at 1e-300": (lambda rng: _tridiagonal(6, 5e-324, 1e-300), True),
+    "not dominant": (lambda rng: _tridiagonal(40, -1.0, 2.0) @ _tridiagonal(40, -1.0, 2.0)
+                     + 0.01 * sp.identity(40), False),
+    "indefinite": (lambda rng: _tridiagonal(40, -1.0, 1.5), False),
+    "row swap": (lambda rng: [[2.0, -1.0, -2.0], [-1.0, 2.0, 2.0], [-2.0, 2.0, 2.0]], False),
+    "below rounding": (lambda rng: _below_rounding(), False),
+    "scaled(1e-310)": (lambda rng: random_sparse_spd(30, 0.1, rng).scaled(1e-310).raw(), False),
+    # a margin of 0 against a threshold of tiny: the pivots decide
+    "smallest normal diagonal": (lambda rng: _tridiagonal(6, 5e-324, np.finfo(float).tiny),
+                                 False),
+    # every row sum overflows to inf
+    "largest off-diagonals": (lambda rng: np.full((4, 4), _BIG / 2) + np.diag([_BIG / 2] * 4),
+                              False),
+}
+
+
+def _verdict(A):
+    try:
+        SpdMatrix(A)
+    except (NotPositiveDefinite, NumericalBreakdown) as exc:
+        return type(exc), exc.pivot_index
+    return "certified"
+
+
+def _pivot_path(monkeypatch):
+    """Certify every sparse matrix by its pivots, as if no Gershgorin test ran."""
+    monkeypatch.setattr(spdcone.core, "_gershgorin_proves", lambda A: False)
+
+
+@pytest.fixture
+def breakdown_checks(monkeypatch):
+    """List that gains one entry per core._check_breakdown call."""
+    calls = []
+    original = spdcone.core._check_breakdown
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spdcone.core, "_check_breakdown", counting)
+    return calls
+
+
+class TestGershgorinCertificate:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_same_verdict_as_the_pivot_path(self, name, breakdown_checks, monkeypatch):
+        # float-range extremes included: no numpy warning on either path
+        make, proven = CORPUS[name]
+        A = sp.csr_matrix(make(np.random.default_rng(5)))
+        verdict = _verdict(A)
+        checks = len(breakdown_checks)
+        breakdown_checks.clear()
+        _pivot_path(monkeypatch)
+        assert _verdict(A) == verdict
+        if proven:
+            assert verdict == "certified" and checks == 0 and breakdown_checks
+        else:
+            assert checks == len(breakdown_checks)
+        if name == "not dominant":
+            assert verdict == "certified" and checks
+
+    @pytest.mark.parametrize("pencil", [("random", "random"), ("banded", "banded"),
+                                        ("grid L + 0.1 I", "grid L + I"),
+                                        ("Toeplitz X", "Toeplitz Y")])
+    def test_pencils_bit_identical_on_the_pivot_path(self, pencil, monkeypatch):
+        # the same SuperLU factor either way, so the same solves
+        rng = np.random.default_rng(6)
+        raws = [CORPUS[name][0](rng) for name in pencil]
+        opts = EigenOptions(backend="iterative", seed=3)
+        e = extreme_pair(*map(SpdMatrix, raws), opts)
+        _pivot_path(monkeypatch)
+        ref = extreme_pair(*map(SpdMatrix, raws), opts)
+        assert e == ref
+        for v, w in zip(e.vectors, ref.vectors):
+            np.testing.assert_array_equal(v, w)
+
+    def test_dominant_factor_caches_no_csc_copies(self, rng):
+        # reading the pivots through lu.U caches CSC copies of L and U on
+        # the held factor, about 5 MB here
+        A = random_sparse_spd(4000, 3 / 4000, rng).raw()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            X = SpdMatrix._canonical(A)
+            X.chol()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert X.certified and retained < 1_000_000
+
+
+def _near_boundary(off, ks):
+    """CSC matrix with the symmetric off-diagonal part ``off`` and diagonal
+    entries (s_i + t)(1 + k_i 2^-52), rounded once: s_i the exact sum of
+    |off| in row i, t the breakdown threshold of the largest s_i."""
+    s = [sum(map(Fraction, np.abs(row))) for row in off]
+    t = Fraction(spdcone.core._breakdown_threshold(np.array([float(max(s))])))
+    diagonal = [float((si + t) * (1 + Fraction(k, 2**52))) for si, k in zip(s, ks)]
+    return sp.csc_matrix(off + np.diag(diagonal))
+
+
+def _summed_below(scale):
+    # row 0 sums scale + 6 * (7/16 ulp) to scale in floats, so its margin
+    # is short of t by about an ulp; the other rows clear theirs by far
+    off = np.zeros((8, 8))
+    off[1:, 0] = off[0, 1:] = [scale] + [7 / 16 * np.spacing(scale)] * 6
+    return _near_boundary(off, [-1] + [1 << 20] * 7)
+
+
+@st.composite
+def near_gershgorin_boundary(draw):
+    """Sparse symmetric matrices with one diagonal entry a few units in the
+    last place from the exact Gershgorin boundary s_i + t, at tiny, unit
+    and huge scale, with terms whose float sums round either way: a term
+    under half an ulp of the sum before it is lost."""
+    n = draw(st.integers(1, 7))
+    scale = draw(st.sampled_from([1e-300, 1.0, 1e300]))
+    terms = st.one_of(st.just(0.0),
+                      st.sampled_from([1.0, -1.0, 0.1, 1 / 3]).map(lambda c: c * scale),
+                      st.sampled_from([7 / 16, -7 / 16, 3 / 4]).map(
+                          lambda c: c * np.spacing(scale)))
+    off = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            off[i, j] = off[j, i] = draw(terms)
+    # one row near its boundary, the others far above theirs
+    ks = [1 << 20] * n
+    ks[draw(st.integers(0, n - 1))] = draw(st.integers(-4, 16))
+    return _near_boundary(off, ks)
+
+
+def _exact_margin(A):
+    """min_i (a_ii - sum_{j != i} |a_ij|) of the stored floats, exactly."""
+    return min(Fraction(row[i]) - sum(Fraction(abs(a)) for j, a in enumerate(row) if j != i)
+               for i, row in enumerate(A.toarray()))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(near_gershgorin_boundary())
+@example(_summed_below(1e-300)).via("a rounded-down sum")
+@example(_summed_below(1.0)).via("a rounded-down sum")
+@example(_summed_below(1e300)).via("a rounded-down sum")
+def test_gershgorin_certificate_is_sound(A):
+    # Gershgorin's bound, exact on the stored floats, clears the threshold
+    if spdcone.core._gershgorin_proves(A):
+        assert _exact_margin(A) > Fraction(spdcone.core._breakdown_threshold(A.diagonal()))

@@ -127,8 +127,9 @@ class TestGeodesicCommand:
         r = runner.invoke(main, ["geodesic", files["r6a"], files["r6b"],
                                  "--ts", "1.5", "--outdir", str(tmp_path / "g")])
         assert r.exit_code == 2
-        r = runner.invoke(main, ["--allow-extrapolation", "geodesic", files["r6a"],
-                                 files["r6b"], "--ts", "1.5", "--outdir", str(tmp_path / "g2")])
+        with pytest.warns(RuntimeWarning, match="outside"):
+            r = runner.invoke(main, ["--allow-extrapolation", "geodesic", files["r6a"],
+                                     files["r6b"], "--ts", "1.5", "--outdir", str(tmp_path / "g2")])
         assert r.exit_code == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
