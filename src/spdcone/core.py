@@ -166,22 +166,27 @@ def _check_breakdown(f, pivots, diagonal):
     only bounds it from above, so a matrix indefinite below the rounding
     of the factorization can pass every pivot. Two steps of inverse
     iteration from a fixed vector bound lambda_min from above.
+
+    Each step solves for a right-hand side of norm sqrt(scale), scale the
+    largest diagonal entry: the solution, about sqrt(scale) / lambda_min,
+    stays in range at any scale X certifies at, and so do the
+    intermediates of a sparse solve, which a right-hand side of norm
+    scale overflows near the largest float.
     """
     threshold = _breakdown_threshold(diagonal)
     small = np.nonzero(pivots < threshold)[0]
     if small.size:
         i = int(small[0])
         raise NumericalBreakdown(i + 1, float(pivots[i]), float(threshold))
-    scale = diagonal.max()
+    root = np.sqrt(diagonal.max())
     x = np.cos(np.arange(diagonal.size))  # a fixed start spread over [-1, 1]
     for _ in range(2):
-        # (X / scale)^-1 of a unit vector: in range at any scale X certifies at
-        x = f.solve(x / np.linalg.norm(x) * scale)
+        x = f.solve(x / np.linalg.norm(x) * root)
         size = np.linalg.norm(x)
-        # the estimate scale / size, compared without dividing: at the
-        # largest float, a size just below 1 overflows the quotient
-        if not size * threshold <= scale:
-            raise NumericalBreakdown(-1, float(scale / size), float(threshold))
+        # the estimate root / size, compared without dividing: near the
+        # largest float, the quotient can overflow
+        if not size * threshold <= root:
+            raise NumericalBreakdown(-1, float(root / size), float(threshold))
 
 
 def _factor_dense(A):

@@ -163,6 +163,16 @@ class TestScaleSafeCertificates:
         assert 0.0 < min(e.residuals) and max(e.residuals) <= 1e-10
         assert (e.alpha, e.beta) == pytest.approx((1.0, 1.0), rel=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_largest_float_sparse_certifies_like_dense(self, breakdown_checks):
+        # max/2 (I + J): lambda_min = max/2, and every row sum overflows, so
+        # no Gershgorin proof; the inverse-iteration check once solved for a
+        # right-hand side of norm max, which overflowed SuperLU's solve to
+        # inf and read as lambda_min = 0
+        A = np.full((4, 4), _BIG / 2) + np.diag([_BIG / 2] * 4)
+        assert _verdict(sp.csr_matrix(A)) == _verdict(A) == "certified"
+        assert len(breakdown_checks) == 2
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_mean_of_scaled_family(self, rng, scale):
         pts = [random_spd(6, rng) for _ in range(3)]

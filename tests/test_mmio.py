@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spdcone import (
     SpdMatrix,
+    mmio,
     random_sparse_spd,
     random_spd,
     read_matrix,
@@ -255,44 +256,154 @@ class TestParseErrors:
         assert exc.value.line_no == 1
 
 
-# values that are not one finite float: malformed, non-finite, or two on a line
-_BAD_VALUES = ["bad", "0x1p3", "1,5", "--1", "1.0 2.0", "nan", "-inf", "1e400"]
+# tokens that are not one finite float: malformed, non-finite, or two on a
+# line; scipy's reader takes 0x1p3, 1.0abc, 1,5, 1.2.3, 1e, 1e-5.3 and
+# 1e-5e3 as numbers
+_BAD_VALUES = ["bad", "0x1p3", "1.0abc", "1,5", "1.2.3", "1e", "1e-5.3", "1e-5e3", "--1",
+               "1.0 2.0", "nan", "-inf", "1e400"]
+# tokens that are not one index in range
+_BAD_INDICES = ["0x1p3", "1.0abc", "1,5", "1.2.3", "1e", "-1", "0", "7"]
 
 
 @st.composite
-def corrupted_array_files(draw):
-    """A symmetric array file of order n <= 6, maybe with comment and blank
-    lines between its lines, and one value replaced by a bad token: the
-    text and the line number of that value."""
+def corrupted_files(draw):
+    r"""A symmetric array or coordinate file of order n <= 6 with one bad
+    token: a value, an index or a fourth token on a coordinate line. Some
+    files also hold what only the strict reader reads: comment and blank
+    lines between entries, +1, 1_0, tabs and \r\n endings. Returns the
+    text and the line number of the bad token."""
     n = draw(st.integers(1, 6))
-    count = n * (n + 1) // 2
+    coordinate = draw(st.booleans())
+    count = draw(st.integers(1, 8)) if coordinate else n * (n + 1) // 2
     values = [repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                              min_size=count, max_size=count))]
+    # half the files are canonical apart from the bad token, so both
+    # routes are drawn
+    foreign = draw(st.booleans())
+    if foreign:
+        values = [draw(st.sampled_from([v, "+" + v.lstrip("-"), "1_0", f"\t{v}"]))
+                  for v in values]
+    entries = values
+    if coordinate:
+        sep = draw(st.sampled_from([" ", "\t"])) if foreign else " "
+        i = draw(st.lists(st.integers(1, n), min_size=count, max_size=count))
+        j = draw(st.lists(st.integers(1, n), min_size=count, max_size=count))
+        entries = [[str(a), str(b), v] for a, b, v in zip(i, j, values)]
     bad = draw(st.integers(0, count - 1))
-    values[bad] = draw(st.sampled_from(_BAD_VALUES))
-    # half the files hold nothing but values, so both read paths are drawn
-    gap = st.lists(st.sampled_from(["", "   ", "%", "% a comment"]),
-                   max_size=2 * draw(st.booleans()))
-    lines = ["%%MatrixMarket matrix array real symmetric", *draw(gap), f"{n} {n}"]
-    for k, value in enumerate(values):
+    if coordinate:
+        where = draw(st.sampled_from(["index", "value", "fourth", "moved"]))
+        if where == "index":
+            entries[bad][draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_INDICES))
+        elif where == "value":
+            entries[bad][2] = draw(st.sampled_from(_BAD_VALUES))
+        elif where == "fourth" or bad == count - 1:
+            entries[bad].append(draw(st.sampled_from(["3.0", "1"])))
+        else:  # the next line's value, so that the body keeps its number of spaces
+            entries[bad].append(entries[bad + 1].pop())
+        entries = [sep.join(e) for e in entries]
+    else:
+        entries[bad] = draw(st.sampled_from(_BAD_VALUES))
+    gap = st.lists(st.sampled_from(["", "   ", "%", "% a comment"]), max_size=2 * foreign)
+    kind = "coordinate" if coordinate else "array"
+    size = f"{n} {n} {count}" if coordinate else f"{n} {n}"
+    lines = [f"%%MatrixMarket matrix {kind} real symmetric", *draw(gap), size]
+    for k, entry in enumerate(entries):
         lines += draw(gap)
         if k == bad:
             line_no = len(lines) + 1
-        lines.append(value)
+        lines.append(entry)
     lines += draw(gap)
-    return "\n".join(lines) + "\n", line_no
+    end = draw(st.sampled_from(["\n", "\r\n"])) if foreign else "\n"
+    return end.join(lines) + end, line_no
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(corrupted_array_files())
+@given(corrupted_files())
 def test_corrupted_value_line_number(tmp_path, case):
-    # a body with nothing but values goes through the one-pass conversion,
-    # one with comment or blank lines through the per-line loop; both name
-    # the corrupted line
+    # a canonical body but for its bad token goes to the fast route first,
+    # which declines it; the strict loop names the line either way
     text, line_no = case
     p = tmp_path / "bad.mtx"
-    p.write_text(text)
+    p.write_bytes(text.encode())
     with pytest.raises(ParseError) as exc:
         read_matrix(p)
     assert exc.value.line_no == line_no
+
+
+def _digits(draw, lo, hi):
+    return draw(st.text("0123456789", min_size=lo, max_size=hi))
+
+
+@st.composite
+def fast_tokens(draw):
+    r"""A value token in the fast route's grammar
+    -?D+(\.D+)?([eE][-+]?D+)?: edge values, the shortest repr of any
+    finite float, or 1- to 20-digit mantissas with any exponent."""
+    kind = draw(st.sampled_from(["edge", "repr", "digits"]))
+    if kind == "edge":
+        return draw(st.sampled_from(["-0.0", "-0", "0.0", "-0e5", "-1e-400", "5e-324",
+                                     "-5e-324", "1.7976931348623157e+308",
+                                     "-1.7976931348623157E308", repr(1 / 3), "1e-320",
+                                     "2.2250738585072014E-308", "007", "00.50"]))
+    if kind == "repr":
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    token = draw(st.sampled_from(["", "-"])) + _digits(draw, 1, 20)
+    if draw(st.booleans()):
+        token += "." + _digits(draw, 1, 20)
+    if draw(st.booleans()):
+        token += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "-", "+"]))
+        token += _digits(draw, 1, 3)
+    return token
+
+
+@st.composite
+def canonical_files(draw):
+    r"""A file whose body the fast route reads: array or coordinate, general
+    or symmetric, with single spaces and \n endings; a coordinate body
+    holds entries in any order, duplicates too."""
+    coordinate = draw(st.booleans())
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    nrow = draw(st.integers(1, 5))
+    ncol = nrow if symmetry == "symmetric" else draw(st.integers(1, 5))
+    if coordinate:
+        count = draw(st.integers(1, 12))
+        rows = draw(st.lists(st.integers(1, nrow), min_size=count, max_size=count))
+        cols = draw(st.lists(st.integers(1, ncol), min_size=count, max_size=count))
+        body = [f"{i} {j} {draw(fast_tokens())}" for i, j in zip(rows, cols)]
+        size = f"{nrow} {ncol} {count}"
+    else:
+        count = nrow * ncol if symmetry == "general" else nrow * (nrow + 1) // 2
+        body = [draw(fast_tokens()) for _ in range(count)]
+        size = f"{nrow} {ncol}"
+    kind = "coordinate" if coordinate else "array"
+    comments = draw(st.lists(st.sampled_from(["%", "% a comment"]), max_size=2))
+    return "\n".join([f"%%MatrixMarket matrix {kind} real {symmetry}", *comments, size,
+                      *body]) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(canonical_files())
+def test_fast_route_matches_the_strict_loop(tmp_path, text):
+    # the fast route reads what the strict loop reads, bit for bit, -0.0
+    # too; it declines only a value that is not finite, which the strict
+    # loop rejects
+    p = tmp_path / "x.mtx"
+    p.write_text(text)
+    data = p.read_bytes()
+    fast = mmio._read_canonical(p, data)
+    try:
+        strict = mmio._read_lines(p, data)
+    except ParseError as exc:
+        assert fast is None and "non-finite" in str(exc)
+        return
+    assert fast is not None
+    if sp.issparse(strict):
+        assert sp.issparse(fast) and fast.shape == strict.shape
+        for a, b in ((fast.row, strict.row), (fast.col, strict.col)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(_bits(fast.data), _bits(strict.data))
+    else:
+        assert fast.shape == strict.shape
+        assert np.array_equal(_bits(fast), _bits(strict))
