@@ -4,11 +4,14 @@ Everything downstream (distances, geodesics, the inductive mean) consumes
 only the smallest and largest eigenvalues (alpha, beta) of a pencil
 Y X^-1. Two backends compute them:
 
-* ``dense`` - what ``auto`` picks for a dense pencil: one reduction
-  C = L^-1 Y L^-T with X's held factor X = L L^T (Martin & Wilkinson,
-  Numer. Math. 11, 1968), one tridiagonalization of C, and bisection for
-  both of its ends, with inverse iteration for their vectors and
-  residuals unless the caller reads only the values. Its alpha errs by about
+* ``dense`` - what ``auto`` picks for a pencil of order at most
+  ``_SMALL``, whatever its storage, and for a larger one with a side
+  denser than a quarter: one reduction C = L^-1 Y L^-T with X's factor
+  X = L L^T (Martin & Wilkinson, Numer. Math. 11, 1968), held for a
+  dense-stored X and one potrf of a sparse-stored X's dense copy, one
+  tridiagonalization of C, and bisection for both of its ends, with
+  inverse iteration for their vectors and residuals unless the caller
+  reads only the values. Its alpha errs by about
   eps beta / alpha, so above a spread beta / alpha of ``_SPREAD`` alpha
   comes from the swapped pencil X Y^-1 reduced with Y's factor.
 * ``iterative`` - thick-restart Lanczos with full reorthogonalization on
@@ -91,6 +94,16 @@ _GUARD = 8  # steps from a fresh direction before accepting a pair
 # about 330k (Toeplitz n = 1000, grids m <= 64) and won 1.5x near 600k
 # (banded n = 8000, random n = 4000)
 _CONCURRENT_WORK = 400_000
+# largest order that auto solves dense whatever the storage: one reduction
+# (a potrf of a sparse X's dense copy, dsygst, dsytrd, bisection) against
+# thick-restart Lanczos, whose 50-140 applies per pair each pay Python and
+# scipy dispatch. Measured with one BLAS thread on 2 CPUs, median pair times over
+# 5 pencils of each kind, values only / with vectors: dense won on random
+# (density 0.03), banded (bandwidth 5) and Toeplitz pencils at every
+# n <= 200 (n = 200: dense 3.3-4.0 / 3.8-5.0 ms, iterative 5.7-15.5 /
+# 5.3-15.7 ms) and lost random pencils from n = 225 (6.8 against 6.5 ms
+# with vectors)
+_SMALL = 200
 
 # widest beta / alpha whose alpha the dense backend takes from the reduction
 # that gives beta: that alpha errs by about eps beta / alpha, so by at most
@@ -163,10 +176,13 @@ def _density(M: SpdMatrix) -> float:
 
 
 def _resolve_backend(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions) -> str:
+    """``auto``'s choice: dense up to ``opts.dense_ceiling`` for a pencil
+    of order at most ``_SMALL``, whatever its storage, or with a side
+    denser than a quarter; iterative otherwise."""
     if opts.backend != "auto":
         return opts.backend
     n = X.n
-    if n <= opts.dense_ceiling and max(_density(X), _density(Y)) > 0.25:
+    if n <= opts.dense_ceiling and (n <= _SMALL or max(_density(X), _density(Y)) > 0.25):
         return "dense"
     return "iterative"
 
@@ -595,7 +611,11 @@ def extreme_pair(
     reduction with X's factor while beta / alpha is at most ``_SPREAD``,
     and otherwise alpha as the iterative backend does, so the two agree
     to rounding even on very wide pencils. Iterative per-solve seeds
-    derive from ``opts.seed``.
+    derive from ``opts.seed``. ``auto`` takes the dense backend, up to
+    ``opts.dense_ceiling``, for a pencil of order at most ``_SMALL``
+    whatever its storage (there one reduction costs less than the
+    iterative backend's applies) or with a side denser than a quarter,
+    and the iterative backend otherwise.
     Public calls always run the guard: an iterative extreme that passes
     the residual test is returned only after the guard sweep finds no
     larger Ritz value, or, for a solve finished by shift-invert, after

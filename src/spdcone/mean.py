@@ -39,11 +39,12 @@ Anderson mixing tolerates such inexact maps (Toth & Kelley, SINUM 53(2),
 2015): it can slow F, never certify. A loose round whose residual meets
 eigen.tol is solved again at eigen.tol at the same X, warm-started from
 its own vectors. Dense solves are exact whatever the tolerance, so a
-dense round never repeats. The solves are warm-started from the previous
-round, and a warm start proves nothing about extremality, which the
-guard's few steps cannot repair either, so a round at eigen.tol guards
-only its cold solves, and certifies only once each extreme of a warm
-iterative solve is proven. A dense solve is, and so is one that the
+dense round never repeats, nor does any round of a family whose pencils
+``auto`` solves dense, as it does every small sparse one. The solves are
+warm-started from the previous round, and a warm start proves nothing
+about extremality, which the guard's few steps cannot repair either, so
+a round at eigen.tol guards only its cold solves, and certifies only
+once each extreme of a warm iterative solve is proven. A dense solve is, and so is one that the
 eigensolver finished by shift-invert (``PencilExtremes.proven``); any
 other is proven here by the same inertia bound: beta (1 + 10 tol) X - Y_j,
 or (1 + 10 tol) Y_j / alpha - X, must certify (Sylvester's law of

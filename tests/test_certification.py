@@ -9,10 +9,12 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spdcone.core
+import spdcone.eigen
 from spdcone import (
     EigenOptions,
     MeanProblem,
@@ -257,10 +259,11 @@ def _grid(m, shift):
 
 
 def _toeplitz(n, side):
-    """Banded Toeplitz matrix whose symbol is bounded below by its margin."""
+    """Banded Toeplitz matrix whose symbol is bounded below by its margin;
+    of order n < 6, its leading n x n block."""
     coeffs, margin = _TOEPLITZ[side]
-    k = list(range(1, len(coeffs) + 1))
-    return sp.diags([2.0 * np.abs(coeffs).sum() + margin] + coeffs * 2,
+    k = list(range(1, min(len(coeffs), n - 1) + 1))
+    return sp.diags([2.0 * np.abs(coeffs).sum() + margin] + coeffs[:len(k)] * 2,
                     [0] + k + [-j for j in k], shape=(n, n))
 
 
@@ -371,6 +374,78 @@ class TestGershgorinCertificate:
         finally:
             tracemalloc.stop()
         assert X.certified and retained < 1_000_000
+
+
+def _small_pencil(kind, n, rng):
+    """Sparse (X, Y) of order n >= 1: random, banded or Toeplitz."""
+    if kind == "random":
+        return random_sparse_spd(n, 0.05, rng).raw(), random_sparse_spd(n, 0.05, rng).raw()
+    if kind == "Toeplitz":
+        return _toeplitz(n, "X"), _toeplitz(n, "Y")
+    if n == 1:  # a banded matrix of order 1 is its diagonal
+        return tuple(sp.csr_matrix(rng.uniform(0.5, 1.5, (1, 1))) for _ in "XY")
+    return _banded(n, min(5, n - 1), rng), _banded(n, min(5, n - 1), rng)
+
+
+def _small_sparse_pencils():
+    """(name, X raw, Y raw): random, banded and Toeplitz pencils of order 1
+    to eigen._SMALL, as drawn and scaled by 1e150 and 1e-150, and each
+    sparse corpus member of that order against its own scaled diagonal,
+    either side."""
+    rng = np.random.default_rng(8)
+    for kind in ("random", "banded", "Toeplitz"):
+        for n in (1, 2, 3, 7, 40, 120, spdcone.eigen._SMALL):
+            X, Y = _small_pencil(kind, n, rng)
+            for scale in (1.0, 1e150, 1e-150):
+                yield f"{kind} n={n} x{scale:g}", X * scale, Y * scale
+    for name, (make, _) in CORPUS.items():
+        A = make(rng)
+        if not sp.issparse(A) or A.shape[0] > spdcone.eigen._SMALL:
+            continue
+        D = sp.diags(A.diagonal() * rng.uniform(0.5, 1.0, A.shape[0]))
+        yield f"{name} / diagonal", A, D
+        yield f"diagonal / {name}", D, A
+
+
+def _outcome(X, Y, backend):
+    try:
+        return extreme_pair(X, Y, EigenOptions(backend=backend))
+    except SpdConeError as exc:
+        return type(exc)
+
+
+class TestSmallSparsePencilsDense:
+    @pytest.mark.filterwarnings("error")
+    def test_auto_is_dense_and_agrees_with_iterative(self):
+        # auto reduces these sparse pencils densely, re-factoring X by
+        # potrf: every certified X factors there too, and auto raises
+        # only what the iterative backend raises
+        seen = 0
+        for name, X, Y in _small_sparse_pencils():
+            try:
+                X, Y = SpdMatrix(X), SpdMatrix(Y)
+            except SpdConeError:
+                continue  # rejected before any pencil exists
+            assert X.is_sparse and Y.is_sparse, name
+            auto = _outcome(X, Y, "auto")
+            with np.errstate(all="ignore"):  # it overflows near the largest float
+                ref = _outcome(X, Y, "iterative")
+            if isinstance(auto, type):
+                assert auto is ref, name
+                continue
+            assert (auto.backend, auto.proven, auto.iterations) == (
+                "dense", (True, True), (0, 0)), name
+            if isinstance(ref, type):
+                # the pencil scaled by a power of two has the same spectrum
+                Xd, Yd = X.dense(), Y.dense()
+                shift = -np.frexp(max(abs(Xd).max(), abs(Yd).max()))[1]
+                w = eigh(np.ldexp(Yd, shift), np.ldexp(Xd, shift), eigvals_only=True)
+                expect = w[0], w[-1]
+            else:
+                seen += 1
+                expect = ref.alpha, ref.beta
+            assert (auto.alpha, auto.beta) == pytest.approx(expect, rel=1e-8), name
+        assert seen == 3 * 7 * 3 + 8  # all but the pencils at the largest float
 
 
 def _near_boundary(off, ks):

@@ -138,11 +138,19 @@ class TestExtremePair:
         assert extreme_pair(X, Y).beta <= c + 1e-9
 
     def test_auto_backend_selection(self, rng):
+        # small pencils go dense whatever their storage, larger sparse ones
+        # iterative, and none above the dense ceiling goes dense
         Xs = random_sparse_spd(120, 0.02, rng)
         Ys = random_sparse_spd(120, 0.02, rng)
-        assert extreme_pair(Xs, Ys, EigenOptions(seed=1)).backend == "iterative"
+        assert extreme_pair(Xs, Ys, EigenOptions(seed=1)).backend == "dense"
+        assert extreme_pair(Xs, Ys, EigenOptions(dense_ceiling=119)).backend == "iterative"
+        n = eigen._SMALL + 1
+        Xl = random_sparse_spd(n, 0.02, rng)
+        Yl = random_sparse_spd(n, 0.02, rng)
+        assert extreme_pair(Xl, Yl, EigenOptions(seed=1)).backend == "iterative"
         Xd, Yd = spd_pair(rng, 16)
         assert extreme_pair(Xd, Yd).backend == "dense"
+        assert extreme_pair(Xd, Yd, EigenOptions(dense_ceiling=15)).backend == "iterative"
 
     def test_clustered_extreme_accepted(self, rng):
         # a nearly multiple top eigenvalue: only the value matters, so the

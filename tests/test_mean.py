@@ -47,6 +47,11 @@ def points(rng, k, n, spread=1.5):
     return [random_spd(n, rng, spread) for _ in range(k)]
 
 
+# the iterative mean, for tests whose subject is its loose rounds, brackets
+# or warm starts: auto solves small sparse families like these dense
+ITERATIVE = MeanOptions(eigen=EigenOptions(backend="iterative"))
+
+
 def random_family(seed, k=5, n=100):
     rng = np.random.default_rng(seed)
     return [random_sparse_spd(n, 0.03, rng) for _ in range(k)]
@@ -368,7 +373,7 @@ class TestFixedPointRounds:
         # solved at eigen.tol with the guard, and 634 when the certifying
         # round still swept its warm solves with the guard
         stats = EigenStats()
-        opts = MeanOptions(eigen=EigenOptions(stats=stats))
+        opts = MeanOptions(eigen=EigenOptions(backend="iterative", stats=stats))
         res = inductive_mean(MeanProblem(random_family(0), opts=opts))
         assert res.certified and stats.solves == 2 * 5 * res.rounds
         assert stats.iterations <= 600
@@ -381,6 +386,39 @@ class TestFixedPointRounds:
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and res.rounds == 5
         assert len({id(X) for X, *_ in seen}) == res.rounds
+
+    @pytest.mark.parametrize("family", ["random", "banded"])
+    def test_small_sparse_rounds_are_dense_and_exact(self, family, monkeypatch):
+        # auto solves a small sparse family dense: exact, proven extremes,
+        # so no round repeats and no inertia bracket is needed
+        if family == "banded":
+            rng = np.random.default_rng(0)
+            pts = [banded_spd(100, 5, rng) for _ in range(5)]
+        else:
+            pts = random_family(1)  # its first certifying round is loose
+        seen = spy_solves(monkeypatch)
+        backends = []
+        solve = spdcone.mean.extreme_pair
+
+        def logged(*args, **kwargs):
+            e = solve(*args, **kwargs)
+            backends.append(e.backend)
+            return e
+
+        def no_bracket(*args):
+            raise AssertionError("inertia bracket")
+
+        monkeypatch.setattr(spdcone.mean, "extreme_pair", logged)
+        monkeypatch.setattr(spdcone.mean, "_bounded", no_bracket)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and set(backends) == {"dense"}
+        assert len(seen) == len(pts) * res.rounds
+        assert len({id(X) for X, *_ in seen}) == res.rounds
+        assert res.mean.is_sparse and inside(res.mean, lower_union(pts))
+        ref = inductive_mean(MeanProblem(pts, opts=MeanOptions(
+            eigen=EigenOptions(backend="dense"))))
+        assert (res.rounds, res.residual_norm) == (ref.rounds, ref.residual_norm)
+        assert np.array_equal(res.mean.raw().toarray(), ref.mean.raw().toarray())
 
     def test_one_coefficient_pass_per_round(self, monkeypatch):
         # the radial scale and the certificate come from the same k pairs
@@ -446,7 +484,7 @@ class TestStack:
         x = stack.combination(np.full(5, 0.2))
         X = stack.matrix(x)
         assert stack.q is not None
-        exts = [extreme_pair(X, Y) for Y in pts]
+        exts = [extreme_pair(X, Y, ITERATIVE.eigen) for Y in pts]
         warm = [e.vectors for e in exts]
         tol = EigenOptions().tol
         assert all(_trusted(stack, x, Y, e, start, tol)
@@ -477,7 +515,7 @@ class TestStack:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spdcone.core, "splu", counting)
-        res = inductive_mean(MeanProblem(pts))
+        res = inductive_mean(MeanProblem(pts, opts=ITERATIVE))
         assert res.certified and res.rounds == 8
         assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 17
 
@@ -490,7 +528,7 @@ class TestWarmStartBracket:
         # mean certified on it had a true residual near 1e-3
         rng = np.random.default_rng(3)
         pts = [random_sparse_spd(n, 0.03, rng) for _ in range(k)]
-        opts = MeanOptions()
+        opts = ITERATIVE
         res = inductive_mean(MeanProblem(pts, opts=opts))
         assert res.certified
         _, rn = residual(pts, res.mean, EigenOptions(backend="dense"))
@@ -512,7 +550,7 @@ class TestLooseRounds:
                 log.append(_f(*args, **kwargs))
                 return log[-1]
             monkeypatch.setattr(spdcone.mean, name, logged)
-        res = inductive_mean(MeanProblem(pts))
+        res = inductive_mean(MeanProblem(pts, opts=ITERATIVE))
         assert res.certified and len(seen) == k * res.rounds
         assert all(t == tol and not guard and not cold for _, _, t, guard, cold in seen[-k:])
         assert all(t >= tol for _, _, t, *_ in seen)
@@ -538,7 +576,7 @@ class TestLooseRounds:
             return out
 
         monkeypatch.setattr(spdcone.mean, "_residual_field", spy)
-        res = inductive_mean(MeanProblem(pts))
+        res = inductive_mean(MeanProblem(pts, opts=ITERATIVE))
         rounds = [seen[i:i + k] for i in range(0, len(seen), k)]
         assert res.certified and len(rounds) == res.rounds == len(rnorms)
         assert all(len({t for _, _, t, *_ in r}) == 1 for r in rounds)
@@ -555,10 +593,10 @@ class TestLooseRounds:
         # all run the guard, is the same to the bit
         if family == "dense":
             rng = np.random.default_rng(0)
-            pts = [random_spd(48, rng) for _ in range(3)]
+            pts, opts = [random_spd(48, rng) for _ in range(3)], MeanOptions()
         else:
-            pts = random_family(0)
-        lean = inductive_mean(MeanProblem(pts))
+            pts, opts = random_family(0), ITERATIVE
+        lean = inductive_mean(MeanProblem(pts, opts=opts))
         tol = MeanOptions().eigen.tol
         solve = spdcone.mean.extreme_pair
 
@@ -566,7 +604,7 @@ class TestLooseRounds:
             return solve(X, Y, opts, start, _guard=opts.tol == tol, _vectors=True)
 
         monkeypatch.setattr(spdcone.mean, "extreme_pair", full)
-        ref = inductive_mean(MeanProblem(pts))
+        ref = inductive_mean(MeanProblem(pts, opts=opts))
         assert (lean.rounds, lean.residual_norm, lean.final_displacement) == (
             ref.rounds, ref.residual_norm, ref.final_displacement)
         assert lean.mean.is_sparse == ref.mean.is_sparse == (family != "dense")
@@ -579,7 +617,7 @@ class TestLooseRounds:
             pts = [banded_spd(100, 5, rng) for _ in range(5)]
         else:
             pts = random_family(int(family.split("-")[1]))
-        opts = MeanOptions()
+        opts = ITERATIVE
         res = inductive_mean(MeanProblem(pts, opts=opts))
         assert res.certified
         _, rn = residual(pts, res.mean, EigenOptions(backend="dense"))
