@@ -45,6 +45,10 @@ if TYPE_CHECKING:  # eigen imports core; the options class is only named here
     from .eigen import EigenOptions
 
 DEFAULT_DENSE_CEILING = 2048
+# largest diagonal entry of a factor L that _reduce uses unscaled: dsygst
+# overflowed at n = 6 and 60 once B's entries reached 2^1023, where L's
+# diagonal is near 2^511.5
+_REDUCE_SCALE = 2.0 ** 480
 
 SYMMETRY_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-14
@@ -436,6 +440,11 @@ def _reduce(A: SpdMatrix, B: SpdMatrix):
     that a generalized ``eigh`` would run (``chol()`` certifies B first if
     it holds none); SuperLU's factor of a sparse-stored B is not one L, so
     B.dense() takes one potrf.
+
+    dsygst's sums overflow on entries near the largest float, so when L's
+    largest diagonal entry passes ``_REDUCE_SCALE`` C is formed, exactly,
+    from A 2^(-2s) and L 2^(-s), 2^s that entry's binade; L comes back
+    unscaled.
     """
     if B.is_sparse:
         L, info = dpotrf(B.dense(), lower=1, clean=1, overwrite_a=1)
@@ -443,7 +452,12 @@ def _reduce(A: SpdMatrix, B: SpdMatrix):
             raise NotPositiveDefinite(pivot_index=int(info))
     else:
         L = B.chol().L
-    C, info = dsygst(A.dense(), L, itype=1, lower=1)
+    top = L.diagonal().max()
+    if top > _REDUCE_SCALE:
+        s = int(np.frexp(top)[1])
+        C, info = dsygst(np.ldexp(A.dense(), -2 * s), np.ldexp(L, -s), itype=1, lower=1)
+    else:
+        C, info = dsygst(A.dense(), L, itype=1, lower=1)
     if info != 0:
         raise ValueError(f"internal LAPACK error in sygst: info={info}")
     return C, L

@@ -157,7 +157,8 @@ class PencilExtremes:
     backend and for a solve finished by shift-invert. ``vectors`` holds
     the matching generalized eigenvectors, a start for a nearby pencil;
     they take no part in comparison. A dense solve asked for values only
-    holds no vectors and nan residuals (not computed).
+    holds no vectors and nan residuals (not computed), and one asked for
+    no residuals holds nan residuals.
     """
 
     alpha: float
@@ -190,13 +191,20 @@ def _resolve_backend(Y: SpdMatrix, X: SpdMatrix, opts: EigenOptions) -> str:
 def pencil_residual(Y: SpdMatrix, X: SpdMatrix, lam: float, v: np.ndarray) -> float:
     """Relative backward-error residual of (lam, v) for the pencil (Y, X).
 
-    The norms are scale-safe; a zero or non-finite denominator gives inf,
-    which fails every acceptance test.
+    The norms are scale-safe, and the ratio does not depend on the scale
+    of v, so where a product or norm overflows it is taken again on
+    v 2^-8. A zero or non-finite denominator gives inf, which fails every
+    acceptance test.
     """
-    yv = Y.matvec(v)
-    xv = X.matvec(v)
-    den = fro_norm(yv) + abs(lam) * fro_norm(xv)
-    return fro_norm(yv - lam * xv) / den if 0.0 < den < math.inf else math.inf
+    def products(u):
+        yv, xv = Y.matvec(u), X.matvec(u)
+        return yv, xv, fro_norm(yv) + abs(lam) * fro_norm(xv)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        yv, xv, den = products(v)
+        if not den < math.inf:
+            yv, xv, den = products(np.ldexp(v, -8))
+        return fro_norm(yv - lam * xv) / den if 0.0 < den < math.inf else math.inf
 
 
 def _x_norm(X, q):
@@ -499,10 +507,11 @@ def _dense_ends(Y, X, both, vectors):
     return [(lam, V[:, j]) for j, lam in enumerate(lams)]
 
 
-def _dense_pair(Y, X, vectors):
+def _dense_pair(Y, X, vectors, residuals):
     """Both extremes of the pencil (Y, X) on the dense backend, as
     ((beta, vb, 0, rb, True), (alpha, va, 0, ra, True)); without
-    ``vectors``, every v is None and every r nan.
+    ``vectors``, every v is None, and without ``vectors`` or
+    ``residuals`` every r is nan.
 
     One reduction gives both ends. Bisection errs by about eps beta, so
     its alpha is relatively accurate only on a narrow pencil: above
@@ -515,8 +524,8 @@ def _dense_pair(Y, X, vectors):
     if beta > _SPREAD * alpha:
         (mu, va), = _dense_ends(X, Y, False, vectors)
         alpha, alpha_pencil = 1.0 / mu, (X, Y, mu)
-    if not vectors:
-        return (beta, None, 0, math.nan, True), (alpha, None, 0, math.nan, True)
+    if not (vectors and residuals):
+        return (beta, vb, 0, math.nan, True), (alpha, va, 0, math.nan, True)
     return ((beta, vb, 0, pencil_residual(Y, X, beta, vb), True),
             (alpha, va, 0, pencil_residual(*alpha_pencil, va), True))
 
@@ -601,7 +610,7 @@ def _both(beta_side, alpha_side, concurrent):
 
 def extreme_pair(
     X: SpdMatrix, Y: SpdMatrix, opts: EigenOptions | None = None, start=(None, None),
-    *, _guard: bool = True, _vectors: bool = True,
+    *, _guard: bool = True, _vectors: bool = True, _residuals: bool = True,
 ) -> PencilExtremes:
     """(alpha, beta) = extreme eigenvalues of Y X^-1 with residual certificates.
 
@@ -637,8 +646,12 @@ def extreme_pair(
     iteration, the back-transformation and the residuals, and returns the
     same alpha and beta (unless inverse iteration would have failed and
     sent the default call to the full decomposition) with ``vectors``
-    (None, None) and ``residuals`` (nan, nan), not computed. The
-    iterative backend ignores it.
+    (None, None) and ``residuals`` (nan, nan), not computed.
+    ``_residuals=False`` is private to the inductive mean, which reads
+    the values and the vectors, from which it takes F's Jacobian: the
+    dense backend then returns the default call's alpha, beta and vectors
+    with ``residuals`` (nan, nan), skipping the two residual products.
+    The iterative backend ignores both.
 
     Above a work count of one apply, a sparse pencil's alpha solve runs
     on a worker thread of the pair's own while the calling thread runs
@@ -654,7 +667,7 @@ def extreme_pair(
             raise DimensionMismatch(X.n, np.shape(v))
     backend = _resolve_backend(Y, X, opts)
     if backend == "dense":
-        sides = _dense_pair(Y, X, _vectors)
+        sides = _dense_pair(Y, X, _vectors, _residuals)
     else:
         seed_b, seed_a = (int(s) for s in np.random.SeedSequence(opts.seed).generate_state(2))
         sides = _both(partial(_largest, Y, X, opts, seed_b, start[1], _guard),

@@ -18,11 +18,15 @@ map
     F(X) = (sum_j m_j(X) Y_j) / (sum_j m_j(X)).
 
 Every F iterate is a convex combination sum_j w_j Y_j, so F acts on the
-k weights, and Anderson mixing of the weights (Walker & Ni, SINUM 49(4),
-2011) makes it converge superlinearly. By homogeneity, each round's k
-pencil solves, through one evaluation of their (m_j, o_j), also give the
-exponential radial correction c that makes the residual vanish on the
-iterate's ray, and the residual there,
+k weights, and Newton's method on G(w) = F(w) - w makes it converge
+quadratically. F's Jacobian is exact and cheap: m_j depends on w only
+through the extremes (alpha_j, beta_j) of (Y_j, X), and a simple extreme
+lam with eigenvector v moves as d lam / d w_i = -lam v.Y_i v / v.X v
+(Lancaster, Numer. Math. 6, 1964), so the vectors each round's solves
+return give it in one product of the points with them. By homogeneity,
+each round's k pencil solves, through one evaluation of their (m_j, o_j),
+also give the exponential radial correction c that makes the residual
+vanish on the iterate's ray, and the residual there,
 
     E(c X) = c (sum_j m_j Y_j - (sum_j m_j) X),
 
@@ -34,9 +38,10 @@ Only the round whose residual is returned vouches for the mean, so the
 rounds before it are inexact: round r solves its pencils to the forcing
 term max(eigen.tol, min(LOOSEST_TOL, ETA r_{r-1})), r_{r-1} the previous
 round's residual (Eisenstat & Walker, SISC 17(1), 1996), and skips the
-eigensolver's guard sweep. A loose extreme only steers F, whose
-Anderson mixing tolerates such inexact maps (Toth & Kelley, SINUM 53(2),
-2015): it can slow F, never certify. A loose round whose residual meets
+eigensolver's guard sweep. A loose extreme and its vector only steer
+F: an inexact Newton step converges as long as its errors shrink with
+the residual (Dembo, Eisenstat & Steihaug, SINUM 19(2), 1982), and a
+wrong one can slow F, never certify. A loose round whose residual meets
 eigen.tol is solved again at eigen.tol at the same X, warm-started from
 its own vectors. Dense solves are exact whatever the tolerance, so a
 dense round never repeats, nor does any round of a family whose pencils
@@ -52,8 +57,8 @@ inertia; Ericsson & Ruhe, Math. Comp. 35, 1980). A pencil with an
 extreme left unproven is solved again cold, under the guard. Every
 returned mean is thus certified by a round solved at eigen.tol whose
 every extreme is proven by inertia or comes from a cold guarded solve.
-The mean reads only alpha and beta, so its dense solves skip the
-eigenvectors and residuals.
+The mean reads alpha, beta and the vectors, never the residuals, so its
+dense solves skip those.
 
 Every iterate, residual field and bracket matrix is a combination of the
 points, so it lies on the union of their patterns. The points' values are
@@ -62,7 +67,9 @@ each of those matrices is one product with the rows: an iterate
 w @ D, a residual m @ D - (sum m) x, a bracket beta (1 + 10 tol) x - D_j,
 where x are the iterate's stored values (not its weights, whose exact
 combination the stored iterate only rounds). Such a combination is
-exactly symmetric, so it skips canonicalization. A fill-reducing order
+exactly symmetric, so it skips canonicalization; the forms v.Y_i v of
+Newton's Jacobian are one product of the rows with the vectors' entry
+products. A fill-reducing order
 depends only on the pattern (George & Liu, 1981), so the mean's first
 sparse factorization picks it and every later one factors the matrix
 already permuted into it, with no ordering step.
@@ -77,6 +84,7 @@ from operator import iadd
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 from .core import SpdMatrix, _check_dims, _factor, fro_norm
 from .eigen import EigenOptions, _bounded, extreme_pair
@@ -87,7 +95,7 @@ from .errors import (
     NonPositiveR,
     require_positive_finite,
 )
-from .geodesics import coefficient_derivatives, star_geodesic
+from .geodesics import BRANCH_TOL, coefficient_derivatives, star_geodesic
 
 _FP_MAX_ROUNDS = 200
 # forcing term: a round solves its pencils to ETA times the previous
@@ -95,6 +103,8 @@ _FP_MAX_ROUNDS = 200
 # tolerance) and never tighter than eigen.tol
 ETA = 0.1
 LOOSEST_TOL = 1e-3
+
+_gesv, = get_lapack_funcs(("gesv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,9 @@ class _Stack:
 
     When every member is sparse, ``values`` is a members x nnz array over
     the union of their patterns, in sorted CSR order (``indices``,
-    ``indptr``), and a combination of members is one product with it.
+    ``indptr``, and each entry's row in ``rows``), and a combination of
+    members, or their quadratic forms on given vectors, is one product
+    with it.
     A dense member makes the stack dense: ``values`` is then the list of
     the members' full arrays, the stored ones of dense members, so no
     dense value is copied, and a combination takes one axpy per member.
@@ -205,6 +217,7 @@ class _Stack:
         for row, key, M in zip(self.values, keys, mats):
             row[np.searchsorted(union, key)] = M.data
         index = np.int32 if union.size < 2**31 else np.int64
+        self.rows = (union // n).astype(index)
         self.indices = (union % n).astype(index)
         self.indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n).astype(index)
 
@@ -214,6 +227,13 @@ class _Stack:
         if self.indptr is None:
             return reduce(iadd, (cj * M for cj, M in zip(c, rows)))
         return np.asarray(c) @ rows
+
+    def forms(self, V, count):
+        """The quadratic forms v.M_i v of the rows v of V, an array of the
+        first ``count`` members by the rows of V."""
+        if self.indptr is None:
+            return np.array([np.einsum("ij,ij->i", V @ M, V) for M in self.values[:count]])
+        return self.values[:count] @ (V[:, self.rows] * V[:, self.indices]).T
 
     def raw(self, x):
         """The matrix with values x: an ndarray, or a CSR matrix on the pattern."""
@@ -239,7 +259,7 @@ class _Stack:
         n = self.n
         where = np.empty_like(q)
         where[q] = np.arange(n)
-        rows = where[np.repeat(np.arange(n), np.diff(self.indptr))]
+        rows = where[self.rows]
         cols = where[self.indices]
         self._gather = np.lexsort((rows, cols))
         index = self.indices.dtype
@@ -286,25 +306,54 @@ def _trusted(stack, x, Yj, ext, start, tol):
                for proven, s, top, A, B in sides)
 
 
-def _anderson(ws, gs):
-    """Type-II Anderson step on the weights (Walker & Ni, SINUM 49(4), 2011).
+def _m_partials(alpha, beta, m):
+    """(dm/dalpha, dm/dbeta) of m = (log beta - log alpha) / (beta - alpha),
+    m its value at (alpha, beta): (m - 1/alpha) / (beta - alpha) and
+    (1/beta - m) / (beta - alpha), both -1 / (2 alpha^2) on the equal
+    branch of ``coefficient_derivatives``."""
+    if math.log(beta) - math.log(alpha) <= BRANCH_TOL:
+        return (-0.5 / alpha / alpha,) * 2
+    return (m - 1.0 / alpha) / (beta - alpha), (1.0 / beta - m) / (beta - alpha)
 
-    ``ws`` are iterate weights and ``gs`` their F weights, oldest first;
-    all lie in the open simplex. Returns ``(w, mixed)``: the weights whose
-    residual g - w the history extrapolates to zero, or the plain F
-    weights ``gs[-1]`` with ``mixed`` False when there is no history yet
-    or an extrapolated entry is not positive.
+
+def _jacobian(stack, w, exts, m):
+    """J_F at the iterate with weights w, from its pencils' extremes ``exts``
+    (values and vectors) and m, their m_j.
+
+    A simple extreme lam of (Y_j, X), X = sum_i w_i Y_i, with vector v
+    moves as d lam / d w_i = -lam v.Y_i v / v.X v (Lancaster, Numer. Math.
+    6, 1964); the forms v.Y_i v of the 2k vectors are one product with
+    the stack (``_Stack.forms``), and v.X v = sum_i w_i v.Y_i v. Chained
+    through ``_m_partials`` they give M = dm/dw, and F = m / sum m has
+    J_F = (M - F 1^T M) / sum m, so 1^T J_F = 0, and J_F w = 0 because F
+    is homogeneous of degree 0.
     """
-    if len(ws) < 2:
-        return gs[-1], False
-    G = np.asarray(gs)
-    F = G - np.asarray(ws)
-    dF, dG = np.diff(F, axis=0), np.diff(G, axis=0)
-    gamma = np.linalg.lstsq(dF.T, F[-1], rcond=None)[0]
-    w = G[-1] - gamma @ dG
-    if np.all(w > 0):
-        return w / w.sum(), True
-    return gs[-1], False
+    k = len(m)
+    forms = stack.forms(np.array([v for e in exts for v in e.vectors]), k)
+    lams = np.array([(e.alpha, e.beta) for e in exts])
+    dm = np.array([_m_partials(e.alpha, e.beta, mj) for e, mj in zip(exts, m)])
+    # forms[i, l] d m / d lam_l scaled by -lam_l / v_l.X v_l, l = 2 j + (0 alpha, 1 beta)
+    M = (forms * (-(dm * lams).ravel() / (w @ forms))).reshape(k, k, 2).sum(axis=2).T
+    total = m.sum()
+    return (M - np.outer(m / total, M.sum(axis=0))) / total
+
+
+def _newton(stack, w, exts, m):
+    """Weights of one Newton step on G(w) = F(w) - w from w, or the plain
+    F weights m / sum m when the step is singular, not finite or leaves
+    the open simplex.
+
+    The step delta solves (J_F - I) delta = w - F(w), J_F from
+    ``_jacobian``; its entries sum to 0, since 1^T J_F = 0 and both w and
+    F(w) sum to 1.
+    """
+    g = m / m.sum()
+    with np.errstate(all="ignore"):  # a non-finite step falls back below
+        delta, info = _gesv(_jacobian(stack, w, exts, m) - np.eye(len(m)), w - g)[2:]
+        step = w + delta
+    if info == 0 and np.all(step > 0) and np.all(np.isfinite(step)):
+        return step / step.sum()
+    return g
 
 
 def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
@@ -322,8 +371,10 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     combinations of the rows of one ``_Stack`` of the points and
     ``init`` (by its nonzeros when it is dense and the points are sparse;
     its entries outside the points' union only its own round sees), and
-    they read the stored values x of the iterate, never its weights. The
-    stack's first sparse factorization fixes the order of every later one.
+    they read the stored values x of the iterate, never its weights; only
+    Newton's Jacobian, which steers and certifies nothing, takes v.X v as
+    sum_i w_i v.Y_i v. The stack's first sparse factorization fixes the
+    order of every later one.
 
     Round r solves at max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), with
     r_0 = inf. A round looser than ``opts.tol`` runs without the guard
@@ -335,14 +386,15 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     residual is at most ``opts.tol`` certifies once every extreme of a
     warm-started solve is proven (``_trusted``); a pencil with one that
     is not is solved again cold and guarded, in a repeat of the round at
-    the same X. ``rounds`` counts repeats. Every solve asks for values
-    only (``_vectors=False``), so a dense solve returns no vectors and
-    the pencil's next solve starts cold (a dense one ignores its start).
-    Otherwise
-    the next weights are the Anderson mix of the last k weight pairs
-    (depth k - 1, the dimension of the simplex), or plain F weights with
-    the history restarted when the mix leaves the simplex; either way the
-    iterate stays SPD by convexity and inside the union pattern.
+    the same X. ``rounds`` counts repeats. Every solve returns its
+    vectors but no residuals (``_residuals=False``). Otherwise the next
+    weights take one Newton step on G(w) = F(w) - w (``_newton``) with
+    the exact Jacobian from those vectors (``_jacobian``), or are the
+    plain F weights m / sum m after an ``init``, which has no weights,
+    and when the step is singular, not finite or leaves the open simplex;
+    either way the iterate stays SPD by convexity and inside the union
+    pattern. Newton only picks the weights: what certifies is decided as
+    above.
 
     Returns (c X, rounds, displacement, residual norm at c X), where the
     displacement bounds the Hilbert distance of the last step by the
@@ -365,7 +417,6 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         X = stack.matrix(x)
     else:
         w, x, X = None, stack.values[k], init
-    ws, gs = [], []
     vectors = [(None, None)] * k
     disp = 0.0
     best = (math.inf, 1.0, X, disp)
@@ -375,7 +426,7 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         tight = tol == opts.tol
         round_opts = replace(opts, tol=tol)
         # a tight round guards its cold solves only: _trusted proves the warm ones
-        exts = [extreme_pair(X, Yj, round_opts, start, _vectors=False,
+        exts = [extreme_pair(X, Yj, round_opts, start, _residuals=False,
                              _guard=tight and any(s is None for s in start))
                 for Yj, start in zip(points, vectors)]
         exact = tight or all(e.backend == "dense" for e in exts)
@@ -396,14 +447,10 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         if rnorm < best[0]:
             best = (rnorm, c, X, disp)
         m = np.array(ms)
-        g = m / m.sum()
         if w is None:
-            w_next, disp = g, math.inf
+            w_next, disp = m / m.sum(), math.inf
         else:
-            ws, gs = (ws + [w])[-k:], (gs + [g])[-k:]
-            w_next, mixed = _anderson(ws, gs)
-            if not mixed:
-                ws, gs = ws[-1:], gs[-1:]
+            w_next = _newton(stack, w, exts, m)
             ratio = w_next / w
             disp = math.log(ratio.max() / ratio.min())
         w = w_next
@@ -416,7 +463,7 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
 def inductive_mean(problem: MeanProblem) -> MeanResult:
     """Inductive Thompson mean of the problem's points.
 
-    Iterates F with Anderson mixing from ``problem.init`` (the arithmetic
+    Iterates F with Newton steps from ``problem.init`` (the arithmetic
     mean of the points when None; any initialization converges to the
     same limit) until the radially corrected iterate's residual is at
     most ``eigen.tol``. If F stalls, its best iterate is returned when

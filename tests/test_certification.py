@@ -23,6 +23,7 @@ from spdcone import (
     inductive_mean,
     random_sparse_spd,
     random_spd,
+    thompson_distance,
 )
 from spdcone.errors import InvalidMatrix, NotPositiveDefinite, NumericalBreakdown, SpdConeError
 
@@ -446,6 +447,30 @@ class TestSmallSparsePencilsDense:
                 expect = ref.alpha, ref.beta
             assert (auto.alpha, auto.beta) == pytest.approx(expect, rel=1e-8), name
         assert seen == 3 * 7 * 3 + 8  # all but the pencils at the largest float
+
+
+class TestLargestFloatPencils:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 0.75, 0.5])
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_against_its_own_diagonal(self, storage, scale):
+        # at scale 1 dsygst overflowed on Y's entries, and extreme_pair gave
+        # alpha = beta = 0 as proven; at every scale the residual products of
+        # a unit vector overflowed to inf
+        A = CORPUS["largest diagonal, coupled"][0](None)
+        X = SpdMatrix(A if storage == "sparse" else A.toarray())
+        Y = SpdMatrix(np.diag(A.diagonal() * scale))
+        e = extreme_pair(X, Y)
+        w = eigh(np.ldexp(Y.dense(), -600), np.ldexp(X.dense(), -600), eigvals_only=True)
+        assert (e.alpha, e.beta) == pytest.approx((w[0], w[-1]), rel=1e-14)
+        assert e.proven == (True, True) and max(e.residuals) <= 1e-15
+        assert thompson_distance(X, Y) == pytest.approx(max(np.log(w[-1]), -np.log(w[0])),
+                                                        rel=1e-14)
+        # the reduction scales its copies only: X's factor comes back as is
+        C, L = spdcone.core._reduce(Y, X)
+        half = np.ldexp(L, -511)
+        np.testing.assert_allclose(half @ half.T, np.ldexp(X.dense(), -1022), rtol=0,
+                                   atol=1e-15)
 
 
 def _near_boundary(off, ks):

@@ -687,6 +687,19 @@ class TestValuesOnly:
         X, Y = sparse_pair(np.random.default_rng(4), 60, density=0.3)
         self.check_dense(*values_only(X, Y, DENSE), counts)
 
+    @pytest.mark.parametrize("pencil", ["narrow", "wide"])
+    def test_vectors_without_residuals(self, pencil, vector_work):
+        # the inductive mean's call: the default call's values and vectors
+        _, counts = vector_work
+        rng = np.random.default_rng(2)
+        X, Y = spd_pair(rng, 48) if pencil == "narrow" else wide_pencil(rng, 20, 1e8)
+        full = extreme_pair(X, Y, DENSE)
+        counts.update(dict.fromkeys(counts, 0))
+        bare = extreme_pair(X, Y, DENSE, _residuals=False)
+        assert counts["pencil_residual"] == 0 and all(map(math.isnan, bare.residuals))
+        assert (bare.alpha, bare.beta, bare.proven) == (full.alpha, full.beta, (True, True))
+        assert all(np.array_equal(a, b) for a, b in zip(bare.vectors, full.vectors))
+
     @pytest.mark.parametrize("call", [
         thompson_distance, hilbert_distance, partial(star_geodesic, t=0.5),
         partial(diamond_geodesic, t=0.5), lambda X, Y: residual([Y], X),

@@ -38,7 +38,8 @@ from spdcone.errors import (
     NumericalBreakdown,
     SpdConeError,
 )
-from spdcone.mean import _anderson, _fixed_point, _Stack, _trusted
+from spdcone.geodesics import BRANCH_TOL, coefficient_derivatives
+from spdcone.mean import _fixed_point, _jacobian, _m_partials, _Stack, _trusted
 
 from conftest import factor_error, spd_pair
 
@@ -355,7 +356,7 @@ class TestFixedPointRounds:
     @pytest.mark.parametrize("family, max_rounds", [("random sparse", 9), ("dense", 7)])
     def test_rounds_solve_only_input_pencils(self, family, max_rounds, monkeypatch):
         # the certificate at c X comes from the round's own k solves, so
-        # no other pencil is ever solved; Anderson mixing keeps rounds few
+        # no other pencil is ever solved; Newton steps keep rounds few
         if family == "dense":
             rng = np.random.default_rng(0)
             pts = [random_spd(48, rng) for _ in range(3)]
@@ -384,8 +385,20 @@ class TestFixedPointRounds:
         pts = [random_spd(48, rng) for _ in range(3)]
         seen = spy_solves(monkeypatch)
         res = inductive_mean(MeanProblem(pts))
-        assert res.certified and res.rounds == 5
+        assert res.certified and res.rounds == 4
         assert len({id(X) for X, *_ in seen}) == res.rounds
+
+    @pytest.mark.parametrize("family, most", [("random sparse", 5), ("dense", 4)])
+    def test_newton_rounds(self, family, most):
+        # Newton steps converge fast: at most 4 rounds on every seed here
+        for seed in range(8):
+            if family == "dense":
+                rng = np.random.default_rng(seed)
+                pts = [random_spd(48, rng) for _ in range(3)]
+            else:
+                pts = random_family(seed)
+            res = inductive_mean(MeanProblem(pts))
+            assert res.certified and res.rounds <= most, seed
 
     @pytest.mark.parametrize("family", ["random", "banded"])
     def test_small_sparse_rounds_are_dense_and_exact(self, family, monkeypatch):
@@ -504,7 +517,7 @@ class TestStack:
 
     def test_one_ordering_and_no_extra_factorization(self, monkeypatch):
         # one splu per iterate and per bracket matrix, as when each was
-        # built by combine: 18 on this family at 8 rounds; only the first
+        # built by combine: 14 on this family at 5 rounds; only the first
         # chooses an order
         pts = random_family(0)
         specs = []
@@ -516,8 +529,8 @@ class TestStack:
 
         monkeypatch.setattr(spdcone.core, "splu", counting)
         res = inductive_mean(MeanProblem(pts, opts=ITERATIVE))
-        assert res.certified and res.rounds == 8
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 17
+        assert res.certified and res.rounds == 5
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 13
 
 
 class TestWarmStartBracket:
@@ -588,8 +601,9 @@ class TestLooseRounds:
         assert all(g == (t == tol and cold) for _, _, t, g, cold in seen)
 
     @pytest.mark.parametrize("family", ["dense", "random sparse"])
-    def test_values_only_and_unguarded_warm_solves_keep_the_mean(self, family, monkeypatch):
-        # a mean whose solves all return vectors, and whose tight rounds
+    def test_skipped_residuals_and_unguarded_warm_solves_keep_the_mean(self, family,
+                                                                        monkeypatch):
+        # a mean whose solves all return residuals, and whose tight rounds
         # all run the guard, is the same to the bit
         if family == "dense":
             rng = np.random.default_rng(0)
@@ -624,31 +638,117 @@ class TestLooseRounds:
         assert rn <= opts.residual_tol
 
 
-class TestAnderson:
-    def test_extrapolation_outside_simplex_gives_plain_weights(self):
-        ws = [np.array([0.5, 0.5]), np.array([0.4, 0.6])]
-        gs = [np.array([0.4, 0.6]), np.array([0.31, 0.69])]
-        # the secant through these residuals extrapolates to (-0.5, 1.5)
-        w, mixed = _anderson(ws, gs)
-        assert not mixed and w is gs[-1]
+def jacobian_case(kind):
+    """(stack, F, w, exts, m) for a k = 4 family: F(w) maps weights to
+    (F weights, extremes, m) by fresh solves, and w, exts and m are one
+    interior point's."""
+    rng = np.random.default_rng(1)
+    if kind == "dense":
+        pts, opts = [random_spd(30, rng) for _ in range(4)], EigenOptions()
+    elif kind == "sparse":  # auto solves it dense, on a sparse stack
+        pts, opts = [random_sparse_spd(100, 0.03, rng) for _ in range(4)], EigenOptions()
+    else:
+        pts = [random_sparse_spd(300, 0.02, rng) for _ in range(4)]
+        opts = EigenOptions(backend="iterative", tol=1e-13)
+    stack = _Stack(pts)
 
-    def test_affine_map_solved_from_k_iterates(self):
-        # depth k - 1 spans the simplex: k iterates of an affine F whose
-        # fixed point p is interior determine p
-        k = 3
-        p = np.array([0.2, 0.3, 0.5])
-        C = np.random.default_rng(1).uniform(-0.3, 0.3, (k, k))
-        B = (np.eye(k) - 1.0 / k) @ C  # columns sum to zero: F keeps sum w = 1
+    def F(w):
+        X = stack.matrix(stack.combination(w))
+        exts = [extreme_pair(X, Y, opts, _residuals=False) for Y in pts]
+        assert all(e.backend == ("iterative" if kind == "iterative" else "dense")
+                   for e in exts)
+        m = np.array([coefficient_derivatives(e.alpha, e.beta)[0] for e in exts])
+        return m / m.sum(), exts, m
 
-        def F(w):
-            return p + B @ (w - p)
+    w = rng.uniform(0.5, 1.5, 4)
+    w /= w.sum()
+    return (stack, F, w) + F(w)[1:]
 
-        ws = [np.full(k, 1.0 / k)]
-        for _ in range(k - 1):
-            ws.append(F(ws[-1]))
-        w, mixed = _anderson(ws, [F(x) for x in ws])
-        assert mixed
-        np.testing.assert_allclose(w, p, rtol=0, atol=1e-12)
+
+class TestNewton:
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "iterative"])
+    def test_jacobian_matches_central_differences(self, kind):
+        stack, F, w, exts, m = jacobian_case(kind)
+        J = _jacobian(stack, w, exts, m)
+        h = 1e-6
+        diffs = np.column_stack([(F(w + h * e)[0] - F(w - h * e)[0]) / (2 * h)
+                                 for e in np.eye(len(w))])
+        assert np.abs(J - diffs).max() <= 1e-8 * np.abs(J).max()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "iterative"])
+    def test_jacobian_annihilates_the_weights(self, kind):
+        # F is homogeneous of degree 0, and its weights always sum to 1
+        stack, _, w, exts, m = jacobian_case(kind)
+        J = _jacobian(stack, w, exts, m)
+        scale = np.abs(J).max()
+        assert np.abs(J @ w).max() <= 1e-14 * scale
+        assert np.abs(J.sum(axis=0)).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.7, 1.0, 5e4])
+    def test_m_partials_continuous_across_the_branch(self, alpha):
+        inner = _m_partials(alpha, alpha * math.exp(BRANCH_TOL * (1 - 1e-6)), 1.0 / alpha)
+        beta = alpha * math.exp(BRANCH_TOL * (1 + 1e-6))
+        outer = _m_partials(alpha, beta, coefficient_derivatives(alpha, beta)[0])
+        assert inner == (-0.5 / alpha / alpha,) * 2
+        assert outer == pytest.approx(inner, rel=1e-6)
+
+    def test_m_partials_match_central_differences(self):
+        alpha, beta, h = 0.8, 1.9, 1e-6
+
+        def m(a, b):
+            return coefficient_derivatives(a, b)[0]
+
+        partials = _m_partials(alpha, beta, m(alpha, beta))
+        diffs = ((m(alpha + h, beta) - m(alpha - h, beta)) / (2 * h),
+                 (m(alpha, beta + h) - m(alpha, beta - h)) / (2 * h))
+        assert partials == pytest.approx(diffs, rel=1e-8)
+
+    @pytest.mark.parametrize("jacobian", ["leaves the simplex", "singular", "not finite"])
+    def test_failed_step_takes_plain_weights(self, jacobian, monkeypatch):
+        # every step falls back, so the mean runs plain F and still certifies
+        # J_F - I = 2^-52 I: the step is 2^52 (w - F(w))
+        bad = {"leaves the simplex": lambda k: (1.0 + 2.0**-52) * np.eye(k),
+               "singular": np.eye,
+               "not finite": lambda k: np.full((k, k), np.nan)}[jacobian]
+        monkeypatch.setattr(spdcone.mean, "_jacobian", lambda stack, w, exts, m: bad(len(m)))
+        steps = []
+        newton = spdcone.mean._newton
+
+        def spy(stack, w, exts, m):
+            steps.append((m, newton(stack, w, exts, m)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(spdcone.mean, "_newton", spy)
+        rng = np.random.default_rng(0)
+        res = inductive_mean(MeanProblem([random_spd(48, rng) for _ in range(3)]))
+        assert res.certified and steps
+        assert all(np.array_equal(w, m / m.sum()) for m, w in steps)
+
+    def test_first_round_after_an_init_takes_plain_weights(self, monkeypatch):
+        # a given init is no combination of the points: F weights leave it
+        rng = np.random.default_rng(0)
+        pts = [random_spd(48, rng) for _ in range(3)]
+        seen = []
+        solve = spdcone.mean.extreme_pair
+
+        def spy_solve(*args, **kwargs):
+            seen.append(solve(*args, **kwargs))
+            return seen[-1]
+
+        starts = []
+        newton = spdcone.mean._newton
+
+        def spy_newton(stack, w, exts, m):
+            starts.append((len(seen), w))
+            return newton(stack, w, exts, m)
+
+        monkeypatch.setattr(spdcone.mean, "extreme_pair", spy_solve)
+        monkeypatch.setattr(spdcone.mean, "_newton", spy_newton)
+        res = inductive_mean(MeanProblem(pts, init=random_spd(48, rng)))
+        assert res.certified and res.final_displacement < math.inf
+        m = np.array([coefficient_derivatives(e.alpha, e.beta)[0] for e in seen[:3]])
+        assert starts[0][0] == 6 and np.array_equal(starts[0][1], m / m.sum())
+        assert len(starts) == res.rounds - 2
 
 
 UNATTAINABLE = MeanOptions(residual_tol=1e-30, eigen=EigenOptions(tol=1e-30))
