@@ -67,7 +67,8 @@ def fro_norm(a):
 class CholeskyFactor:
     """Certifying Cholesky factorization of an SPD matrix X.
 
-    Dense: ``X = L @ L.T`` with ``perm is None``.
+    Dense: ``X = L @ L.T`` with ``perm is None``, whether X is stored
+    dense or, for an inductive mean's iterate, sparse.
     Sparse: ``X[perm][:, perm] = L @ L.T`` where ``perm`` is the
     fill-reducing elimination order, whose SuperLU object is kept:
     :meth:`solve` reuses it, so X is factored once. SuperLU either chose
@@ -194,15 +195,25 @@ def _check_breakdown(f, pivots, diagonal):
 
 
 def _factor_dense(A):
-    """Certifying dense Cholesky. Returns CholeskyFactor or raises."""
-    potrf, = get_lapack_funcs(("potrf",), (A,))
-    L, info = potrf(A, lower=1, clean=1, overwrite_a=0)
+    """Certifying dense Cholesky of an ndarray, or of a full symmetric
+    sparse matrix's dense copy. Returns CholeskyFactor or raises.
+
+    The factor of a sparse matrix is certified as :func:`_factor_sparse`
+    certifies SuperLU's: by :func:`_gershgorin_proves`, in O(nnz), when it
+    proves the matrix (whose CSR arrays read as CSC hold the same matrix),
+    else by its pivots and :func:`_check_breakdown`.
+    """
+    sparse = sp.issparse(A)
+    dense = A.toarray() if sparse else A
+    potrf, = get_lapack_funcs(("potrf",), (dense,))
+    L, info = potrf(dense, lower=1, clean=1, overwrite_a=sparse)
     if info > 0:
         raise NotPositiveDefinite(pivot_index=int(info))
     if info < 0:
         raise ValueError(f"internal LAPACK error in potrf: info={info}")
     f = CholeskyFactor(L)
-    _check_breakdown(f, np.diag(L) ** 2, np.diag(A))
+    if not (sparse and _gershgorin_proves(A)):
+        _check_breakdown(f, np.diag(L) ** 2, A.diagonal())
     return f
 
 
@@ -257,15 +268,17 @@ def _factor_sparse(A_csc, q=None):
     return f
 
 
-def _factor(A, q=None):
+def _factor(A, q=None, dense=False):
     """Certifying factorization of a full symmetric matrix: an ndarray, or
     a CSC matrix, X[q][:, q] when an order ``q`` is given (see
-    :func:`_factor_sparse`). A diagonal entry that is not positive is
-    rejected before anything is factored."""
+    :func:`_factor_sparse`). With ``dense``, a sparse matrix, CSC or CSR,
+    is factored dense (see :func:`_factor_dense`), a factor the dense
+    backend's reductions can borrow. A diagonal entry that is not
+    positive is rejected before anything is factored."""
     bad = np.nonzero(~(A.diagonal() > 0))[0]
     if bad.size:
         raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1, detail="diagonal entry")
-    return _factor_sparse(A, q) if sp.issparse(A) else _factor_dense(A)
+    return _factor_sparse(A, q) if sp.issparse(A) and not dense else _factor_dense(A)
 
 
 def _require_finite(entries):
@@ -436,22 +449,26 @@ def _reduce(A: SpdMatrix, B: SpdMatrix):
     array, C = L^-1 A L^-T in its lower triangle (LAPACK dsygst, itype 1).
 
     C has the pencil's eigenvalues, and its eigenvector z gives the
-    pencil's L^-T z. A dense-stored B lends its held factor, the potrf
-    that a generalized ``eigh`` would run (``chol()`` certifies B first if
-    it holds none); SuperLU's factor of a sparse-stored B is not one L, so
-    B.dense() takes one potrf.
+    pencil's L^-T z. A B that holds a dense factor lends it, however B is
+    stored: the potrf that a generalized ``eigh`` would run. A dense-stored
+    B holds one once ``chol()`` has certified it, first if need be; a
+    sparse-stored B holds one when the inductive mean certified it so
+    (``mean._Stack.matrix``). SuperLU's factor of any other sparse-stored
+    B is not one L, and such a B is not factored by SuperLU here: B.dense()
+    takes one potrf.
 
     dsygst's sums overflow on entries near the largest float, so when L's
     largest diagonal entry passes ``_REDUCE_SCALE`` C is formed, exactly,
     from A 2^(-2s) and L 2^(-s), 2^s that entry's binade; L comes back
     unscaled.
     """
-    if B.is_sparse:
+    f = B._factor if B.is_sparse else B.chol()
+    if f is None or f.is_sparse:
         L, info = dpotrf(B.dense(), lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(pivot_index=int(info))
     else:
-        L = B.chol().L
+        L = f.L
     top = L.diagonal().max()
     if top > _REDUCE_SCALE:
         s = int(np.frexp(top)[1])

@@ -7,8 +7,9 @@ Y X^-1. Two backends compute them:
 * ``dense`` - what ``auto`` picks for a pencil of order at most
   ``_SMALL``, whatever its storage, and for a larger one with a side
   denser than a quarter: one reduction C = L^-1 Y L^-T with X's factor
-  X = L L^T (Martin & Wilkinson, Numer. Math. 11, 1968), held for a
-  dense-stored X and one potrf of a sparse-stored X's dense copy, one
+  X = L L^T (Martin & Wilkinson, Numer. Math. 11, 1968), held by a
+  dense-stored X and by a sparse inductive mean iterate, else one potrf
+  of a sparse-stored X's dense copy, one
   tridiagonalization of C, and bisection for both of its ends, with
   inverse iteration for their vectors and residuals unless the caller
   reads only the values. Its alpha errs by about
@@ -208,8 +209,17 @@ def pencil_residual(Y: SpdMatrix, X: SpdMatrix, lam: float, v: np.ndarray) -> fl
 
 
 def _x_norm(X, q):
-    """X-norm sqrt(q . X q), clipped at zero against rounding."""
-    return math.sqrt(max(q @ X.matvec(q), 0.0))
+    """X-norm sqrt(q . X q), clipped at zero against rounding.
+
+    Near the largest float q . X q can overflow although its root is in
+    range; it is then taken again on q 2^-600 and the root scaled back.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = q @ X.matvec(q)
+        if not abs(form) < math.inf:
+            small = np.ldexp(q, -600)
+            return float(np.ldexp(math.sqrt(max(small @ X.matvec(small), 0.0)), 600))
+    return math.sqrt(max(form, 0.0))
 
 
 def _fresh(rng, X, B):

@@ -239,7 +239,7 @@ def riemannian_geodesic(
         # from, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             R = (LV * w ** s) @ LV.T
-            R = (R + R.T) / 2.0
+            R = R / 2.0 + R.T / 2.0  # halved first: R + R.T overflows near the largest float
         _require_finite(s, R)
         return SpdMatrix(R)
 

@@ -69,7 +69,14 @@ where x are the iterate's stored values (not its weights, whose exact
 combination the stored iterate only rounds). Such a combination is
 exactly symmetric, so it skips canonicalization; the forms v.Y_i v of
 Newton's Jacobian are one product of the rows with the vectors' entry
-products. A fill-reducing order
+products. When every pencil of a sparse family resolves to the dense
+backend, whatever the iterate (``eigen._resolve_backend``; ``auto`` does
+so at order at most ``eigen._SMALL``), each iterate stays sparse-stored
+but holds one dense factor, potrf of its dense copy, certified as SuperLU's
+would be: by Gershgorin's theorem when it is diagonally dominant, else by
+its pivots and an inverse-iteration estimate. All k reductions of its
+round borrow that factor (``core._reduce``), so a round factors once, not
+k + 1 times. Otherwise a fill-reducing order
 depends only on the pattern (George & Liu, 1981), so the mean's first
 sparse factorization picks it and every later one factors the matrix
 already permuted into it, with no ordering step.
@@ -87,7 +94,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .core import SpdMatrix, _check_dims, _factor, fro_norm
-from .eigen import EigenOptions, _bounded, extreme_pair
+from .eigen import EigenOptions, _bounded, _resolve_backend, extreme_pair
 from .errors import (
     FixedPointStalled,
     InvalidArgument,
@@ -197,7 +204,9 @@ class _Stack:
     exactly symmetric, so it needs no canonicalization. The first sparse
     factorization picks the fill-reducing order q, which depends only on
     the pattern; every later one factors X[q][:, q], gathered through a
-    fixed index map, in that order.
+    fixed index map, in that order. ``matrix(x, dense=True)`` instead
+    certifies a sparse matrix by a dense factor, for the dense backend's
+    reductions to borrow, and picks no order.
     """
 
     def __init__(self, members):
@@ -267,9 +276,12 @@ class _Stack:
         self._pindptr = np.searchsorted(cols[self._gather], np.arange(n + 1)).astype(index)
         self.q = q
 
-    def matrix(self, x):
-        """The certified SpdMatrix with values x."""
-        return SpdMatrix._canonical(self.raw(x), self.factor(x))
+    def matrix(self, x, dense=False):
+        """The certified SpdMatrix with values x. With ``dense``, a sparse
+        one holds a dense factor of its dense copy (``core._factor``)."""
+        A = self.raw(x)
+        f = _factor(A, dense=True) if dense and self.indptr is not None else self.factor(x)
+        return SpdMatrix._canonical(A, f)
 
 
 def _residual_field(stack, x, ms, osum):
@@ -373,8 +385,11 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     its entries outside the points' union only its own round sees), and
     they read the stored values x of the iterate, never its weights; only
     Newton's Jacobian, which steers and certifies nothing, takes v.X v as
-    sum_i w_i v.Y_i v. The stack's first sparse factorization fixes the
-    order of every later one.
+    sum_i w_i v.Y_i v. When every Y_j alone makes its pencil resolve dense
+    (so it does whatever the iterate), each iterate is certified by one
+    dense factor, which the k reductions of its round borrow; otherwise
+    the stack's first sparse factorization fixes the order of every later
+    one.
 
     Round r solves at max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), with
     r_0 = inf. A round looser than ``opts.tol`` runs without the guard
@@ -411,10 +426,13 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         # sparse points keep sparse iterates: a dense init enters by its nonzeros
         row = SpdMatrix._canonical(sp.csr_matrix(init.dense()))
     stack = _Stack(points if init is None else points + [row])
+    # a pencil that Y_j alone resolves dense resolves dense whatever the
+    # iterate: then each iterate holds one dense factor for its k reductions
+    dense = all(_resolve_backend(Yj, Yj, opts) == "dense" for Yj in points)
     if init is None:
         w = np.full(k, 1.0 / k)
         x = stack.combination(w)
-        X = stack.matrix(x)
+        X = stack.matrix(x, dense)
     else:
         w, x, X = None, stack.values[k], init
     vectors = [(None, None)] * k
@@ -455,7 +473,7 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
             disp = math.log(ratio.max() / ratio.min())
         w = w_next
         x = stack.combination(w)
-        X = stack.matrix(x)
+        X = stack.matrix(x, dense)
     rnorm, c, X, disp = best
     return X.scaled(c), max_rounds, disp, rnorm
 

@@ -27,6 +27,23 @@ def extreme_pair_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """List that gains, per factorization spdcone.core runs, "splu" for
+    SuperLU, "_factor_dense" for a certifying dense Cholesky (one potrf)
+    and "dpotrf" for the uncertified potrf a reduction may run."""
+    import spdcone.core
+
+    calls = []
+    for name in ("splu", "_factor_dense", "dpotrf"):
+        def counting(*args, _name=name, _original=getattr(spdcone.core, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spdcone.core, name, counting)
+    return calls
+
+
 def spd_pair(rng, n, spread=1.5):
     return random_spd(n, rng, spread), random_spd(n, rng, spread)
 

@@ -23,6 +23,7 @@ from spdcone import (
     inductive_mean,
     random_sparse_spd,
     random_spd,
+    riemannian_geodesic,
     thompson_distance,
 )
 from spdcone.errors import InvalidMatrix, NotPositiveDefinite, NumericalBreakdown, SpdConeError
@@ -429,8 +430,7 @@ class TestSmallSparsePencilsDense:
                 continue  # rejected before any pencil exists
             assert X.is_sparse and Y.is_sparse, name
             auto = _outcome(X, Y, "auto")
-            with np.errstate(all="ignore"):  # it overflows near the largest float
-                ref = _outcome(X, Y, "iterative")
+            ref = _outcome(X, Y, "iterative")
             if isinstance(auto, type):
                 assert auto is ref, name
                 continue
@@ -446,7 +446,7 @@ class TestSmallSparsePencilsDense:
                 seen += 1
                 expect = ref.alpha, ref.beta
             assert (auto.alpha, auto.beta) == pytest.approx(expect, rel=1e-8), name
-        assert seen == 3 * 7 * 3 + 8  # all but the pencils at the largest float
+        assert seen == 73  # every pencil, those at the largest float too
 
 
 class TestLargestFloatPencils:
@@ -471,6 +471,32 @@ class TestLargestFloatPencils:
         half = np.ldexp(L, -511)
         np.testing.assert_allclose(half @ half.T, np.ldexp(X.dense(), -1022), rtol=0,
                                    atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 0.75, 0.5])
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_iterative_against_its_own_diagonal(self, storage, scale):
+        # the X-norm q . X q of a start vector overflowed to inf, and the
+        # solve raised NoConvergence after numpy's overflow warning
+        A = CORPUS["largest diagonal, coupled"][0](None)
+        X = SpdMatrix(A if storage == "sparse" else A.toarray())
+        Y = SpdMatrix(np.diag(A.diagonal() * scale))
+        w = eigh(np.ldexp(Y.dense(), -600), np.ldexp(X.dense(), -600), eigvals_only=True)
+        for P, Q, ends in ((X, Y, (w[0], w[-1])), (Y, X, (1 / w[-1], 1 / w[0]))):
+            e = extreme_pair(P, Q, EigenOptions(backend="iterative"))
+            assert (e.alpha, e.beta) == pytest.approx(ends, rel=1e-14)
+            assert max(e.residuals) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_riemannian_midpoint_against_its_own_diagonal(self):
+        # R + R^T overflowed although the midpoint is finite
+        A = CORPUS["largest diagonal, coupled"][0](None)
+        X, D = SpdMatrix(A), SpdMatrix(np.diag(A.diagonal()))
+        M = riemannian_geodesic(X, D, 0.5).dense()
+        assert 1.7e308 < np.abs(M).max() < np.inf
+        # the geometric mean: M X^-1 M = D, at a scale where the products are finite
+        Mh, Xh, Dh = (np.ldexp(a, -1000) for a in (M, X.dense(), D.dense()))
+        assert np.linalg.norm(Mh @ np.linalg.solve(Xh, Mh) - Dh) <= 1e-14 * np.linalg.norm(Dh)
 
 
 def _near_boundary(off, ks):

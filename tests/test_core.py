@@ -15,6 +15,7 @@ from spdcone import (
     random_spd,
     spectrum_dense,
 )
+from spdcone.core import _factor, _reduce
 from spdcone.errors import (
     AsymmetricInput,
     DenseLimitExceeded,
@@ -213,6 +214,21 @@ class TestSpectrumDense:
         assert X.is_sparse == (stored == "sparse")
         np.testing.assert_array_equal(
             spectrum_dense(X, Y), eigh(Y.dense(), X.dense(), eigvals_only=True))
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_sparse_b_lends_a_held_dense_factor_and_runs_no_superlu(self, rng, held,
+                                                                     factor_calls):
+        # the inductive mean's iterates hold a dense factor on sparse
+        # storage; a sparse B holding none takes one potrf of its dense copy
+        X, Y = sparse_pair(rng, 120)
+        B = SpdMatrix._canonical(X.raw(), _factor(X.raw(), dense=True) if held else None)
+        factor_calls.clear()
+        C, L = _reduce(Y, B)
+        assert factor_calls == ([] if held else ["dpotrf"]) and B.certified == held
+        if held:
+            assert L is B.chol().L
+        # the same potrf of the same dense copy as for X, which holds SuperLU's factor
+        np.testing.assert_array_equal(C, _reduce(Y, X)[0])
 
 
 class TestSparseDenseAgreement:

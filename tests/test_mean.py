@@ -533,6 +533,54 @@ class TestStack:
         assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 13
 
 
+class TestOneDenseFactorPerIterate:
+    """A family whose pencils all resolve dense certifies each iterate once,
+    by a dense factor that all k reductions of its round borrow."""
+
+    @pytest.mark.parametrize("backend", ["auto", "iterative"])
+    def test_factorizations_per_mean(self, backend, factor_calls):
+        # auto took one splu per iterate and one potrf per reduction,
+        # 4 + 20 in these 4 rounds, before the reductions borrowed the
+        # iterate's dense factor
+        pts = random_family(0)
+        factor_calls.clear()
+        res = inductive_mean(MeanProblem(pts, opts=MeanOptions(
+            eigen=EigenOptions(backend=backend))))
+        assert res.certified and res.rounds == (4 if backend == "auto" else 5)
+        if backend == "auto":
+            assert factor_calls == ["_factor_dense"] * 4
+        else:  # Lanczos solves with SuperLU's factors, in the stack's order
+            assert set(factor_calls) == {"splu"}
+
+    @pytest.mark.parametrize("dominant", [True, False])
+    def test_iterates_are_certified_as_superlu_would_be(self, dominant, monkeypatch):
+        # Gershgorin proves a dominant iterate; any other goes through its
+        # pivots and the inverse-iteration estimate
+        if dominant:
+            pts = random_family(2, k=3, n=60)
+        else:
+            T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(60, 60))
+            pts = [SpdMatrix(a * (T @ T) + c * sp.identity(60))
+                   for a, c in ((1.0, 0.01), (1.0, 0.5), (2.0, 0.1))]
+        checks = []
+        original = spdcone.core._check_breakdown
+
+        def counting(*args):
+            checks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spdcone.core, "_check_breakdown", counting)
+        seen = spy_solves(monkeypatch)
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and len(checks) == (0 if dominant else res.rounds)
+        iterates = {id(X): X for X, *_ in seen}.values()
+        assert len(iterates) == res.rounds
+        for X in iterates:
+            assert X.is_sparse and not X.chol().is_sparse
+            assert spdcone.core._gershgorin_proves(X.raw().tocsc()) == dominant
+            assert factor_error(X) <= 1e-14
+
+
 class TestWarmStartBracket:
     @pytest.mark.parametrize("k, n", [(4, 150), (5, 100)])
     def test_interior_lock_on_is_caught(self, k, n):
