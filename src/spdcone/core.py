@@ -11,11 +11,13 @@ A scaled matrix, or a combination built without certification, holds no
 factorization until its first ``chol()``; ``certified`` says which.
 Dense and sparse input take one path: duplicates summed (sparse), the
 lower triangle mirrored exactly and checked against the input, then
-factored. Dense matrices are stored as full symmetric arrays, sparse ones
-as full CSR matrices with sorted indices whose lower triangle is the
-canonical pattern. A linear combination of stored matrices (``combine``,
-``SpdMatrix.scaled``, the inductive mean's iterates) is already in that
-form, exactly symmetric, and skips the canonicalization.
+factored; a dense input that equals its transpose is already what the
+mirror would make, and is copied instead. Dense matrices are stored as
+full symmetric arrays, sparse ones as full CSR matrices with sorted
+indices whose lower triangle is the canonical pattern. A linear
+combination of stored matrices (``combine``, ``SpdMatrix.scaled``, the
+inductive mean's iterates) is already in that form, exactly symmetric,
+and skips the canonicalization.
 """
 
 from __future__ import annotations
@@ -305,8 +307,10 @@ class SpdMatrix:
     triangle is the source of truth: it is mirrored into the stored
     matrix, which must match the input to 1e-12 relative to its largest
     entry (else :class:`AsymmetricInput`), and a Cholesky factorization
-    certifies it. An empty matrix, a non-finite entry or any other dtype
-    (complex, string, object) raises :class:`InvalidMatrix`; a failed
+    certifies it. A dense input equal to its transpose skips the mirror
+    and its check: its C-ordered copy, with each -0.0 as 0.0, is what the
+    mirror would store. An empty matrix, a non-finite entry or any other
+    dtype (complex, string, object) raises :class:`InvalidMatrix`; a failed
     certification raises :class:`NotPositiveDefinite` or
     :class:`NumericalBreakdown` rather than producing an invalid instance.
     Instances are immutable, apart from the factorization they cache.
@@ -336,11 +340,16 @@ class SpdMatrix:
             A = A.astype(float, copy=False)
             tril, entries = np.tril, A
         _require_finite(entries)
-        full = tril(A) + tril(A, -1).T
-        # full - A is A^T - A above the diagonal and zero elsewhere
-        dev, scale = abs(full - A).max(), abs(A).max()
-        if dev > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise AsymmetricInput(dev, scale)
+        if not sparse and np.array_equal(A, A.T):
+            # what the mirror would store, in one C-ordered copy: + 0.0 turns
+            # -0.0 into 0.0, as the mirror's sums with 0.0 do
+            full = np.add(A, 0.0, order="C")
+        else:
+            full = tril(A) + tril(A, -1).T
+            # full - A is A^T - A above the diagonal and zero elsewhere
+            dev, scale = abs(full - A).max(), abs(A).max()
+            if dev > SYMMETRY_RTOL * max(scale, 1e-300):
+                raise AsymmetricInput(dev, scale)
         self._set(full, sparse, None)
         self.chol()
 

@@ -66,8 +66,10 @@ aligned on that pattern once per mean, one row each (``_Stack``), and
 each of those matrices is one product with the rows: an iterate
 w @ D, a residual m @ D - (sum m) x, a bracket beta (1 + 10 tol) x - D_j,
 where x are the iterate's stored values (not its weights, whose exact
-combination the stored iterate only rounds). Such a combination is
-exactly symmetric, so it skips canonicalization; the forms v.Y_i v of
+combination the stored iterate only rounds). A product does not round
+the entries (i, j) and (j, i) alike, so each entry of a combination
+takes the value of its lower-triangle twin: the combination is exactly
+symmetric, and skips canonicalization; the forms v.Y_i v of
 Newton's Jacobian are one product of the rows with the vectors' entry
 products. When every pencil of a sparse family resolves to the dense
 backend, whatever the iterate (``eigen._resolve_backend``; ``auto`` does
@@ -76,10 +78,14 @@ but holds one dense factor, potrf of its dense copy, certified as SuperLU's
 would be: by Gershgorin's theorem when it is diagonally dominant, else by
 its pivots and an inverse-iteration estimate. All k reductions of its
 round borrow that factor (``core._reduce``), so a round factors once, not
-k + 1 times. Otherwise a fill-reducing order
-depends only on the pattern (George & Liu, 1981), so the mean's first
-sparse factorization picks it and every later one factors the matrix
-already permuted into it, with no ordering step.
+k + 1 times. A pencil wider than ``eigen._SPREAD`` takes alpha from the
+swapped pencil, reduced with Y_j's factor: once its pencil has been
+that wide, a sparse point is solved as its dense copy, which certifies a
+dense factor at its first reduction and keeps it for the mean, so only
+the points of wide pencils are held dense. Otherwise a fill-reducing
+order depends only on the pattern (George & Liu, 1981), so the mean's
+first sparse factorization picks it and every later one factors the
+matrix already permuted into it, with no ordering step.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .core import SpdMatrix, _check_dims, _factor, fro_norm
-from .eigen import EigenOptions, _bounded, _resolve_backend, extreme_pair
+from .eigen import _SPREAD, EigenOptions, _bounded, _resolve_backend, extreme_pair
 from .errors import (
     FixedPointStalled,
     InvalidArgument,
@@ -201,10 +207,11 @@ class _Stack:
     the members' full arrays, the stored ones of dense members, so no
     dense value is copied, and a combination takes one axpy per member.
     Every combination of members lies on the stack's pattern and is
-    exactly symmetric, so it needs no canonicalization. The first sparse
-    factorization picks the fill-reducing order q, which depends only on
-    the pattern; every later one factors X[q][:, q], gathered through a
-    fixed index map, in that order. ``matrix(x, dense=True)`` instead
+    exactly symmetric, a sparse one because each entry takes the value of
+    its lower-triangle twin, so it needs no canonicalization. The first
+    sparse factorization picks the fill-reducing order q, which depends
+    only on the pattern; every later one factors X[q][:, q], gathered
+    through a fixed index map, in that order. ``matrix(x, dense=True)`` instead
     certifies a sparse matrix by a dense factor, for the dense backend's
     reductions to borrow, and picks no order.
     """
@@ -226,16 +233,21 @@ class _Stack:
         for row, key, M in zip(self.values, keys, mats):
             row[np.searchsorted(union, key)] = M.data
         index = np.int32 if union.size < 2**31 else np.int64
-        self.rows = (union // n).astype(index)
-        self.indices = (union % n).astype(index)
+        rows, cols = np.divmod(union, n)
+        self.rows, self.indices = rows.astype(index), cols.astype(index)
         self.indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n).astype(index)
+        # each entry's lower-triangle twin, itself on and below the diagonal
+        # (the union of symmetric patterns is symmetric)
+        self._lower = np.searchsorted(union, np.maximum(rows, cols) * n + np.minimum(rows, cols))
 
     def combination(self, c):
-        """Values of sum_j c_j M_j over the first len(c) members."""
+        """Values of sum_j c_j M_j over the first len(c) members, exactly
+        symmetric: a product does not round the entries (i, j) and (j, i)
+        alike, so each entry takes the value of its lower-triangle twin."""
         rows = self.values[:len(c)]
-        if self.indptr is None:
+        if self.indptr is None:  # entry by entry, so (i, j) and (j, i) round alike
             return reduce(iadd, (cj * M for cj, M in zip(c, rows)))
-        return np.asarray(c) @ rows
+        return (np.asarray(c) @ rows)[self._lower]
 
     def forms(self, V, count):
         """The quadratic forms v.M_i v of the rows v of V, an array of the
@@ -387,9 +399,11 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     Newton's Jacobian, which steers and certifies nothing, takes v.X v as
     sum_i w_i v.Y_i v. When every Y_j alone makes its pencil resolve dense
     (so it does whatever the iterate), each iterate is certified by one
-    dense factor, which the k reductions of its round borrow; otherwise
-    the stack's first sparse factorization fixes the order of every later
-    one.
+    dense factor, which the k reductions of its round borrow, and a
+    sparse point whose pencil was wider than ``_SPREAD`` is solved from
+    the next round on as its dense copy, whose factor the swapped
+    reduction certifies once; otherwise the stack's first sparse
+    factorization fixes the order of every later one.
 
     Round r solves at max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), with
     r_0 = inf. A round looser than ``opts.tol`` runs without the guard
@@ -447,6 +461,14 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         exts = [extreme_pair(X, Yj, round_opts, start, _residuals=False,
                              _guard=tight and any(s is None for s in start))
                 for Yj, start in zip(points, vectors)]
+        if dense:
+            # a wide pencil's alpha comes from the swapped pencil, reduced
+            # with Y_j's factor, which a sparse Y_j holds only as SuperLU's:
+            # from then on Y_j is solved as its dense copy, which certifies
+            # a dense factor at its first reduction and keeps it
+            points = [SpdMatrix._canonical(Yj.dense())
+                      if Yj.is_sparse and e.beta > _SPREAD * e.alpha else Yj
+                      for Yj, e in zip(points, exts)]
         exact = tight or all(e.backend == "dense" for e in exts)
         pairs = [coefficient_derivatives(e.alpha, e.beta) for e in exts]
         ms = [m for m, _ in pairs]

@@ -14,16 +14,21 @@ prints: each line is one value, ``-?D+(\.D+)?([eE][-+]?D+)?`` with D a
 digit, or for a coordinate file two digit-only indices and that value,
 separated by single spaces; every line ends in ``\n``; no comment or
 blank line appears; and there are as many lines as the size line
-declares. A few passes over the whole body prove all of that, and then
-one call of scipy's C++ reader (scipy >= 1.12) parses it. Within that
-grammar it reads every value as Python's ``float`` does, bit for bit,
-except that it drops the sign of ``-0.0`` in array bodies, which is put
-back from the token. Anything else, and any surprise of the fast route
-(an error from scipy, an index out of range, a non-finite value), goes to
-the strict route, which parses line by line with Python's ``int`` and
-``float`` and names the offending line. It alone reads foreign layouts:
-comment or blank lines between entries, ``\r\n`` endings, tabs, ``+1``
-or ``1_0``.
+declares. A byte-pair check, then counts and three or five substring
+tests on what is left of the body without its digits, prove all of that,
+and then one call of scipy's C++ reader (scipy >= 1.12) parses it under a
+header written from the file's own, parsed here: a coordinate body as a
+``real general`` list of entries in file order, an array body as a
+``real`` array of the declared shape and symmetry, which scipy expands to
+the full matrix. Within that grammar it reads every value as Python's
+``float`` does, bit for bit, except that it drops the sign of ``-0.0`` in
+array bodies, which is put back from the token, at both mirrored
+positions of a symmetric array. Anything else, and any surprise of the
+fast route (an error from scipy, an index out of range, a non-finite
+value), goes to the strict route, which parses line by line with
+Python's ``int`` and ``float`` and names the offending line. It alone
+reads foreign layouts: comment or blank lines between entries, ``\r\n``
+endings, tabs, ``+1`` or ``1_0``.
 """
 
 from __future__ import annotations
@@ -174,7 +179,8 @@ _FOLLOWS = {_DIGIT: (_DIGIT, _POINT, _EXP, _SPACE, _NEWLINE), _MINUS: (_DIGIT,),
             _SPACE: (_DIGIT, _MINUS), _NEWLINE: (_DIGIT, _MINUS)}
 _PAIRS = bytes(8 * a + b for a, successors in _FOLLOWS.items() for b in successors)
 # the marks of a body are the body without its digits and without "+",
-# which can only be an exponent's sign, with the exponent letter as "e"
+# which can only be an exponent's sign, with the exponent letter as "e";
+# an array body's marks drop "-" too
 _MARKS = bytes.maketrans(b"E", b"e")
 
 
@@ -187,15 +193,20 @@ def _canonical(text, coordinate, expected):
     pairs += c[1:]
     if pairs.tobytes().translate(None, _PAIRS):  # a byte that may not follow the one before it
         return False
-    # each byte now follows one it may follow: a "-" in the marks follows
-    # "e" as the exponent's sign or opens a value, and a value's marks are
-    # "-?\.?(e-?)?" once no line holds two points, two exponents or a point
-    # after its exponent; a coordinate line's marks start with its two spaces
-    marks = text.translate(_MARKS, b"0123456789+")
-    return (text.endswith(b"\n") and marks.count(b"\n") == expected + 1
-            and marks.count(b" ") == 2 * coordinate * expected
-            and (not coordinate or marks.count(b"\n  ") == expected)
-            and not any(s in marks for s in (b"..", b"e.", b"e-.", b"ee", b"e-e")))
+    # each byte now follows one it may follow: a "-" opens a value, or an
+    # index (which the count of "\n  " rules out) or follows "e" as the
+    # exponent's sign, and a value's marks are "-?\.?(e-?)?" once no line
+    # holds two points, two exponents or a point after its exponent; a
+    # coordinate line's marks start with its two spaces. An array body has
+    # no spaces, so its marks drop "-", and "e-." and "e-e" read "e." and "ee"
+    marks = text.translate(_MARKS, b"0123456789+" if coordinate else b"0123456789+-")
+    if not (text.endswith(b"\n") and marks.count(b"\n") == expected + 1
+            and marks.count(b" ") == 2 * coordinate * expected):
+        return False
+    if coordinate:
+        return (marks.count(b"\n  ") == expected
+                and not any(s in marks for s in (b"..", b"e.", b"e-.", b"ee", b"e-e")))
+    return not any(s in marks for s in (b"..", b"e.", b"ee"))
 
 
 def _read_canonical(path, data):
@@ -222,25 +233,33 @@ def _read_canonical(path, data):
     # process (SIGFPE) on an array of no rows
     if not expected or not _canonical(text, coordinate, expected):
         return None
-    # under a general header scipy keeps the entries in file order, duplicates too
-    size = f"{nrow} {ncol} {expected}" if coordinate else f"{expected} 1"
-    kind = "coordinate" if coordinate else "array"
+    # the field is re-headed real, so that an integer body reads as float;
+    # under a general header scipy keeps coordinate entries in file order,
+    # duplicates too, and it expands a symmetric array itself
+    head = (f"coordinate real general\n{nrow} {ncol} {expected}" if coordinate
+            else f"array real {symmetry}\n{nrow} {ncol}")
     try:
-        M = mmread(io.BytesIO(f"%%MatrixMarket matrix {kind} real general\n{size}".encode()
-                              + text))
+        M = mmread(io.BytesIO(f"%%MatrixMarket matrix {head}".encode() + text))
     except (ValueError, OverflowError):  # an index out of range or beyond scipy's index type
         return None
-    rows, cols, values = (M.row, M.col, M.data) if coordinate else (None, None, M.ravel())
-    zero = np.flatnonzero(values == 0)
-    if zero.size:  # put back the sign of -0.0, which scipy drops in array bodies
-        t = np.frombuffer(text, np.uint8)
-        # the separators: per line a newline, then two spaces in a coordinate body
-        per_line = 3 if coordinate else 1
-        first = np.flatnonzero(t <= ord(" "))[(zero + 1) * per_line - 1] + 1
-        values[zero[t[first] == ord("-")]] = -0.0
-    if not np.isfinite(values).all():
-        return None
-    return _assemble(coordinate, symmetry, nrow, ncol, rows, cols, values)
+    if coordinate:
+        if not np.isfinite(M.data).all():
+            return None
+        return _assemble(coordinate, symmetry, nrow, ncol, M.row, M.col, M.data)
+    # put back the sign of -0.0, which scipy drops in array bodies: the token
+    # of entry (i, j) is j nrow + i, or for the lower triangle of a symmetric
+    # array, read column by column, j n - j (j - 1) / 2 + (i - j)
+    r, c = np.nonzero(M == 0)
+    if symmetry == "symmetric":
+        i, j = np.maximum(r, c), np.minimum(r, c)
+        token = j * nrow - j * (j - 1) // 2 + (i - j)
+    else:
+        token = c * nrow + r
+    if token.size:
+        t = np.frombuffer(text, np.uint8)  # token k opens after the body's newline k
+        minus = t[np.flatnonzero(t == ord("\n"))[token] + 1] == ord("-")
+        M[r[minus], c[minus]] = -0.0
+    return M if np.isfinite(M).all() else None
 
 
 def _assemble(coordinate, symmetry, nrow, ncol, rows, cols, values):

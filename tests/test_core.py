@@ -141,6 +141,49 @@ class TestOnePath:
         assert not forms[1].has_sorted_indices
 
 
+class TestExactlySymmetricDense:
+    """A dense input equal to its transpose is stored without the mirror,
+    as the mirror would store it; any other takes the mirror and its check."""
+
+    @staticmethod
+    def _matrix():
+        A = np.diag([4.0, 5.0, 6.0, 7.0])
+        A[1, 0] = A[0, 1] = 0.5
+        A[2, 1], A[1, 2] = -0.0, 0.0  # equal, in different bits
+        A[3, 2] = A[2, 3] = -0.0
+        A[3, 0] = A[0, 3] = -1 / 3
+        return A
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stores_what_the_mirror_stores(self, order):
+        A = np.array(self._matrix(), order=order)
+        before = A.copy()
+        X = SpdMatrix(A)
+        mirror = np.tril(A) + np.tril(A, -1).T
+        bits = X.dense().view(np.int64)
+        assert np.array_equal(bits, mirror.view(np.int64))
+        assert not np.signbit(X.dense()[X.dense() == 0]).any()  # every -0.0 stored as 0.0
+        assert X.dense().flags.c_contiguous and not X.dense().flags.writeable
+        # the caller's array is neither stored nor frozen nor changed
+        assert X.dense() is not A and A.flags.writeable
+        assert np.array_equal(A.view(np.int64), before.view(np.int64))
+
+    def test_one_ulp_off_takes_the_mirror(self):
+        A = self._matrix()
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        X = SpdMatrix(A)
+        # the lower triangle wins, within the 1e-12 check
+        assert X.dense()[0, 1] == X.dense()[1, 0] == A[1, 0] != A[0, 1]
+        A[0, 1] = 0.5 + 1e-6
+        with pytest.raises(AsymmetricInput):
+            SpdMatrix(A)
+
+    def test_integer_input(self):
+        X = SpdMatrix(np.array([[2, 1], [1, 2]]))
+        assert X.dense().dtype == np.float64 and X.dense().flags.c_contiguous
+        np.testing.assert_array_equal(X.dense(), [[2.0, 1.0], [1.0, 2.0]])
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(SpdMatrix(np.eye(4)).chol().L, np.eye(4))

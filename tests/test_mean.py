@@ -29,6 +29,7 @@ from spdcone import (
 )
 import spdcone.core
 import spdcone.mean
+from spdcone.core import _reduce
 from spdcone.errors import (
     DimensionMismatch,
     FixedPointStalled,
@@ -533,6 +534,30 @@ class TestStack:
         assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 13
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["random", "banded"]), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** 1000]),
+           raw=st.lists(st.floats(1e-3, 1.0), min_size=5, max_size=5))
+    def test_every_combination_is_exactly_symmetric(self, kind, seed, scale, raw):
+        # a product does not round (i, j) and (j, i) alike; each entry takes
+        # its lower twin's value, so every combination is symmetric bit for
+        # bit, and stays finite near the largest float
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            pts = [random_sparse_spd(100, 0.03, rng) for _ in range(5)]
+        else:
+            pts = [banded_spd(100, 5, rng) for _ in range(5)]
+        pts = [SpdMatrix(p.raw() * scale) for p in pts]
+        w = np.array(raw) / sum(raw)
+        stack = _Stack(pts)
+        for c in (w, w[:3], -w):
+            A = stack.raw(stack.combination(c))
+            assert np.isfinite(A.data).all() and (A != A.T).nnz == 0
+            ref = sum(cj * p.raw() for cj, p in zip(c, pts))
+            np.testing.assert_allclose(A.toarray(), ref.toarray(), rtol=0,
+                                       atol=1e-15 * abs(ref).max())
+
+
 class TestOneDenseFactorPerIterate:
     """A family whose pencils all resolve dense certifies each iterate once,
     by a dense factor that all k reductions of its round borrow."""
@@ -579,6 +604,41 @@ class TestOneDenseFactorPerIterate:
             assert X.is_sparse and not X.chol().is_sparse
             assert spdcone.core._gershgorin_proves(X.raw().tocsc()) == dominant
             assert factor_error(X) <= 1e-14
+
+
+    def test_a_wide_pencil_factors_its_point_twice(self, factor_calls, monkeypatch):
+        # a pencil wider than _SPREAD takes alpha from the swapped pencil,
+        # reduced with Y_j's factor; a sparse point ran an uncertified potrf
+        # of its dense copy for it every round, 20 in these 7 rounds. Now
+        # that runs once, in the round its pencil turns wide, and its dense
+        # copy certifies one factor for every later round
+        rng = np.random.default_rng(0)
+        pts = [random_sparse_spd(100, 0.03, rng) for _ in range(3)]
+        pts[2] = SpdMatrix(pts[2].raw() + sp.diags(np.geomspace(1.0, 1e4, 100)))
+        seen = spy_solves(monkeypatch)
+        factor_calls.clear()
+        res = inductive_mean(MeanProblem(pts))
+        assert res.certified and res.rounds == 7
+        assert factor_calls.count("dpotrf") == len(pts)
+        # one certifying factor per iterate, and one per point's copy
+        assert factor_calls.count("_factor_dense") == res.rounds + len(pts)
+        # a point is solved as itself until its pencil is wide, then as
+        # one dense copy of its values
+        for j, p in enumerate(pts):
+            used = list({id(Y): Y for Y in [Y for _, Y, *_ in seen][j::len(pts)]}.values())
+            assert used[0] is p and len(used) == 2
+            assert not used[1].is_sparse and np.array_equal(used[1].raw(), p.dense())
+        # the caller's points keep their own factors
+        assert all(p.chol().is_sparse for p in pts)
+
+    def test_a_point_lends_the_factor_of_its_dense_copy(self, rng):
+        # the same potrf of the same dense copy as the uncertified one
+        X, Y = random_sparse_spd(60, 0.05, rng), random_sparse_spd(60, 0.05, rng)
+        twin = SpdMatrix._canonical(Y.dense())
+        C, L = _reduce(X, twin)
+        assert twin.certified and L is twin.chol().L
+        C0, L0 = _reduce(X, Y)
+        assert np.array_equal(C, C0) and np.array_equal(L, L0)
 
 
 class TestWarmStartBracket:

@@ -1,5 +1,7 @@
 """Matrix Market round-trips and parse diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -407,3 +409,88 @@ def test_fast_route_matches_the_strict_loop(tmp_path, text):
     else:
         assert fast.shape == strict.shape
         assert np.array_equal(_bits(fast), _bits(strict))
+
+
+class TestArrayLayout:
+    """The fast route parses an array body in its own layout, and puts back
+    the -0.0 that scipy drops, at both mirrored positions of a symmetric
+    array."""
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+    def test_negative_zero_matches_the_strict_loop(self, tmp_path, symmetry):
+        if symmetry == "symmetric":  # the lower triangle, column by column
+            size, tokens = "3 3", ["2.0", "-0.0", "-0", "3.0", "0.0", "-0e5"]
+            expected = np.array([[2.0, -0.0, -0.0], [-0.0, 3.0, 0.0], [-0.0, 0.0, -0.0]])
+        else:  # every entry, column by column
+            size, tokens = "2 3", ["-0.0", "1.0", "0", "-1e-400", "-0", "2.5"]
+            expected = np.array([[-0.0, 0.0, -0.0], [1.0, -0.0, 2.5]])
+        p = tmp_path / "z.mtx"
+        p.write_text("\n".join([f"%%MatrixMarket matrix array real {symmetry}", size,
+                                 *tokens]) + "\n")
+        data = p.read_bytes()
+        fast = mmio._read_canonical(p, data)
+        assert fast is not None and fast.flags.c_contiguous
+        for A in (fast, mmio._read_lines(p, data), read_matrix(p)):
+            assert A.shape == expected.shape and np.array_equal(_bits(A), _bits(expected))
+
+    def test_integer_symmetric_array_reads_as_float(self, tmp_path):
+        p = tmp_path / "i.mtx"
+        p.write_text("%%MatrixMarket matrix array integer symmetric\n2 2\n3\n-0\n5\n")
+        A = mmio._read_canonical(p, p.read_bytes())
+        assert A is not None and A.dtype == np.float64
+        assert np.array_equal(_bits(A), _bits(np.array([[3.0, -0.0], [-0.0, 5.0]])))
+        # the certified matrix stores 0.0, as the mirror does
+        assert np.array_equal(_bits(read_spd(p).dense()), _bits(np.diag([3.0, 5.0])))
+
+
+# the documented grammar of a canonical body: the newline that ends the size
+# line, then ``expected`` lines, each one value or, in a coordinate body, two
+# digit-only indices and a value, separated by single spaces
+_VALUE = rb"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?"
+
+
+def _grammar(text, coordinate, expected):
+    line = rb"[0-9]+ [0-9]+ " + _VALUE if coordinate else _VALUE
+    return re.fullmatch(rb"\n(?:%b\n){%d}" % (line, expected), text) is not None
+
+
+@st.composite
+def mutated_bodies(draw):
+    """A canonical array or coordinate body, then up to three edits: a
+    byte inserted, replaced or deleted anywhere after the leading newline,
+    or a "-" put in front of an index; the declared line count is off by
+    one in some draws. Returns (body, coordinate, expected)."""
+    coordinate = draw(st.booleans())
+    count = draw(st.integers(1, 5))
+    values = [draw(fast_tokens()) for _ in range(count)]
+    lines = [f"{draw(st.integers(0, 99))} {draw(st.integers(0, 99))} {v}" if coordinate else v
+             for v in values]
+    text = bytearray(("\n" + "\n".join(lines) + "\n").encode())
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "index"]))
+        if edit == "index":  # after a newline or a line's first space
+            where = [k + 1 for k, b in enumerate(text[:-1]) if b == ord("\n")]
+            where += [k + 1 for k in range(len(text)) if text[k] == ord(" ")
+                      and text.rfind(b" ", 0, k) < text.rfind(b"\n", 0, k)]
+            text.insert(draw(st.sampled_from(where)), ord("-"))
+            continue
+        byte = draw(st.sampled_from(b"0123456789-+.eE \n\tx%"))
+        if edit == "insert":
+            text.insert(draw(st.integers(1, len(text))), byte)
+        elif len(text) > 1:
+            k = draw(st.integers(1, len(text) - 1))
+            if edit == "replace":
+                text[k] = byte
+            else:
+                del text[k]
+    expected = max(1, count + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return bytes(text), coordinate, expected
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(mutated_bodies())
+def test_canonical_is_the_documented_grammar(case):
+    # an array body's marks drop "-"; a coordinate body keeps it, since
+    # there the count of "\n  " keeps a "-" out of an index
+    text, coordinate, expected = case
+    assert mmio._canonical(text, coordinate, expected) == _grammar(text, coordinate, expected)
