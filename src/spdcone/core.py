@@ -3,10 +3,11 @@
 An :class:`SpdMatrix` built from a matrix is certified positive definite
 at construction: the Cholesky factorization that performs the certification
 is cached on the instance and reused by every downstream pencil solve.
-A strictly diagonally dominant sparse matrix is proven positive definite
-by Gershgorin's theorem in O(nnz), which bounds lambda_min from below;
-any other matrix is certified by its pivots and an inverse-iteration
-estimate, which bound lambda_min from above. Both are factored all the same.
+A strictly diagonally dominant matrix is proven positive definite by
+Gershgorin's theorem, in O(nnz) sparse and O(n^2) dense, which bounds
+lambda_min from below; any other matrix is certified by its pivots and an
+inverse-iteration estimate, which bound lambda_min from above. Both are
+factored all the same.
 A scaled matrix, or a combination built without certification, holds no
 factorization until its first ``chol()``; ``certified`` says which.
 Dense and sparse input take one path: duplicates summed (sparse), the
@@ -69,8 +70,7 @@ def fro_norm(a):
 class CholeskyFactor:
     """Certifying Cholesky factorization of an SPD matrix X.
 
-    Dense: ``X = L @ L.T`` with ``perm is None``, whether X is stored
-    dense or, for an inductive mean's iterate, sparse.
+    Dense: ``X = L @ L.T`` with ``perm is None``, X stored dense.
     Sparse: ``X[perm][:, perm] = L @ L.T`` where ``perm`` is the
     fill-reducing elimination order, whose SuperLU object is kept:
     :meth:`solve` reuses it, so X is factored once. SuperLU either chose
@@ -135,9 +135,10 @@ def _breakdown_threshold(diagonal):
     return max(BREAKDOWN_RTOL * diagonal.max(), np.finfo(float).tiny)
 
 
-def _gershgorin_proves(A_csc):
+def _gershgorin_proves(A):
     """Whether Gershgorin's theorem proves lambda_min of the full symmetric
-    CSC matrix above the breakdown threshold t, in O(nnz).
+    matrix A, an ndarray or a CSC matrix, above the breakdown threshold t,
+    in O(n^2) or O(nnz).
 
     lambda_min >= min_i (a_ii - s_i) with s_i = sum_{j != i} |a_ij|. Each
     s_i is summed without a_ii (a total minus a_ii would cancel); a sum of
@@ -145,21 +146,36 @@ def _gershgorin_proves(A_csc):
     exact one (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2nd ed., 2002, §3.1). The test passes when
     ``(a_ii - t) / (1 + (m_i + 2) eps) > s_i + tiny`` for every i, m_i the
-    entries stored in column i: the factor covers the rounding of the sum,
-    of a_ii - t, of s_i + tiny, of the factor itself and of the quotient,
-    and ``tiny`` the quotient's absolute error when it underflows.
-    Dividing, not multiplying, keeps every step finite, and a row sum that
-    overflows to inf declines.
+    entries stored in column i (n for an ndarray, whose s_i sums a zero for
+    a_ii): the factor covers the rounding of the sum, of a_ii - t, of
+    s_i + tiny, of the factor itself and of the quotient, and ``tiny`` the
+    quotient's absolute error when it underflows. Dividing, not
+    multiplying, keeps every step finite, and a row sum that overflows to
+    inf declines, without a warning. An ndarray takes one n x n temporary.
     """
-    data, rows, indptr = A_csc.data, A_csc.indices, A_csc.indptr
-    n = indptr.size - 1
-    counts = np.diff(indptr)
-    cols = np.repeat(np.arange(n), counts)
-    on = rows == cols
-    diagonal = np.zeros(n)
-    diagonal[cols[on]] = data[on]
-    # bincount adds in order and, unlike a ufunc, overflows to inf without a warning
-    off = np.bincount(cols, np.where(on, 0.0, np.abs(data)), n)
+    if sp.issparse(A):
+        data, rows, indptr = A.data, A.indices, A.indptr
+        n = indptr.size - 1
+        counts = np.diff(indptr)
+        cols = np.repeat(np.arange(n), counts)
+        on = rows == cols
+        diagonal = np.zeros(n)
+        diagonal[cols[on]] = data[on]
+        # bincount adds in order and, unlike a ufunc, overflows to inf without a warning
+        off = np.bincount(cols, np.where(on, 0.0, np.abs(data)), n)
+    else:
+        diagonal, counts = A.diagonal(), A.shape[0]
+        # a dense matrix is rarely dominant: the row of its smallest diagonal
+        # entry declines most in O(n), before the n x n pass
+        i = int(np.argmin(diagonal))
+        row = np.abs(A[i])
+        row[i] = 0.0
+        with np.errstate(over="ignore"):
+            if not diagonal[i] > row.sum():
+                return False
+            off = np.abs(A)
+            np.fill_diagonal(off, 0.0)
+            off = off.sum(axis=0)
     slack = 1.0 + (counts + 2) * np.finfo(float).eps
     margin = (diagonal - _breakdown_threshold(diagonal)) / slack
     return bool(np.all(margin > off + np.finfo(float).tiny))
@@ -197,24 +213,21 @@ def _check_breakdown(f, pivots, diagonal):
 
 
 def _factor_dense(A):
-    """Certifying dense Cholesky of an ndarray, or of a full symmetric
-    sparse matrix's dense copy. Returns CholeskyFactor or raises.
+    """Certifying dense Cholesky of a full symmetric ndarray. Returns
+    CholeskyFactor or raises.
 
-    The factor of a sparse matrix is certified as :func:`_factor_sparse`
-    certifies SuperLU's: by :func:`_gershgorin_proves`, in O(nnz), when it
-    proves the matrix (whose CSR arrays read as CSC hold the same matrix),
-    else by its pivots and :func:`_check_breakdown`.
+    The factor is certified as :func:`_factor_sparse` certifies SuperLU's:
+    by :func:`_gershgorin_proves` when it proves A, else by its pivots and
+    :func:`_check_breakdown`.
     """
-    sparse = sp.issparse(A)
-    dense = A.toarray() if sparse else A
-    potrf, = get_lapack_funcs(("potrf",), (dense,))
-    L, info = potrf(dense, lower=1, clean=1, overwrite_a=sparse)
+    potrf, = get_lapack_funcs(("potrf",), (A,))
+    L, info = potrf(A, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(pivot_index=int(info))
     if info < 0:
         raise ValueError(f"internal LAPACK error in potrf: info={info}")
     f = CholeskyFactor(L)
-    if not (sparse and _gershgorin_proves(A)):
+    if not _gershgorin_proves(A):
         _check_breakdown(f, np.diag(L) ** 2, A.diagonal())
     return f
 
@@ -270,17 +283,15 @@ def _factor_sparse(A_csc, q=None):
     return f
 
 
-def _factor(A, q=None, dense=False):
+def _factor(A, q=None):
     """Certifying factorization of a full symmetric matrix: an ndarray, or
     a CSC matrix, X[q][:, q] when an order ``q`` is given (see
-    :func:`_factor_sparse`). With ``dense``, a sparse matrix, CSC or CSR,
-    is factored dense (see :func:`_factor_dense`), a factor the dense
-    backend's reductions can borrow. A diagonal entry that is not
-    positive is rejected before anything is factored."""
+    :func:`_factor_sparse`). A diagonal entry that is not positive is
+    rejected before anything is factored."""
     bad = np.nonzero(~(A.diagonal() > 0))[0]
     if bad.size:
         raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1, detail="diagonal entry")
-    return _factor_sparse(A, q) if sp.issparse(A) and not dense else _factor_dense(A)
+    return _factor_sparse(A, q) if sp.issparse(A) else _factor_dense(A)
 
 
 def _require_finite(entries):
@@ -458,26 +469,23 @@ def _reduce(A: SpdMatrix, B: SpdMatrix):
     array, C = L^-1 A L^-T in its lower triangle (LAPACK dsygst, itype 1).
 
     C has the pencil's eigenvalues, and its eigenvector z gives the
-    pencil's L^-T z. A B that holds a dense factor lends it, however B is
-    stored: the potrf that a generalized ``eigh`` would run. A dense-stored
-    B holds one once ``chol()`` has certified it, first if need be; a
-    sparse-stored B holds one when the inductive mean certified it so
-    (``mean._Stack.matrix``). SuperLU's factor of any other sparse-stored
-    B is not one L, and such a B is not factored by SuperLU here: B.dense()
-    takes one potrf.
+    pencil's L^-T z. A dense-stored B lends the factor ``chol()``
+    certifies, first if need be: the potrf that a generalized ``eigh``
+    would run. SuperLU's factor of a sparse-stored B is not one L, and such
+    a B is not factored by SuperLU here: B.dense() takes one uncertified
+    potrf.
 
     dsygst's sums overflow on entries near the largest float, so when L's
     largest diagonal entry passes ``_REDUCE_SCALE`` C is formed, exactly,
     from A 2^(-2s) and L 2^(-s), 2^s that entry's binade; L comes back
     unscaled.
     """
-    f = B._factor if B.is_sparse else B.chol()
-    if f is None or f.is_sparse:
+    if B.is_sparse:
         L, info = dpotrf(B.dense(), lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(pivot_index=int(info))
     else:
-        L = f.L
+        L = B.chol().L
     top = L.diagonal().max()
     if top > _REDUCE_SCALE:
         s = int(np.frexp(top)[1])

@@ -8,8 +8,7 @@ Y X^-1. Two backends compute them:
   ``_SMALL``, whatever its storage, and for a larger one with a side
   denser than a quarter: one reduction C = L^-1 Y L^-T with X's factor
   X = L L^T (Martin & Wilkinson, Numer. Math. 11, 1968), held by a
-  dense-stored X and by a sparse inductive mean iterate, else one potrf
-  of a sparse-stored X's dense copy, one
+  dense-stored X, else one potrf of a sparse-stored X's dense copy, one
   tridiagonalization of C, and bisection for both of its ends, with
   inverse iteration for their vectors and residuals unless the caller
   reads only the values. Its alpha errs by about

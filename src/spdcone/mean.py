@@ -71,21 +71,16 @@ the entries (i, j) and (j, i) alike, so each entry of a combination
 takes the value of its lower-triangle twin: the combination is exactly
 symmetric, and skips canonicalization; the forms v.Y_i v of
 Newton's Jacobian are one product of the rows with the vectors' entry
-products. When every pencil of a sparse family resolves to the dense
-backend, whatever the iterate (``eigen._resolve_backend``; ``auto`` does
-so at order at most ``eigen._SMALL``), each iterate stays sparse-stored
-but holds one dense factor, potrf of its dense copy, certified as SuperLU's
-would be: by Gershgorin's theorem when it is diagonally dominant, else by
-its pivots and an inverse-iteration estimate. All k reductions of its
-round borrow that factor (``core._reduce``), so a round factors once, not
-k + 1 times. A pencil wider than ``eigen._SPREAD`` takes alpha from the
-swapped pencil, reduced with Y_j's factor: once its pencil has been
-that wide, a sparse point is solved as its dense copy, which certifies a
-dense factor at its first reduction and keeps it for the mean, so only
-the points of wide pencils are held dense. Otherwise a fill-reducing
-order depends only on the pattern (George & Liu, 1981), so the mean's
-first sparse factorization picks it and every later one factors the
-matrix already permuted into it, with no ordering step.
+products. When every pencil of a family resolves to the dense backend,
+whatever the iterate (``eigen._resolve_backend``; ``auto`` does so at
+order at most ``eigen._SMALL``), the family is solved as a dense one: the
+stack holds dense rows, a sparse point is solved as a dense-stored view
+of its row, and each iterate is dense-stored and certified once by a
+dense factor that all k reductions of its round borrow (``core._reduce``).
+Only the returned mean of sparse points goes back to CSR. Otherwise a
+fill-reducing order depends only on the pattern (George & Liu, 1981), so
+the mean's first sparse factorization picks it and every later one
+factors the matrix already permuted into it, with no ordering step.
 """
 
 from __future__ import annotations
@@ -100,7 +95,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .core import SpdMatrix, _check_dims, _factor, fro_norm
-from .eigen import _SPREAD, EigenOptions, _bounded, _resolve_backend, extreme_pair
+from .eigen import EigenOptions, _bounded, _resolve_backend, extreme_pair
 from .errors import (
     FixedPointStalled,
     InvalidArgument,
@@ -198,30 +193,28 @@ def inductive_step(
 class _Stack:
     """The values of SpdMatrix members, one row each, on one pattern.
 
-    When every member is sparse, ``values`` is a members x nnz array over
-    the union of their patterns, in sorted CSR order (``indices``,
-    ``indptr``, and each entry's row in ``rows``), and a combination of
-    members, or their quadratic forms on given vectors, is one product
-    with it.
-    A dense member makes the stack dense: ``values`` is then the list of
-    the members' full arrays, the stored ones of dense members, so no
-    dense value is copied, and a combination takes one axpy per member.
+    When every member is sparse and ``dense`` is false, ``values`` is a
+    members x nnz array over the union of their patterns, in sorted CSR
+    order (``indices``, ``indptr``, and each entry's row in ``rows``), and
+    a combination of members, or their quadratic forms on given vectors,
+    is one product with it.
+    Otherwise the stack is dense: ``values`` is the list of the members'
+    full arrays, the stored ones of dense members, so no dense value is
+    copied, and a combination takes one axpy per member.
     Every combination of members lies on the stack's pattern and is
     exactly symmetric, a sparse one because each entry takes the value of
     its lower-triangle twin, so it needs no canonicalization. The first
     sparse factorization picks the fill-reducing order q, which depends
     only on the pattern; every later one factors X[q][:, q], gathered
-    through a fixed index map, in that order. ``matrix(x, dense=True)`` instead
-    certifies a sparse matrix by a dense factor, for the dense backend's
-    reductions to borrow, and picks no order.
+    through a fixed index map, in that order.
     """
 
-    def __init__(self, members):
+    def __init__(self, members, dense=False):
         for m in members[1:]:
             _check_dims(members[0], m)
         self.n = n = members[0].n
         self.q = None
-        if not all(m.is_sparse for m in members):
+        if dense or not all(m.is_sparse for m in members):
             self.values, self.indptr = [m.dense() for m in members], None
             return
         mats = [m.raw() for m in members]
@@ -288,12 +281,9 @@ class _Stack:
         self._pindptr = np.searchsorted(cols[self._gather], np.arange(n + 1)).astype(index)
         self.q = q
 
-    def matrix(self, x, dense=False):
-        """The certified SpdMatrix with values x. With ``dense``, a sparse
-        one holds a dense factor of its dense copy (``core._factor``)."""
-        A = self.raw(x)
-        f = _factor(A, dense=True) if dense and self.indptr is not None else self.factor(x)
-        return SpdMatrix._canonical(A, f)
+    def matrix(self, x):
+        """The certified SpdMatrix with values x."""
+        return SpdMatrix._canonical(self.raw(x), self.factor(x))
 
 
 def _residual_field(stack, x, ms, osum):
@@ -393,17 +383,15 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
 
     The iterates, the residuals and the bracket matrices are
     combinations of the rows of one ``_Stack`` of the points and
-    ``init`` (by its nonzeros when it is dense and the points are sparse;
-    its entries outside the points' union only its own round sees), and
-    they read the stored values x of the iterate, never its weights; only
-    Newton's Jacobian, which steers and certifies nothing, takes v.X v as
-    sum_i w_i v.Y_i v. When every Y_j alone makes its pencil resolve dense
-    (so it does whatever the iterate), each iterate is certified by one
-    dense factor, which the k reductions of its round borrow, and a
-    sparse point whose pencil was wider than ``_SPREAD`` is solved from
-    the next round on as its dense copy, whose factor the swapped
-    reduction certifies once; otherwise the stack's first sparse
-    factorization fixes the order of every later one.
+    ``init`` (its entries outside the points' union only its own round
+    sees), and they read the stored values x of the iterate, never its
+    weights; only Newton's Jacobian, which steers and certifies nothing,
+    takes v.X v as sum_i w_i v.Y_i v. When every Y_j alone makes its
+    pencil resolve dense (so it does whatever the iterate), the stack is
+    dense, and a sparse point or ``init`` enters as a dense view of its
+    row; otherwise a dense ``init`` of sparse points enters by its
+    nonzeros, and the stack's first sparse factorization fixes the order
+    of every later one.
 
     Round r solves at max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), with
     r_0 = inf. A round looser than ``opts.tol`` runs without the guard
@@ -435,20 +423,24 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
     step into it.
     """
     k = len(points)
+    # a pencil that Y_j alone resolves dense resolves dense whatever the
+    # iterate: then the family is solved as a dense one
+    dense = all(_resolve_backend(Yj, Yj, opts) == "dense" for Yj in points)
     row = init
-    if init is not None and not init.is_sparse and all(p.is_sparse for p in points):
+    if init is not None and not init.is_sparse and not dense and all(p.is_sparse for p in points):
         # sparse points keep sparse iterates: a dense init enters by its nonzeros
         row = SpdMatrix._canonical(sp.csr_matrix(init.dense()))
-    stack = _Stack(points if init is None else points + [row])
-    # a pencil that Y_j alone resolves dense resolves dense whatever the
-    # iterate: then each iterate holds one dense factor for its k reductions
-    dense = all(_resolve_backend(Yj, Yj, opts) == "dense" for Yj in points)
+    stack = _Stack(points if init is None else points + [row], dense)
+    if dense:
+        points = [SpdMatrix._canonical(v) if Yj.is_sparse else Yj
+                  for Yj, v in zip(points, stack.values)]
     if init is None:
         w = np.full(k, 1.0 / k)
         x = stack.combination(w)
-        X = stack.matrix(x, dense)
+        X = stack.matrix(x)
     else:
-        w, x, X = None, stack.values[k], init
+        w, x = None, stack.values[k]
+        X = SpdMatrix._canonical(x) if dense and init.is_sparse else init
     vectors = [(None, None)] * k
     disp = 0.0
     best = (math.inf, 1.0, X, disp)
@@ -461,14 +453,6 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         exts = [extreme_pair(X, Yj, round_opts, start, _residuals=False,
                              _guard=tight and any(s is None for s in start))
                 for Yj, start in zip(points, vectors)]
-        if dense:
-            # a wide pencil's alpha comes from the swapped pencil, reduced
-            # with Y_j's factor, which a sparse Y_j holds only as SuperLU's:
-            # from then on Y_j is solved as its dense copy, which certifies
-            # a dense factor at its first reduction and keeps it
-            points = [SpdMatrix._canonical(Yj.dense())
-                      if Yj.is_sparse and e.beta > _SPREAD * e.alpha else Yj
-                      for Yj, e in zip(points, exts)]
         exact = tight or all(e.backend == "dense" for e in exts)
         pairs = [coefficient_derivatives(e.alpha, e.beta) for e in exts]
         ms = [m for m, _ in pairs]
@@ -495,7 +479,7 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
             disp = math.log(ratio.max() / ratio.min())
         w = w_next
         x = stack.combination(w)
-        X = stack.matrix(x, dense)
+        X = stack.matrix(x)
     rnorm, c, X, disp = best
     return X.scaled(c), max_rounds, disp, rnorm
 
@@ -510,8 +494,9 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     a cold ``residual`` there is at most ``residual_tol``. The mean of one
     point is that point, certified by its ``chol()`` and then with
     residual 0 and no solve. The mean of more
-    points is an iterate scaled by its radial correction, so it holds no
-    factorization until its first ``chol()``.
+    points is an iterate scaled by its radial correction, sparse-stored
+    when every point is, so it holds no factorization until its first
+    ``chol()``.
 
     Parameters
     ----------
@@ -550,6 +535,9 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
         return MeanResult(points[0], 0, 0.0, 0.0, True)
 
     X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
+    # the mean of sparse points is sparse-stored, on the union of their patterns
+    if not X.is_sparse and all(p.is_sparse for p in points):
+        X = SpdMatrix._canonical(sp.csr_matrix(X.raw()))
     if rnorm > eigen.tol:
         # F stalled: its best iterate came from warm, perhaps loose, solves,
         # so only a cold residual there may vouch for it

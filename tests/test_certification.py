@@ -378,6 +378,52 @@ class TestGershgorinCertificate:
         assert X.certified and retained < 1_000_000
 
 
+class TestDenseGershgorin:
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_a_dense_proof_is_a_sparse_one(self, zeros):
+        # the dense branch sums each column as the sparse one does, with a
+        # slack (n + 2) eps no smaller than (m_i + 2) eps: what it proves,
+        # the sparse branch proves, and away from the boundary they agree
+        rng = np.random.default_rng(9)
+        proofs = 0
+        for n in (1, 2, 5, 30, 120):
+            for near in (-1e-6, -1e-13, 0.0, 1e-13, 1e-6, 0.5):
+                off = rng.uniform(-1.0, 1.0, (n, n))
+                if zeros:
+                    off[rng.random((n, n)) < 0.7] = 0.0
+                off = np.tril(off, -1)
+                off = off + off.T
+                s = np.abs(off).sum(axis=1)
+                scale = max(s.max(), 1.0)
+                d = rng.uniform(0.01, 1.0, n) * scale
+                d[rng.integers(n)] = near * scale
+                A = off + np.diag(s + d)
+                dense = spdcone.core._gershgorin_proves(A)
+                sparse = spdcone.core._gershgorin_proves(sp.csc_matrix(A))
+                assert sparse or not dense
+                t = spdcone.core._breakdown_threshold(A.diagonal())
+                if abs((np.diag(A) - s - t).min()) > 1e-10 * np.abs(np.diag(A)).max():
+                    assert dense == sparse, (n, near)
+                proofs += dense
+        assert proofs >= 10
+
+    def test_an_overflowing_row_sum_declines_without_a_warning(self):
+        every_row_overflows = np.full((4, 4), _BIG / 2) + np.diag([_BIG / 2] * 4)
+        largest_diagonal = _tridiagonal(6, _BIG / 4, _BIG).toarray()
+        with np.errstate(all="raise"):
+            assert not spdcone.core._gershgorin_proves(every_row_overflows)
+            assert spdcone.core._gershgorin_proves(largest_diagonal)
+
+    def test_a_dominant_dense_matrix_needs_no_pivot_path(self, breakdown_checks):
+        rng = np.random.default_rng(7)
+        G = np.tril(rng.uniform(-1.0, 1.0, (48, 48)), -1)
+        G = G + G.T
+        X = SpdMatrix(G + np.diag(np.abs(G).sum(axis=1) + 0.5))
+        assert X.certified and not breakdown_checks
+        random_spd(48, rng)
+        assert len(breakdown_checks) == 1
+
+
 def _small_pencil(kind, n, rng):
     """Sparse (X, Y) of order n >= 1: random, banded or Toeplitz."""
     if kind == "random":
@@ -553,4 +599,16 @@ def _exact_margin(A):
 def test_gershgorin_certificate_is_sound(A):
     # Gershgorin's bound, exact on the stored floats, clears the threshold
     if spdcone.core._gershgorin_proves(A):
+        assert _exact_margin(A) > Fraction(spdcone.core._breakdown_threshold(A.diagonal()))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(near_gershgorin_boundary())
+@example(_summed_below(1e-300)).via("a rounded-down sum")
+@example(_summed_below(1.0)).via("a rounded-down sum")
+@example(_summed_below(1e300)).via("a rounded-down sum")
+def test_dense_gershgorin_certificate_is_sound(A):
+    # the dense copy of a matrix is proven only where the stored floats are
+    if spdcone.core._gershgorin_proves(A.toarray()):
+        assert spdcone.core._gershgorin_proves(A)
         assert _exact_margin(A) > Fraction(spdcone.core._breakdown_threshold(A.diagonal()))

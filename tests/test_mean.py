@@ -366,7 +366,14 @@ class TestFixedPointRounds:
         seen = spy_solves(monkeypatch)
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and res.cycles_used == 0
-        assert all(any(Y is p for p in pts) for _, Y, *_ in seen)
+        if family == "dense":
+            assert all(any(Y is p for p in pts) for _, Y, *_ in seen)
+        else:
+            # a small sparse family is solved dense: each point as one
+            # dense-stored view of its values, the same in every round
+            for j, p in enumerate(pts):
+                Y, = {id(Y): Y for _, Y, *_ in seen[j::len(pts)]}.values()
+                assert not Y.is_sparse and np.array_equal(Y.raw(), p.dense())
         assert len(seen) == len(pts) * res.rounds
         assert res.rounds <= max_rounds
 
@@ -559,8 +566,9 @@ class TestStack:
 
 
 class TestOneDenseFactorPerIterate:
-    """A family whose pencils all resolve dense certifies each iterate once,
-    by a dense factor that all k reductions of its round borrow."""
+    """A family whose pencils all resolve dense is solved as a dense one:
+    each iterate is certified once, by a dense factor that all k
+    reductions of its round borrow."""
 
     @pytest.mark.parametrize("backend", ["auto", "iterative"])
     def test_factorizations_per_mean(self, backend, factor_calls):
@@ -601,17 +609,17 @@ class TestOneDenseFactorPerIterate:
         iterates = {id(X): X for X, *_ in seen}.values()
         assert len(iterates) == res.rounds
         for X in iterates:
-            assert X.is_sparse and not X.chol().is_sparse
-            assert spdcone.core._gershgorin_proves(X.raw().tocsc()) == dominant
+            assert not X.is_sparse and not X.chol().is_sparse
+            assert spdcone.core._gershgorin_proves(X.raw()) == dominant
             assert factor_error(X) <= 1e-14
 
 
-    def test_a_wide_pencil_factors_its_point_twice(self, factor_calls, monkeypatch):
+    def test_a_wide_pencil_factors_its_point_once(self, factor_calls, monkeypatch):
         # a pencil wider than _SPREAD takes alpha from the swapped pencil,
         # reduced with Y_j's factor; a sparse point ran an uncertified potrf
         # of its dense copy for it every round, 20 in these 7 rounds. Now
-        # that runs once, in the round its pencil turns wide, and its dense
-        # copy certifies one factor for every later round
+        # each point is solved as a dense view of its values, which
+        # certifies one factor at its first reduction for every later round
         rng = np.random.default_rng(0)
         pts = [random_sparse_spd(100, 0.03, rng) for _ in range(3)]
         pts[2] = SpdMatrix(pts[2].raw() + sp.diags(np.geomspace(1.0, 1e4, 100)))
@@ -619,17 +627,26 @@ class TestOneDenseFactorPerIterate:
         factor_calls.clear()
         res = inductive_mean(MeanProblem(pts))
         assert res.certified and res.rounds == 7
-        assert factor_calls.count("dpotrf") == len(pts)
-        # one certifying factor per iterate, and one per point's copy
+        assert factor_calls.count("dpotrf") == 0
+        # one certifying factor per iterate, and one per point's view
         assert factor_calls.count("_factor_dense") == res.rounds + len(pts)
-        # a point is solved as itself until its pencil is wide, then as
-        # one dense copy of its values
         for j, p in enumerate(pts):
-            used = list({id(Y): Y for Y in [Y for _, Y, *_ in seen][j::len(pts)]}.values())
-            assert used[0] is p and len(used) == 2
-            assert not used[1].is_sparse and np.array_equal(used[1].raw(), p.dense())
+            Y, = {id(Y): Y for _, Y, *_ in seen[j::len(pts)]}.values()
+            assert not Y.is_sparse and np.array_equal(Y.raw(), p.dense())
         # the caller's points keep their own factors
         assert all(p.chol().is_sparse for p in pts)
+
+    def test_a_sparse_init_enters_as_its_dense_row(self, factor_calls):
+        # a sparse-stored init ran an uncertified potrf of its dense copy in
+        # each of round 1's k reductions: 5 here, with 4 certifying factors
+        rng = np.random.default_rng(0)
+        pts = [random_sparse_spd(100, 0.03, rng) for _ in range(5)]
+        init = random_sparse_spd(100, 0.03, rng)
+        factor_calls.clear()
+        res = inductive_mean(MeanProblem(pts, init=init))
+        assert res.certified and res.rounds == 5
+        assert factor_calls == ["_factor_dense"] * res.rounds
+        assert res.mean.is_sparse and inside(res.mean, lower_union(pts))
 
     def test_a_point_lends_the_factor_of_its_dense_copy(self, rng):
         # the same potrf of the same dense copy as the uncertified one
