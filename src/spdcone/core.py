@@ -3,11 +3,14 @@
 An :class:`SpdMatrix` built from a matrix is certified positive definite
 at construction: the Cholesky factorization that performs the certification
 is cached on the instance and reused by every downstream pencil solve.
-A strictly diagonally dominant matrix is proven positive definite by
-Gershgorin's theorem, in O(nnz) sparse and O(n^2) dense, which bounds
-lambda_min from below; any other matrix is certified by its pivots and an
-inverse-iteration estimate, which bound lambda_min from above. Both are
-factored all the same.
+Every certifying factorization in the package enters through
+:func:`_factor_in`, which hands an ndarray to LAPACK and a CSR matrix to
+SuperLU on its own arrays, in an elimination order fixed earlier when
+given one, and is proven by one rule in :func:`_factor`: a strictly
+diagonally dominant matrix by Gershgorin's theorem, in O(nnz) sparse and
+O(n^2) dense, which bounds lambda_min from below; any other matrix by its
+pivots and an inverse-iteration estimate, which bound lambda_min from
+above. Both are factored all the same.
 A scaled matrix, or a combination built without certification, holds no
 factorization until its first ``chol()``; ``certified`` says which.
 Dense and sparse input take one path: duplicates summed (sparse), the
@@ -31,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs, norm, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dsygst
+from scipy.linalg.lapack import dpotrs, dsyevd, dsygst
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import (
@@ -68,7 +71,8 @@ def fro_norm(a):
 
 
 class CholeskyFactor:
-    """Certifying Cholesky factorization of an SPD matrix X.
+    """Cholesky factorization of an SPD matrix X, certifying once
+    :func:`_factor` has proven it.
 
     Dense: ``X = L @ L.T`` with ``perm is None``, X stored dense.
     Sparse: ``X[perm][:, perm] = L @ L.T`` where ``perm`` is the
@@ -98,6 +102,13 @@ class CholeskyFactor:
             # U = diag(U) @ L.T up to roundoff in symmetric mode
             return (self._lu.L @ sp.diags(np.sqrt(self._lu.U.diagonal()))).tocsc()
         return self._L
+
+    def pivots(self):
+        """The pivots, in elimination order: diag(L)**2, or SuperLU's
+        diag(U), whose reading caches the copies :attr:`L` describes."""
+        if self.is_sparse:
+            return self._lu.U.diagonal()
+        return np.diag(self._L) ** 2
 
     @property
     def nnz(self):
@@ -182,7 +193,8 @@ def _gershgorin_proves(A):
 
 
 def _check_breakdown(f, pivots, diagonal):
-    """Raise NumericalBreakdown on a near-singular matrix.
+    """Raise NotPositiveDefinite on a pivot that is not positive (only
+    SuperLU returns one) and NumericalBreakdown on a near-singular matrix.
 
     The threshold is relative to the largest diagonal entry and never
     subnormal. Every pivot must clear it, and so must lambda_min: a pivot
@@ -196,6 +208,9 @@ def _check_breakdown(f, pivots, diagonal):
     intermediates of a sparse solve, which a right-hand side of norm
     scale overflows near the largest float.
     """
+    bad = np.nonzero(~(pivots > 0))[0]
+    if bad.size:
+        raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1)
     threshold = _breakdown_threshold(diagonal)
     small = np.nonzero(pivots < threshold)[0]
     if small.size:
@@ -213,27 +228,19 @@ def _check_breakdown(f, pivots, diagonal):
 
 
 def _factor_dense(A):
-    """Certifying dense Cholesky of a full symmetric ndarray. Returns
-    CholeskyFactor or raises.
-
-    The factor is certified as :func:`_factor_sparse` certifies SuperLU's:
-    by :func:`_gershgorin_proves` when it proves A, else by its pivots and
-    :func:`_check_breakdown`.
-    """
+    """Dense Cholesky of a full symmetric ndarray, unproven: a
+    CholeskyFactor, or NotPositiveDefinite at a pivot ``potrf`` rejects."""
     potrf, = get_lapack_funcs(("potrf",), (A,))
     L, info = potrf(A, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(pivot_index=int(info))
     if info < 0:
         raise ValueError(f"internal LAPACK error in potrf: info={info}")
-    f = CholeskyFactor(L)
-    if not _gershgorin_proves(A):
-        _check_breakdown(f, np.diag(L) ** 2, A.diagonal())
-    return f
+    return CholeskyFactor(L)
 
 
 def _factor_sparse(A_csc, q=None):
-    """Certifying sparse Cholesky via SuperLU in symmetric mode.
+    """Sparse Cholesky via SuperLU in symmetric mode, unproven.
 
     With the diagonal pivot threshold at zero and symmetric mode on,
     SuperLU performs the elimination in a fill-reducing symmetric
@@ -243,11 +250,8 @@ def _factor_sparse(A_csc, q=None):
     order, and SuperLU keeps it as it stands (it only postorders the
     elimination tree); the factor is then one of X.
 
-    Every matrix is factored, and a row swap rejects it. A matrix that
-    :func:`_gershgorin_proves` is then certified; any other is certified by
-    its pivots and :func:`_check_breakdown`. Only that second path reads
-    the pivots through ``lu.U``, which caches CSC copies of L and U on the
-    held factor (see :attr:`CholeskyFactor.L`).
+    A matrix SuperLU finds exactly singular, or one whose elimination
+    swaps a row, is rejected; its pivots are left to :func:`_factor`.
     """
     try:
         lu = splu(
@@ -273,25 +277,42 @@ def _factor_sparse(A_csc, q=None):
         raise NotPositiveDefinite(pivot_index=int(swapped[0]) + 1, detail="zero pivot")
     # scipy convention: Pr @ A @ Pc = L @ U with perm_r == perm_c here,
     # which reads A[order][:, order] = L @ L.T
-    f = CholeskyFactor(perm=order if q is None else q[order], lu=lu, q=q)
-    if not _gershgorin_proves(A_csc):
-        pivots = lu.U.diagonal()
-        bad = np.nonzero(~(pivots > 0))[0]
-        if bad.size:
-            raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1)
-        _check_breakdown(f, pivots, A_csc.diagonal())
-    return f
+    return CholeskyFactor(perm=order if q is None else q[order], lu=lu, q=q)
 
 
 def _factor(A, q=None):
-    """Certifying factorization of a full symmetric matrix: an ndarray, or
-    a CSC matrix, X[q][:, q] when an order ``q`` is given (see
-    :func:`_factor_sparse`). A diagonal entry that is not positive is
-    rejected before anything is factored."""
+    """Certifying factorization of a full symmetric matrix A: an ndarray,
+    or a CSC matrix, X[q][:, q] when an order ``q`` is given (see
+    :func:`_factor_sparse`), proven by the package's one rule.
+
+    A diagonal entry that is not positive is rejected before anything is
+    factored. The factor is then proven by :func:`_gershgorin_proves`
+    when it proves A, else by its pivots and :func:`_check_breakdown`.
+    """
     bad = np.nonzero(~(A.diagonal() > 0))[0]
     if bad.size:
         raise NotPositiveDefinite(pivot_index=int(bad[0]) + 1, detail="diagonal entry")
-    return _factor_sparse(A, q) if sp.issparse(A) else _factor_dense(A)
+    f = _factor_sparse(A, q) if sp.issparse(A) else _factor_dense(A)
+    if not _gershgorin_proves(A):
+        _check_breakdown(f, f.pivots(), A.diagonal())
+    return f
+
+
+def _factor_in(M, q=None):
+    """Certifying factorization (:func:`_factor`) of the full symmetric M.
+
+    An ndarray (or the numpy matrix a CSR matrix minus an ndarray gives)
+    goes to LAPACK, whatever ``q``. An exactly symmetric CSR matrix with
+    sorted indices, as stored matrices and their combinations are, goes
+    to SuperLU: without ``q`` on its own arrays, read as CSC, with no
+    copy; given an order ``q`` chosen on its pattern (a fill-reducing
+    order depends only on it; George & Liu, 1981), as M[q][:, q].
+    """
+    if not sp.issparse(M):
+        return _factor(np.asarray(M))
+    if q is not None:
+        return _factor(M[q][:, q].tocsc(), q)
+    return _factor(sp.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape))
 
 
 def _require_finite(entries):
@@ -437,7 +458,7 @@ class SpdMatrix:
         """Certifying Cholesky factor, computed on first use and cached;
         NotPositiveDefinite or NumericalBreakdown if the matrix fails."""
         if self._factor is None:
-            self._factor = _factor(self._full.tocsc() if self._is_sparse else self._full)
+            self._factor = _factor_in(self._full)
         return self._factor
 
     def scaled(self, c):
@@ -472,20 +493,15 @@ def _reduce(A: SpdMatrix, B: SpdMatrix):
     pencil's L^-T z. A dense-stored B lends the factor ``chol()``
     certifies, first if need be: the potrf that a generalized ``eigh``
     would run. SuperLU's factor of a sparse-stored B is not one L, and such
-    a B is not factored by SuperLU here: B.dense() takes one uncertified
-    potrf.
+    a B is not factored by SuperLU here: B.dense() takes one unproven
+    :func:`_factor_dense`.
 
     dsygst's sums overflow on entries near the largest float, so when L's
     largest diagonal entry passes ``_REDUCE_SCALE`` C is formed, exactly,
     from A 2^(-2s) and L 2^(-s), 2^s that entry's binade; L comes back
     unscaled.
     """
-    if B.is_sparse:
-        L, info = dpotrf(B.dense(), lower=1, clean=1, overwrite_a=1)
-        if info > 0:
-            raise NotPositiveDefinite(pivot_index=int(info))
-    else:
-        L = B.chol().L
+    L = _factor_dense(B.dense()).L if B.is_sparse else B.chol().L
     top = L.diagonal().max()
     if top > _REDUCE_SCALE:
         s = int(np.frexp(top)[1])

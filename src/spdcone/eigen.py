@@ -38,16 +38,17 @@ solve has spent as many applies as the finish costs (two factorizations,
 each counted as nnz(factor) / n applies, and one Krylov basis of steps)
 and the decay of the Ritz estimate predicts as many again, the leading
 Ritz pair (theta, v) gives the shift sigma = theta (1 + resid). If
-sigma X - Y certifies positive definite, in X's elimination order, the
+sigma X - Y certifies positive definite, factored by ``core._factor_in``
+in the elimination order of X's own factor, with no ordering step, the
 same Lanczos loop runs on (sigma X - Y)^-1 X, whose top eigenvalue
 1 / (sigma - beta) stands far apart from the rest, and returns the
 Rayleigh quotient rho <= beta of its Ritz vector. If
-rho (1 + 10 tol) X - Y certifies too, Sylvester's law of inertia proves
-that no eigenvalue lies above the bracket, and that proof replaces the
-guard (``PencilExtremes.proven``). A factorization that fails means an
-eigenvalue lies above its shift: the plain iteration goes on and tries
-again at its next restart. A solve that converges before it has spent
-the finish's cost never factors anything.
+rho (1 + 10 tol) X - Y certifies too, in the same order, Sylvester's law
+of inertia proves that no eigenvalue lies above the bracket, and that
+proof replaces the guard (``PencilExtremes.proven``). A factorization
+that fails means an eigenvalue lies above its shift: the plain iteration
+goes on and tries again at its next restart. A solve that converges
+before it has spent the finish's cost never factors anything.
 
 The two solves of a pair share nothing, and SuperLU's solves and numpy's
 basis products release the GIL. So when the estimated GIL-free work of
@@ -69,11 +70,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs, hessenberg
 
-from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, _factor, _reduce, fro_norm
+from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, _factor_in, _reduce, fro_norm
 from .errors import (
     DimensionMismatch,
     InvalidOption,
@@ -396,16 +396,18 @@ def _shift_invert(Y, X, theta, u, opts, rng, applies, prove):
     shift-invert Lanczos, and prove it by inertia.
 
     The shift is sigma = theta (1 + resid), resid the pair's residual. If
-    sigma X - Y certifies, in X's elimination order, every eigenvalue lies
-    below sigma (Sylvester's law of inertia), and the operator
-    (sigma X - Y)^-1 X, self-adjoint in the X inner product, maps
+    sigma X - Y certifies, factored by ``core._factor_in`` in the order
+    ``perm`` of X's factor (a dense one has none, and needs none), every
+    eigenvalue lies below sigma (Sylvester's law of inertia), and the
+    operator (sigma X - Y)^-1 X, self-adjoint in the X inner product, maps
     lambda_max to its largest eigenvalue 1 / (sigma - lambda_max), far
     above the images of the rest when sigma is close (Ericsson & Ruhe,
     Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIMAX 15(1), 1994). Its
     Lanczos run returns the Rayleigh quotient rho <= lambda_max of the
-    Ritz vector, so rho (1 + 10 tol) X - Y certifying proves
-    lambda_max <= rho (1 + 10 tol); that proof stands in for the guard,
-    and like the guard it runs only when asked to ``prove``.
+    Ritz vector, so rho (1 + 10 tol) X - Y, factored in the same order,
+    certifying proves lambda_max <= rho (1 + 10 tol); that proof stands
+    in for the guard, and like the guard it runs only when asked to
+    ``prove``.
     Returns (result, applies), with result (rho, v, applies, resid, prove),
     or None when sigma X - Y or the proof does not certify.
     """
@@ -413,7 +415,7 @@ def _shift_invert(Y, X, theta, u, opts, rng, applies, prove):
     v = u / np.linalg.norm(u)
     sigma = theta * (1.0 + pencil_residual(Y, X, theta, v))
     try:
-        F = _factor_like(f, sigma * X.raw() - Y.raw())
+        F = _factor_in(sigma * X.raw() - Y.raw(), f.perm)
     except (NotPositiveDefinite, NumericalBreakdown):
         return None, applies  # an eigenvalue lies above sigma
 
@@ -426,17 +428,9 @@ def _shift_invert(Y, X, theta, u, opts, rng, applies, prove):
 
     lam, v, applies, resid, _ = _lanczos(Y, X, (step, rayleigh), opts, rng, u, False,
                                          applies, math.inf)
-    if prove and not _bounded(partial(_factor_like, f), lam, Y.raw(), X.raw(), opts.tol):
+    if prove and not _bounded(partial(_factor_in, q=f.perm), lam, Y.raw(), X.raw(), opts.tol):
         return None, applies
     return (lam, v, applies, resid, prove), applies
-
-
-def _factor_like(f, M):
-    """Certifying factorization of the full symmetric M, a CSR matrix on
-    any pattern in the elimination order of the factor f, else dense."""
-    if not sp.issparse(M):  # a dense matrix combined with a dense or sparse one
-        return _factor(np.asarray(M))
-    return _factor(M[f.perm][:, f.perm].tocsc(), f.perm)
 
 
 def _bounded(factor, top, A, B, tol):

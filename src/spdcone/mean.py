@@ -80,7 +80,8 @@ dense factor that all k reductions of its round borrow (``core._reduce``).
 Only the returned mean of sparse points goes back to CSR. Otherwise a
 fill-reducing order depends only on the pattern (George & Liu, 1981), so
 the mean's first sparse factorization picks it and every later one
-factors the matrix already permuted into it, with no ordering step.
+factors the matrix permuted into it (``core._factor_in``), with no
+ordering step.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .core import SpdMatrix, _check_dims, _factor, fro_norm
+from .core import SpdMatrix, _check_dims, _factor_in, fro_norm
 from .eigen import EigenOptions, _bounded, _resolve_backend, extreme_pair
 from .errors import (
     FixedPointStalled,
@@ -203,10 +204,11 @@ class _Stack:
     copied, and a combination takes one axpy per member.
     Every combination of members lies on the stack's pattern and is
     exactly symmetric, a sparse one because each entry takes the value of
-    its lower-triangle twin, so it needs no canonicalization. The first
-    sparse factorization picks the fill-reducing order q, which depends
-    only on the pattern; every later one factors X[q][:, q], gathered
-    through a fixed index map, in that order.
+    its lower-triangle twin, so it needs no canonicalization. Every
+    factorization goes through ``core._factor_in``: the first sparse one
+    hands SuperLU the combination's own arrays and picks the
+    fill-reducing order q, which depends only on the pattern; every later
+    one factors X[q][:, q] in that order, with no ordering step.
     """
 
     def __init__(self, members, dense=False):
@@ -256,30 +258,12 @@ class _Stack:
         return sp.csr_matrix((x, self.indices, self.indptr), shape=(self.n, self.n))
 
     def factor(self, x):
-        """Certifying factorization of the matrix with values x."""
-        if self.indptr is None:
-            return _factor(x)
-        shape = (self.n, self.n)
+        """Certifying factorization of the matrix with values x: the first
+        sparse one picks the order q, and every later one factors in it."""
+        f = _factor_in(self.raw(x), self.q)
         if self.q is None:
-            # symmetric: the CSR arrays read as CSC hold the same matrix
-            f = _factor(sp.csc_matrix((x, self.indices, self.indptr), shape=shape))
-            self._order(f.perm)
-            return f
-        return _factor(sp.csc_matrix((x[self._gather], self._pindices, self._pindptr),
-                                     shape=shape), self.q)
-
-    def _order(self, q):
-        """Fix q and the map from values to the CSC arrays of X[q][:, q]."""
-        n = self.n
-        where = np.empty_like(q)
-        where[q] = np.arange(n)
-        rows = where[self.rows]
-        cols = where[self.indices]
-        self._gather = np.lexsort((rows, cols))
-        index = self.indices.dtype
-        self._pindices = rows[self._gather].astype(index)
-        self._pindptr = np.searchsorted(cols[self._gather], np.arange(n + 1)).astype(index)
-        self.q = q
+            self.q = f.perm
+        return f
 
     def matrix(self, x):
         """The certified SpdMatrix with values x."""

@@ -30,17 +30,32 @@ def extreme_pair_calls(monkeypatch):
 @pytest.fixture
 def factor_calls(monkeypatch):
     """List that gains, per factorization spdcone.core runs, "splu" for
-    SuperLU, "_factor_dense" for a certifying dense Cholesky (one potrf)
-    and "dpotrf" for the uncertified potrf a reduction may run."""
+    SuperLU, "_factor_dense" for a certifying dense Cholesky (one potrf
+    under core._factor) and "dpotrf" for the unproven potrf a reduction
+    may run (core._factor_dense outside core._factor)."""
     import spdcone.core
 
     calls = []
-    for name in ("splu", "_factor_dense", "dpotrf"):
-        def counting(*args, _name=name, _original=getattr(spdcone.core, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    proving = []
 
-        monkeypatch.setattr(spdcone.core, name, counting)
+    def factor(*args, _original=spdcone.core._factor, **kwargs):
+        proving.append(True)
+        try:
+            return _original(*args, **kwargs)
+        finally:
+            proving.pop()
+
+    def factor_dense(*args, _original=spdcone.core._factor_dense, **kwargs):
+        calls.append("_factor_dense" if proving else "dpotrf")
+        return _original(*args, **kwargs)
+
+    def splu(*args, _original=spdcone.core.splu, **kwargs):
+        calls.append("splu")
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(spdcone.core, "_factor", factor)
+    monkeypatch.setattr(spdcone.core, "_factor_dense", factor_dense)
+    monkeypatch.setattr(spdcone.core, "splu", splu)
     return calls
 
 

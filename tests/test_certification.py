@@ -27,6 +27,7 @@ from spdcone import (
     thompson_distance,
 )
 from spdcone.errors import InvalidMatrix, NotPositiveDefinite, NumericalBreakdown, SpdConeError
+from spdcone.mean import _Stack
 
 from conftest import factor_error, sparse_pair, spd_pair
 
@@ -134,6 +135,30 @@ class TestOneFactorization:
         e = extreme_pair(X, Y, EigenOptions(backend="iterative", seed=1))
         assert len(calls) == 2
         assert max(e.residuals) <= 1e-10
+
+    def test_superlu_reads_the_stored_arrays(self, rng, monkeypatch):
+        # an exactly symmetric CSR matrix, read as CSC, is the same matrix:
+        # SuperLU gets the stored arrays themselves, and leaves them as they
+        # were, for a stored matrix and for a mean's first iterate alike
+        Y = random_sparse_spd(300, 0.02, rng)
+        stack = _Stack([random_sparse_spd(300, 0.02, rng) for _ in range(3)])
+        seen = []
+        original = spdcone.core._factor_sparse
+
+        def spy(A, q=None):
+            seen.append(A)
+            return original(A, q)
+
+        monkeypatch.setattr(spdcone.core, "_factor_sparse", spy)
+        X = SpdMatrix._canonical(Y.raw())
+        M = stack.matrix(stack.combination(np.full(3, 1.0 / 3.0)))
+        stored = [(m.raw(), m.raw().data.copy()) for m in (X, M)]
+        X.chol()
+        assert len(seen) == 2 and M.certified and X.certified
+        for A, (S, data) in zip(seen[::-1], stored):
+            assert A.format == "csc"
+            assert np.shares_memory(A.data, S.data) and np.shares_memory(A.indices, S.indices)
+            np.testing.assert_array_equal(S.data, data)
 
     def test_near_identity_pencil(self, rng):
         # every eigenvalue within 1e-8 of one, so b = |w|_X is far below |h|
@@ -330,11 +355,15 @@ def breakdown_checks(monkeypatch):
 
 class TestGershgorinCertificate:
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
     @pytest.mark.parametrize("name", CORPUS)
-    def test_same_verdict_as_the_pivot_path(self, name, breakdown_checks, monkeypatch):
-        # float-range extremes included: no numpy warning on either path
+    def test_same_verdict_as_the_pivot_path(self, name, storage, breakdown_checks, monkeypatch):
+        # float-range extremes included: no numpy warning on either path;
+        # one proof rule in core._factor serves both storages
         make, proven = CORPUS[name]
         A = sp.csr_matrix(make(np.random.default_rng(5)))
+        if storage == "dense":
+            A = A.toarray()
         verdict = _verdict(A)
         checks = len(breakdown_checks)
         breakdown_checks.clear()

@@ -29,7 +29,8 @@ from spdcone import (
 )
 import spdcone.core as core
 import spdcone.eigen as eigen
-from spdcone.eigen import _bounded, _factor_like, _top_ritz
+from spdcone.core import _factor_in
+from spdcone.eigen import _bounded, _top_ritz
 from spdcone.errors import DimensionMismatch, InvalidOption, NoConvergence, NotPositiveDefinite
 
 from conftest import sparse_pair, spd_pair
@@ -454,6 +455,25 @@ class TestClusteredExtremes:
         assert d.alpha == pytest.approx(e.alpha, rel=1e-12)
         assert d.beta == pytest.approx(e.beta, rel=1e-12)
 
+    def test_finish_factors_in_the_held_order(self, monkeypatch):
+        # the shift and the proof of a shift-invert finish factor in the
+        # elimination order of the pencil's own factor: once X and Y are
+        # certified, no splu of the guarded solve chooses an order
+        L = grid_laplacian(32)
+        I = sp.identity(32 * 32)
+        X, Y = SpdMatrix(L + 0.1 * I), SpdMatrix(L + I)
+        specs = []
+        original = core.splu
+
+        def counting(*args, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, "splu", counting)
+        e = extreme_pair(X, Y, iter_opts())
+        assert e.proven[0] and len(specs) >= 2
+        assert set(specs) == {"NATURAL"}
+
     def test_banded_toeplitz_pair(self):
         X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
         Y = SpdMatrix(banded_toeplitz(1000, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
@@ -469,9 +489,9 @@ class TestClusteredExtremes:
         # a shift below lambda_max, or a proof that does not certify,
         # leaves the plain iteration to converge under its guard
         if failing == "shift":
-            def fail(f, M):
+            def fail(M, q=None):
                 raise NotPositiveDefinite(pivot_index=1)
-            monkeypatch.setattr(eigen, "_factor_like", fail)
+            monkeypatch.setattr(eigen, "_factor_in", fail)
         else:
             monkeypatch.setattr(eigen, "_bounded", lambda *args: False)
         X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
@@ -486,7 +506,7 @@ class TestClusteredExtremes:
         # the inertia proof of a shift-invert finish, in X's order
         X, Y = sparse_pair(rng, 200, density=0.03)
         lam = spectrum_dense(X, Y)[-1]
-        factor = partial(_factor_like, X.chol())
+        factor = partial(_factor_in, q=X.chol().perm)
         assert _bounded(factor, lam, Y.raw(), X.raw(), 1e-10)
         assert not _bounded(factor, lam * (1.0 - 1e-6), Y.raw(), X.raw(), 1e-10)
         # the swapped pencil bounds lambda_min from below
@@ -540,8 +560,8 @@ def lapack_calls(monkeypatch):
 
         monkeypatch.setattr(owner, attr, call)
 
-    counting("potrf", core, "dpotrf")  # a sparse-stored matrix's dense factor
-    counting("potrf", core, "_factor_dense")  # a dense matrix's certifying one
+    # a dense matrix's certifying factor, or a sparse-stored one's dense copy's
+    counting("potrf", core, "_factor_dense")
     counting("sytrd", eigen, "_sytrd")
 
     def counted(*args):
