@@ -14,12 +14,17 @@ Y X^-1. Two backends compute them:
   reads only the values. Its alpha errs by about
   eps beta / alpha, so above a spread beta / alpha of ``_SPREAD`` alpha
   comes from the swapped pencil X Y^-1 reduced with Y's factor.
-* ``iterative`` - thick-restart Lanczos with full reorthogonalization on
-  the operator q -> X^-1 (Y q), self-adjoint in the X inner product,
-  applied through one product with Y, one with X and one solve with the
-  certifying factorization of X per step; the pencil Y X^-1 is never
-  formed and Y is never copied. A restart keeps the leading Ritz vectors, so a
-  clustered top of the spectrum keeps its Krylov information.
+* ``iterative`` - thick-restart Lanczos on the operator q -> X^-1 (Y q),
+  self-adjoint in the X inner product, applied through one product with
+  Y, one with X and one solve with the certifying factorization of X per
+  step; the pencil Y X^-1 is never formed and Y is never copied. Each
+  step removes the three-term recurrence's two terms and then makes one
+  full Gram-Schmidt pass over the basis: a thick restart keeps the
+  projected matrix tridiagonal (Wu & Simon, SIMAX 22(2), 2000), so the
+  recurrence is the first of the two passes that "twice is enough" asks
+  for (Parlett, The Symmetric Eigenvalue Problem, 1998). A restart keeps
+  the leading Ritz vectors, so a clustered top of the spectrum keeps its
+  Krylov information.
 
 The iterative backend computes the smallest eigenvalue as the reciprocal
 of the largest eigenvalue of the swapped pencil X Y^-1, so the Krylov
@@ -90,9 +95,10 @@ _CHECK = 4  # steps between Ritz-estimate checks without a decay rate
 _WAIT_MAX = 16  # most steps between Ritz-estimate checks
 _GUARD = 8  # steps from a fresh direction before accepting a pair
 # estimated GIL-free work of one apply (see _apply_work) above which the
-# two sides of a pair run at once: measured on 2 CPUs, threads lost below
-# about 330k (Toeplitz n = 1000, grids m <= 64) and won 1.5x near 600k
-# (banded n = 8000, random n = 4000)
+# two sides of a pair run at once. Measured on 2 CPUs with the three-term
+# step and one full pass, median threaded / serial pair time in two runs:
+# Toeplitz n = 1000 (work 74k) 1.20-1.23, grid m = 64 (331k) 0.93-1.19,
+# banded n = 8000 (592k) 0.60-0.80, random n = 4000 (598k) 0.75-0.77
 _CONCURRENT_WORK = 400_000
 # largest order that auto solves dense whatever the storage: one reduction
 # (a potrf of a sparse X's dense copy, dsygst, dsytrd, bisection) against
@@ -225,7 +231,9 @@ def _fresh(rng, X, B):
     """Seeded random vector of unit X-norm, X-orthogonal to the rows of B, or None if they span."""
     q = rng.uniform(-1.0, 1.0, X.n)
     size = _x_norm(X, q)
-    for _ in range(2):  # second pass: robust orthogonality
+    # two full passes: a random vector has O(1) components along every row
+    # of B, so no recurrence has removed any of them first
+    for _ in range(2):
         q -= (B @ X.matvec(q)) @ B
     nq = _x_norm(X, q)
     return q / nq if nq > 1e-8 * size else None
@@ -275,11 +283,17 @@ def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
     The basis Q (one vector per row, Q X Q^T = I) and the tridiagonal
     T = (d, e) satisfy A Q[:j].T = Q[:j].T T + e[j-1] Q[j] e_j^T at every
     step, and Ritz vectors are generalized eigenvectors of (Y, X) as they
-    stand. A full basis is cut back to its ``_KEEP`` leading Ritz vectors,
-    rotated so that T stays tridiagonal with the continuation coupled to
-    the last one. A candidate pair that passes the residual test is kept
+    stand. A step takes d[j] and removes d[j] Q[j] and e[j-1] Q[j-1], the
+    three-term recurrence that T's tridiagonal form allows, then takes
+    X w afresh and makes one full classical Gram-Schmidt pass over
+    Q[:j+1], which removes what rounding left along the whole basis. A
+    full basis is cut back to its ``_KEEP`` leading Ritz vectors, rotated
+    so that T stays tridiagonal with the continuation coupled to the last
+    one. A candidate pair that passes the residual test is kept
     alone while ``_GUARD`` steps from a seeded fresh direction look for a
     larger Ritz value; the candidate is returned only if none shows up.
+    There e[0] = 0, and the full pass removes the candidate's
+    residual-sized coupling to the fresh direction.
     Without ``guard`` the first pair that passes the residual test is
     returned as it stands. ``applies`` counts on from the given number.
 
@@ -318,14 +332,16 @@ def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
             j = _thick_restart(Q, d, e, m, keep)
         w, xw = step(Q[j])
         applies += 1
-        h = Q[: j + 1] @ xw  # X inner products with w
-        d[j] = h[j]
+        d[j] = Q[j] @ xw
         scale = max(scale, abs(d[j]))
-        w -= h @ Q[: j + 1]
-        # X w afresh, not w . X w - |h|^2, which cancels on near-identity
-        # pencils; the second pass only moves w by rounding, so b stays exact
+        # the three-term step: a thick restart keeps T tridiagonal, so this
+        # is the first of the two passes that "twice is enough" asks for
+        w -= d[j] * Q[j]
+        w -= e[j - 1] * Q[j - 1] if j > 0 else 0.0
+        # X w afresh, not w . X w - d^2 - e^2, which cancels on near-identity
+        # pencils; the full pass only moves w by rounding, so b stays exact
         xw = X.matvec(w)
-        w -= (Q[: j + 1] @ xw) @ Q[: j + 1]  # second pass: robust orthogonality
+        w -= (Q[: j + 1] @ xw) @ Q[: j + 1]  # one full pass: what rounding left
         b = math.sqrt(max(w @ xw, 0.0))
         j += 1
         if b > 1e-13 * scale:

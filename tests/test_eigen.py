@@ -517,20 +517,56 @@ class TestClusteredExtremes:
     def test_fast_pencils_keep_the_plain_iteration(self, monkeypatch):
         # a random and a banded pair whose solves pass a thick restart but
         # converge soon after: the finish never starts, so these stay
-        # bit for bit what the plain iteration returned before it existed
+        # bit for bit what the plain iteration returns, and within 8 ulps
+        # of what it returned with two full orthogonalization passes a step
         def no_finish(*args):
             raise AssertionError("shift-invert finish started")
+
+        def pinned(e, alpha, beta, two_pass):
+            assert (e.alpha.hex(), e.beta.hex()) == (alpha, beta)
+            for value, old in zip((e.alpha, e.beta), two_pass):
+                assert abs(value - float.fromhex(old)) <= 8 * math.ulp(value)
 
         monkeypatch.setattr(eigen, "_shift_invert", no_finish)
         X, Y = random_4000_pair()
         e = extreme_pair(X, Y)
-        assert (e.alpha.hex(), e.beta.hex()) == ("0x1.ed2b4786a2c96p-4", "0x1.8f43892001694p+2")
+        pinned(e, "0x1.ed2b4786a2c92p-4", "0x1.8f43892001693p+2",
+               ("0x1.ed2b4786a2c96p-4", "0x1.8f43892001694p+2"))
         assert e.iterations == (32, 49) and e.proven == (False, False)
         rng = np.random.default_rng(3)
         X, Y = banded(8000, 5, rng), banded(8000, 5, rng)
         e = extreme_pair(X, Y)
-        assert (e.alpha.hex(), e.beta.hex()) == ("0x1.2f4000f2dbecdp-2", "0x1.b931829c0ee2cp+1")
+        pinned(e, "0x1.2f4000f2dbed1p-2", "0x1.b931829c0ee28p+1",
+               ("0x1.2f4000f2dbecdp-2", "0x1.b931829c0ee2cp+1"))
         assert e.iterations == (69, 70) and e.proven == (False, False)
+
+    def test_restarts_keep_the_basis_orthonormal(self, monkeypatch):
+        # the three-term step and one full pass keep Q X Q^T = I to rounding
+        # through every thick restart of a slow plain iteration: the grid
+        # pencil's swapped side in Y's inner product, the Toeplitz pair's
+        # beta side in X's, with the shift-invert finish turned off
+        restart = eigen._thick_restart
+        checks = []
+
+        def spy(Q, d, e, m, keep):
+            G = Q[:m] @ inner.matvec(Q[:m].T)
+            checks.append(np.abs(G - np.eye(m)).max())
+            assert checks[-1] <= 1e-13
+            return restart(Q, d, e, m, keep)
+
+        monkeypatch.setattr(eigen, "_thick_restart", spy)
+        monkeypatch.setattr(eigen, "_shift_invert", lambda *a: (None, a[6]))
+        L = grid_laplacian(32)
+        I = sp.identity(32 * 32)
+        X, Y = SpdMatrix(L + 0.1 * I), SpdMatrix(L + I)
+        inner = Y
+        eigen._largest(X, Y, iter_opts(), 0, None, True)
+        grid_restarts = len(checks)
+        X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
+        Y = SpdMatrix(banded_toeplitz(1000, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
+        inner = X
+        eigen._largest(Y, X, iter_opts(), 0, None, True)
+        assert grid_restarts >= 10 and len(checks) - grid_restarts >= 10
 
 
 DENSE = EigenOptions(backend="dense")
