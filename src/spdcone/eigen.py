@@ -38,22 +38,32 @@ a few steps from a fresh direction must then find no larger Ritz value.
 A solve may start from a given vector, e.g. an eigenvector of a nearby
 pencil; ``max_iter`` and iteration counts are operator applies.
 
-A slow solve is finished by shift-invert. At a thick restart, once the
-solve has spent as many applies as the finish costs (two factorizations,
-each counted as nnz(factor) / n applies, and one Krylov basis of steps)
-and the decay of the Ritz estimate predicts as many again, the leading
-Ritz pair (theta, v) gives the shift sigma = theta (1 + resid). If
-sigma X - Y certifies positive definite, factored by ``core._factor_in``
-in the elimination order of X's own factor, with no ordering step, the
-same Lanczos loop runs on (sigma X - Y)^-1 X, whose top eigenvalue
-1 / (sigma - beta) stands far apart from the rest, and returns the
-Rayleigh quotient rho <= beta of its Ritz vector. If
-rho (1 + 10 tol) X - Y certifies too, in the same order, Sylvester's law
-of inertia proves that no eigenvalue lies above the bracket, and that
-proof replaces the guard (``PencilExtremes.proven``). A factorization
-that fails means an eigenvalue lies above its shift: the plain iteration
-goes on and tries again at its next restart. A solve that converges
-before it has spent the finish's cost never factors anything.
+A slow solve is finished by shift-invert. The finish is weighed at every
+Ritz-estimate check, priced in applies from counts alone: each
+factorization it makes at 2 nnz(factor) / n applies for X's sparse
+factor and n / 18 for a dense one, two factorizations when the solve
+proves its extreme and one when it does not (the inductive mean's loose
+rounds), and ``_RUN`` applies for the shift-invert run; no timing
+enters, so iteration counts stay deterministic. Once the solve has spent
+that much and the decay of the Ritz estimate predicts as much again, the
+leading Ritz pair (theta, v) gives the shift sigma = theta (1 + resid),
+so a wrong switch at most doubles the cost. A solve whose shift has X's
+pattern (Y's pattern lies within X's, so the count prices the shift's
+factor) may switch before it has paid, when its three leading Ritz
+values lie within ``_CLUSTER`` of each other: a cluster, not a close
+pair, is what keeps the plain iteration slow. If sigma X - Y certifies
+positive definite, factored by ``core._factor_in`` in the order of X's
+own factor when Y's pattern lies within X's and in an order chosen on
+its own (union) pattern otherwise, the same Lanczos loop runs on
+(sigma X - Y)^-1 X, whose top eigenvalue 1 / (sigma - beta) stands far
+apart from the rest, and returns the Rayleigh quotient rho <= beta of
+its Ritz vector. If rho (1 + 10 tol) X - Y certifies too, in the shift's
+order, Sylvester's law of inertia proves that no eigenvalue lies above
+the bracket, and that proof replaces the guard
+(``PencilExtremes.proven``). A factorization that fails means an
+eigenvalue lies above its shift: the plain iteration goes on, and tries
+again only once it has spent the finish's cost again. A solve that
+converges before the finish pays never factors anything.
 
 The two solves of a pair share nothing, and SuperLU's solves and numpy's
 basis products release the GIL. So when the estimated GIL-free work of
@@ -94,6 +104,22 @@ _KEEP = 20  # leading Ritz vectors kept across a restart
 _CHECK = 4  # steps between Ritz-estimate checks without a decay rate
 _WAIT_MAX = 16  # most steps between Ritz-estimate checks
 _GUARD = 8  # steps from a fresh direction before accepting a pair
+# applies a shift-invert run is counted at when weighing the finish. From
+# the Ritz pair of a solve stopped at tol = 1e-3 it took 5 on banded
+# n = 8000 and grid m = 64 pencils, 15 on Toeplitz n = 300 and 33 on
+# Toeplitz n = 1000, whose shift sits far from beta against its gap
+_RUN = 10
+# relative spread of the three leading Ritz values below which a solve
+# whose shift has X's pattern may switch to the finish before it has paid
+# for it. A close pair alone does not stall the plain iteration: once the
+# Krylov space holds both, the gap to the third value sets the rate
+# (Kaniel-Paige-Saad), and a banded n = 4000 pair at a relative gap of
+# 1.3e-5 converged in 70 applies.
+# Measured on the benchmark's pencils at seeds 1-3 and its Toeplitz n = 300
+# symbols, at checks where the plain iteration had not paid yet: grid and
+# Toeplitz pencils came to 3.8e-3 - 5.1e-3 after 56 applies, and no banded
+# or random pair came below 7.8e-3
+_CLUSTER = 6e-3
 # estimated GIL-free work of one apply (see _apply_work) above which the
 # two sides of a pair run at once. Measured on 2 CPUs with the three-term
 # step and one full pass, median threaded / serial pair time in two runs:
@@ -271,7 +297,7 @@ def _top_ritz(d, e):
     return pair
 
 
-def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
+def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish, early=None):
     """Thick-restart Lanczos for the largest eigenvalue of the pencil (Y, X).
     Returns (lam, v, applies, resid, proven).
 
@@ -298,11 +324,15 @@ def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
     returned as it stands. ``applies`` counts on from the given number.
 
     ``finish``, the cost in applies of a shift-invert finish (inf: never
-    finish so), is weighed at every restart: once the solve has spent
-    that much and the decay of the Ritz estimate since its last check
-    predicts more than that still to go, ``_shift_invert`` finishes it
-    from the leading Ritz pair, so a wrong switch at most doubles the
-    cost. When the finish fails, the iteration goes on as before.
+    finish so), is weighed at every Ritz-estimate check: once the solve
+    has spent that much, and the decay of the Ritz estimate since the
+    last check predicts more than that still to go, ``_shift_invert``
+    finishes it from the leading Ritz pair. ``early()``, when given, is
+    asked once, at the first such check before the solve has paid at
+    which the three leading Ritz values lie within ``_CLUSTER`` of each
+    other, whether the solve may switch there. When the finish fails, the
+    iteration goes on as before, and weighs the finish again only once it
+    has spent its cost again, cluster or not.
     """
     step, value = op
     n = X.n
@@ -317,18 +347,12 @@ def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
     ritz_tol = opts.tol  # Ritz-estimate threshold relative to the Ritz value
     wait = _CHECK if start is None else 1  # steps to the next Ritz-estimate check
     last = None  # (applies, estimate) at the previous check
-    due = math.inf  # applies by which the Ritz estimate is predicted to meet its target
+    paid = finish  # applies after which a finish has paid for itself
     candidate = None  # (lam, v, resid) waiting for the guard's verdict
     best = None  # (resid, lam, v)
     scale = 0.0  # largest Rayleigh quotient seen, for the breakdown test
     while True:
         if j == m:
-            if finish <= applies and finish < due - applies:
-                theta, s = _top_ritz(d, e[: m - 1])
-                done, applies = _shift_invert(Y, X, theta, s @ Q[:m], opts, rng, applies,
-                                              guard)
-                if done is not None:
-                    return done
             j = _thick_restart(Q, d, e, m, keep)
         w, xw = step(Q[j])
         applies += 1
@@ -383,9 +407,20 @@ def _lanczos(Y, X, op, opts, rng, start, guard, applies, finish):
                 break  # out of budget, or converged to working precision
             ritz_tol = 0.1 * est / abs(theta)
         need = _remaining(est, ritz_tol * abs(theta), applies, last)
-        due = applies + need
         wait = _CHECK if need == math.inf else int(min(max(0.5 * need, 1), _WAIT_MAX))
         last = (applies, est)
+        if finish < need:
+            if paid > applies and early is not None and _clustered(d[:j], e[: j - 1], theta):
+                # a cluster holds the plain iteration back: switch now, if
+                # the count prices the shift's factor
+                paid, early = applies if early() else paid, None
+            if paid <= applies:
+                done, applies = _shift_invert(Y, X, theta, s @ Q[:j], opts, rng, applies, guard)
+                if done is not None:
+                    return done
+                # an eigenvalue lies above the shift, or the proof failed: the
+                # plain iteration goes on, and tries again once it has paid again
+                paid, early = applies + finish, None
     resid, lam, v = best
     raise NoConvergence(
         f"extreme eigenvalue iteration stopped after {applies} operator applications "
@@ -412,26 +447,29 @@ def _shift_invert(Y, X, theta, u, opts, rng, applies, prove):
     shift-invert Lanczos, and prove it by inertia.
 
     The shift is sigma = theta (1 + resid), resid the pair's residual. If
-    sigma X - Y certifies, factored by ``core._factor_in`` in the order
-    ``perm`` of X's factor (a dense one has none, and needs none), every
+    sigma X - Y certifies, factored by ``core._factor_in``, every
     eigenvalue lies below sigma (Sylvester's law of inertia), and the
     operator (sigma X - Y)^-1 X, self-adjoint in the X inner product, maps
     lambda_max to its largest eigenvalue 1 / (sigma - lambda_max), far
     above the images of the rest when sigma is close (Ericsson & Ruhe,
-    Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIMAX 15(1), 1994). Its
-    Lanczos run returns the Rayleigh quotient rho <= lambda_max of the
-    Ritz vector, so rho (1 + 10 tol) X - Y, factored in the same order,
-    certifying proves lambda_max <= rho (1 + 10 tol); that proof stands
-    in for the guard, and like the guard it runs only when asked to
-    ``prove``.
+    Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIMAX 15(1), 1994). The
+    shift is factored in the order of X's factor (a dense one has none,
+    and needs none) when Y's pattern lies within X's, so that the shift
+    has X's pattern; otherwise the order is chosen on the shift's own
+    pattern, the union, in which X's order can fill far more (a grid
+    pencil (L^2 + 0.1 I, L + I) at m = 64: 9.5M factor entries against
+    0.40M). Its Lanczos run returns the Rayleigh quotient
+    rho <= lambda_max of the Ritz vector, so rho (1 + 10 tol) X - Y,
+    factored in the shift's order, certifying proves
+    lambda_max <= rho (1 + 10 tol); that proof stands in for the guard,
+    and like the guard it runs only when asked to ``prove``.
     Returns (result, applies), with result (rho, v, applies, resid, prove),
     or None when sigma X - Y or the proof does not certify.
     """
-    f = X.chol()
     v = u / np.linalg.norm(u)
     sigma = theta * (1.0 + pencil_residual(Y, X, theta, v))
     try:
-        F = _factor_in(sigma * X.raw() - Y.raw(), f.perm)
+        F = _factor_in(sigma * X.raw() - Y.raw(), X.chol().perm if _within(Y, X) else None)
     except (NotPositiveDefinite, NumericalBreakdown):
         return None, applies  # an eigenvalue lies above sigma
 
@@ -444,9 +482,34 @@ def _shift_invert(Y, X, theta, u, opts, rng, applies, prove):
 
     lam, v, applies, resid, _ = _lanczos(Y, X, (step, rayleigh), opts, rng, u, False,
                                          applies, math.inf)
-    if prove and not _bounded(partial(_factor_in, q=f.perm), lam, Y.raw(), X.raw(), opts.tol):
+    if prove and not _bounded(partial(_factor_in, q=F.perm), lam, Y.raw(), X.raw(), opts.tol):
         return None, applies
     return (lam, v, applies, resid, prove), applies
+
+
+def _clustered(d, e, theta):
+    """Whether the three leading Ritz values of T = (d, e), the top one
+    theta, lie within a relative spread ``_CLUSTER``."""
+    if d.size < 3:
+        return False
+    third = _tridiagonal_eig(d, e, d.size - 2, vector=False)
+    return third is not None and theta - third[0] <= _CLUSTER * abs(theta)
+
+
+def _within(A, B):
+    """Whether the pattern of A lies within that of B, so that a
+    combination of the two has B's pattern: always for a dense B, never
+    for a dense A beside a sparse B. One merge of the sorted CSR indices,
+    O(nnz), unless the index arrays are equal."""
+    if not B.is_sparse:
+        return True
+    if not A.is_sparse:
+        return False
+    a, b = A.raw(), B.raw()
+    if np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices):
+        return True
+    b = b.astype(bool)
+    return (a.astype(bool) + b).nnz == b.nnz
 
 
 def _bounded(factor, top, A, B, tol):
@@ -554,10 +617,18 @@ def _largest(Y, X, opts, seed, start, guard):
 
     Lanczos runs on X^-1 Y, one product with Y and one solve with the
     certifying factorization of X per apply, and weighs a shift-invert
-    finish that costs two factorizations of X's size, each counted as
-    nnz(factor) / n applies, and one basis of steps.
-    A dense factorization counts n / 18 applies: n^3 / 3 flops against
-    about 6 n^2 for an apply (a dpotrs and two gemvs).
+    finish that costs ``_RUN`` applies and one factorization of X's size,
+    two under the ``guard`` (the shift's and the proof's). A sparse one
+    counts 2 nnz(factor) / n applies, twice what one took on banded
+    n = 8000 and Toeplitz n = 300 and 1000 pencils (11-13 applies, where
+    nnz(factor) / n is 12): the margin keeps solves that converge by
+    themselves, such as banded pairs whose Ritz estimate stalls for a
+    check, on the plain iteration. A dense one counts n / 18: n^3 / 3
+    flops against about 6 n^2 for an apply (a dpotrs and two gemvs). Only
+    a pencil whose Y pattern lies within X's may switch early, on a
+    cluster, since its shift has X's pattern and X's order: otherwise the
+    shift has the union pattern, whose factor the count does not know (a
+    random n = 4000 pair's took 440 ms, about 1,056 applies).
     """
     f = X.chol()
 
@@ -565,9 +636,9 @@ def _largest(Y, X, opts, seed, start, guard):
         y = Y.matvec(q)
         return f.solve(y), y  # X (X^-1 y) = y
 
-    factor_cost = f.nnz / X.n if f.is_sparse else X.n / 18.0
+    factor_cost = 2.0 * f.nnz / X.n if f.is_sparse else X.n / 18.0
     return _lanczos(Y, X, (step, None), opts, np.random.default_rng(seed), start, guard, 0,
-                    2.0 * factor_cost + _BASIS)
+                    (1 + guard) * factor_cost + _RUN, partial(_within, Y, X))
 
 
 def _smallest(Y, X, opts, seed, start, guard):

@@ -502,6 +502,107 @@ class TestClusteredExtremes:
         assert e.beta == pytest.approx(w[-1], rel=1e-8)
         assert e.proven == (False, False)
 
+    def test_failed_shift_waits_to_pay_again(self, monkeypatch):
+        # a shift that never certifies: each side tries again only once it
+        # has spent the finish's cost again since its last try, cluster or not
+        def fail(M, q=None):
+            raise NotPositiveDefinite(pivot_index=1)
+
+        tries = {}
+        original = eigen._shift_invert
+
+        def spy(Y_, X_, theta, u, opts, rng, applies, prove):
+            cost = 2 * 2.0 * X_.chol().nnz / X_.n + eigen._RUN
+            tries.setdefault(id(X_), []).append((applies, cost))
+            return original(Y_, X_, theta, u, opts, rng, applies, prove)
+
+        monkeypatch.setattr(eigen, "_factor_in", fail)
+        monkeypatch.setattr(eigen, "_shift_invert", spy)
+        X = SpdMatrix(banded_toeplitz(1000, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
+        Y = SpdMatrix(banded_toeplitz(1000, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
+        e = extreme_pair(X, Y, iter_opts())
+        assert e.proven == (False, False) and len(tries) == 2
+        for side in tries.values():
+            assert len(side) >= 2
+            for (before, cost), (after, _) in zip(side, side[1:]):
+                assert after - before >= cost
+
+    def test_toeplitz_300_finishes_before_it_has_paid(self, monkeypatch):
+        # the benchmark's Toeplitz symbols at n = 300: the three leading
+        # Ritz values of the beta side cluster before the plain iteration
+        # has spent what a proven finish costs, and the finish starts there
+        starts = []
+        original = eigen._shift_invert
+
+        def spy(Y_, X_, theta, u, opts, rng, applies, prove):
+            starts.append((applies, 2 * 2.0 * X_.chol().nnz / X_.n + eigen._RUN))
+            return original(Y_, X_, theta, u, opts, rng, applies, prove)
+
+        monkeypatch.setattr(eigen, "_shift_invert", spy)
+        X = SpdMatrix(banded_toeplitz(300, [-0.6, 0.25, -0.1, 0.05, -0.02], 0.2))
+        Y = SpdMatrix(banded_toeplitz(300, [0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
+        e = extreme_pair(X, Y, iter_opts())
+        w = eigh(Y.dense(), X.dense(), eigvals_only=True)
+        assert e.alpha == pytest.approx(w[0], rel=1e-8)
+        assert e.beta == pytest.approx(w[-1], rel=1e-8)
+        assert len(starts) == 1 and starts[0][0] < starts[0][1]
+        assert e.proven[1]
+
+    def test_pattern_within(self):
+        L = grid_laplacian(8)
+        I = sp.identity(64)
+        wide, narrow = SpdMatrix(L @ L + 0.1 * I), SpdMatrix(L + I)
+        assert eigen._within(narrow, wide) and not eigen._within(wide, narrow)
+        assert eigen._within(wide, SpdMatrix(L @ L + I))
+        dense = SpdMatrix(wide.dense())
+        assert eigen._within(narrow, dense) and not eigen._within(dense, narrow)
+
+    def test_non_dominant_grid_pencil(self, monkeypatch):
+        # (L^2 + 0.1 I, L + I) on a 48 x 48 grid: L^2 is not diagonally
+        # dominant, and the extremes are those of (mu + 1) / (mu^2 + 0.1)
+        # over the Laplacian's eigenvalues mu, beta among interior ones
+        m = 48
+        L = grid_laplacian(m)
+        I = sp.identity(m * m)
+        X, Y = SpdMatrix(L @ L + 0.1 * I), SpdMatrix(L + I)
+        s = 4.0 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+        mu = (s[:, None] + s[None, :]).ravel()
+        f = (mu + 1.0) / (mu ** 2 + 0.1)
+        starts = []
+        original = eigen._shift_invert
+
+        def spy(Y_, X_, theta, u, opts, rng, applies, prove):
+            starts.append((X_ is X, applies, 2 * 2.0 * X_.chol().nnz / X_.n + eigen._RUN))
+            return original(Y_, X_, theta, u, opts, rng, applies, prove)
+
+        monkeypatch.setattr(eigen, "_shift_invert", spy)
+        e = extreme_pair(X, Y, iter_opts())
+        monkeypatch.undo()
+        assert e.alpha == pytest.approx(f.min(), rel=1e-8)
+        assert e.beta == pytest.approx(f.max(), rel=1e-8)
+        # the beta side's shift sigma X - (L + I) has X's pattern, so its
+        # cost is counted, and the cluster of values near beta switches it
+        # long before the plain iteration has paid for the finish
+        assert len(starts) == 1 and starts[0][0] and starts[0][1] < 0.5 * starts[0][2]
+        assert e.proven[1]
+        # the alpha side's shift sigma (L + I) - X has X's wider pattern:
+        # it is ordered on that pattern, not in Y's order, and its proof is
+        # factored in the shift's order
+        specs = []
+        splu = core.splu
+
+        def counting(*args, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(*args, **kwargs)
+
+        loose = extreme_pair(X, Y, iter_opts(tol=1e-4))
+        monkeypatch.setattr(core, "splu", counting)
+        done, _ = eigen._shift_invert(X, Y, 1.0 / loose.alpha, loose.vectors[0], iter_opts(),
+                                      np.random.default_rng(0), 0, True)
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert done is not None and done[4]
+        assert 1.0 / done[0] == pytest.approx(f.min(), rel=1e-8)
+
     def test_bound_fails_below_lambda_max(self, rng):
         # the inertia proof of a shift-invert finish, in X's order
         X, Y = sparse_pair(rng, 200, density=0.03)

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from spdcone import (
     EigenOptions,
@@ -28,6 +29,7 @@ from spdcone import (
     thompson_distance,
 )
 import spdcone.core
+import spdcone.eigen
 import spdcone.mean
 from spdcone.core import _reduce
 from spdcone.errors import (
@@ -67,6 +69,28 @@ def banded_spd(n, bandwidth, rng):
     G = (G + G.T).tocsr()
     margin = np.asarray(abs(G).sum(axis=1)).ravel() + rng.uniform(0.5, 1.5, n)
     return SpdMatrix(G + sp.diags(margin))
+
+
+def toeplitz_family(seed, k=5, n=300):
+    """k banded Toeplitz points on the two symbols of a pencil with
+    clustered extremes, each coefficient jittered by at most 2%."""
+    rng = np.random.default_rng(seed)
+    symbols = (([-0.6, 0.25, -0.1, 0.05, -0.02], 0.2), ([0.4, -0.3, 0.2, -0.1, 0.05], 0.5))
+    pts = []
+    for j in range(k):
+        coeffs, margin = symbols[j % 2]
+        c = np.array(coeffs) * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, len(coeffs)))
+        d = np.arange(1, len(c) + 1)
+        pts.append(SpdMatrix(sp.diags([np.full(n - i, v) for i, v in zip(d, c)] * 2
+                                      + [np.full(n, 2.0 * np.abs(c).sum() + margin)],
+                                      list(-d) + list(d) + [0])))
+    return pts
+
+
+def grid_laplacian(m):
+    T = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    I = sp.identity(m)
+    return (sp.kron(I, T) + sp.kron(T, I)).tocsr()
 
 
 def lower_union(pts):
@@ -386,6 +410,52 @@ class TestFixedPointRounds:
         res = inductive_mean(MeanProblem(random_family(0), opts=opts))
         assert res.certified and stats.solves == 2 * 5 * res.rounds
         assert stats.iterations <= 600
+
+    def test_clustered_family_finishes_early(self):
+        # n = 300 Toeplitz pencils with clustered extremes: a finish weighed
+        # at every Ritz check, its loose rounds counted at one
+        # factorization, certifies in no more rounds than a finish weighed
+        # at thick restarts only, charged for two factorizations and a
+        # 40-vector basis, which took 6 rounds and 2,677 applies here
+        stats = EigenStats()
+        opts = MeanOptions(eigen=EigenOptions(stats=stats))
+        res = inductive_mean(MeanProblem(toeplitz_family(1), opts=opts))
+        assert res.certified and res.rounds <= 6
+        assert stats.iterations <= 0.6 * 2677
+
+    def test_non_dominant_grid_family(self, monkeypatch):
+        # {L^2 + 0.1 I, L + I, L + 2 I} on a 16 x 16 grid (n = 256): the
+        # iterative backend certifies the mean, as close to the dense
+        # backend's as the certificate allows
+        m = 16
+        L = grid_laplacian(m)
+        I = sp.identity(m * m)
+        pts = [SpdMatrix(L @ L + 0.1 * I), SpdMatrix(L + I), SpdMatrix(L + 2.0 * I)]
+        stats = EigenStats()
+        res = inductive_mean(MeanProblem(pts, opts=MeanOptions(eigen=EigenOptions(stats=stats))))
+        assert res.certified and stats.iterations > 0
+        dense = MeanOptions(eigen=EigenOptions(backend="dense"))
+        ref = inductive_mean(MeanProblem(pts, opts=dense))
+        assert ref.certified and thompson_distance(res.mean, ref.mean) <= 1e-7
+        # an alpha side finish against the mean, sigma (L + I) - M, has the
+        # mean's pattern, the union, wider than L + I's: it is ordered on
+        # that pattern and proven in the shift's order
+        M, Yj = res.mean, pts[1]
+        specs = []
+        splu = spdcone.core.splu
+
+        def counting(A, **kwargs):
+            specs.append((kwargs["permc_spec"], A.nnz))
+            return splu(A, **kwargs)
+
+        loose = extreme_pair(M, Yj, EigenOptions(backend="iterative", tol=1e-4))
+        monkeypatch.setattr(spdcone.core, "splu", counting)
+        done, _ = spdcone.eigen._shift_invert(M, Yj, 1.0 / loose.alpha, loose.vectors[0],
+                                              EigenOptions(), np.random.default_rng(0), 0, True)
+        assert specs == [("MMD_AT_PLUS_A", M.nnz), ("NATURAL", M.nnz)]
+        assert done is not None and done[4]
+        w = eigh(Yj.dense(), M.dense(), eigvals_only=True)
+        assert 1.0 / done[0] == pytest.approx(w[0], rel=1e-8)
 
     def test_dense_rounds_are_exact(self, monkeypatch):
         # the dense backend ignores tol, so no round repeats
