@@ -567,15 +567,28 @@ def random_sparse_spd(n, density, rng, shift=0.5):
     return SpdMatrix(X)
 
 
+def _combination(pairs):
+    """sum_j c_j A_j over the (c_j, A_j) pairs, entry by entry.
+
+    The A_j are ndarrays, CSR matrices or value arrays on one pattern.
+    Each term c_j A_j and each partial sum is formed entry by entry, so
+    the entries (i, j) and (j, i) see the same operands in the same order
+    and round alike: a combination of exactly symmetric matrices is
+    exactly symmetric. Each term is a new array, so the sum accumulates
+    into the first; a sparse ``+=`` adds out of place.
+    """
+    return reduce(iadd, (A * c for c, A in pairs))
+
+
 def combine(coeff_pairs, *, certify=True):
     """Linear combination sum(c_i * M_i) of SpdMatrix values.
 
     Sparse inputs yield a sparse result whose pattern is contained in
     the union of the input patterns; any dense input makes the result
-    dense. With ``certify=False`` the result is left uncertified. A sum
-    of exactly symmetric stored matrices is exactly symmetric, and
-    scipy's sum of sorted CSR matrices is sorted and stores no zero, so
-    the result is not canonicalized again.
+    dense. With ``certify=False`` the result is left uncertified. The sum
+    is exactly symmetric (``_combination``), and scipy's sum of sorted
+    CSR matrices is sorted and stores no zero, so the result is not
+    canonicalized again.
     """
     mats = [m for _, m in coeff_pairs]
     if not mats:
@@ -583,9 +596,8 @@ def combine(coeff_pairs, *, certify=True):
     for m in mats[1:]:
         _check_dims(mats[0], m)
     sparse = all(m.is_sparse for m in mats)
-    # each term is a new matrix, so adding into the first is safe; sparse += adds out of place
     out = SpdMatrix._canonical(
-        reduce(iadd, ((m.raw() if sparse else m.dense()) * c for c, m in coeff_pairs)))
+        _combination((c, m.raw() if sparse else m.dense()) for c, m in coeff_pairs))
     if certify:
         out.chol()
     return out

@@ -23,7 +23,7 @@ quadratically. F's Jacobian is exact and cheap: m_j depends on w only
 through the extremes (alpha_j, beta_j) of (Y_j, X), and a simple extreme
 lam with eigenvector v moves as d lam / d w_i = -lam v.Y_i v / v.X v
 (Lancaster, Numer. Math. 6, 1964), so the vectors each round's solves
-return give it in one product of the points with them. By homogeneity,
+return give it in one product of each point with them. By homogeneity,
 each round's k pencil solves, through one evaluation of their (m_j, o_j),
 also give the exponential radial correction c that makes the residual
 vanish on the iterate's ray, and the residual there,
@@ -63,18 +63,16 @@ dense solves skip those.
 Every iterate, residual field and bracket matrix is a combination of the
 points, so it lies on the union of their patterns. The points' values are
 aligned on that pattern once per mean, one row each (``_Stack``), and
-each of those matrices is one product with the rows: an iterate
-w @ D, a residual m @ D - (sum m) x, a bracket beta (1 + 10 tol) x - D_j,
-where x are the iterate's stored values (not its weights, whose exact
-combination the stored iterate only rounds). A product does not round
-the entries (i, j) and (j, i) alike, so each entry of a combination
-takes the value of its lower-triangle twin: the combination is exactly
-symmetric, and skips canonicalization; the forms v.Y_i v of
-Newton's Jacobian are one product of the rows with the vectors' entry
-products. When every pencil of a family resolves to the dense backend,
-whatever the iterate (``eigen._resolve_backend``; ``auto`` does so at
-order at most ``eigen._SMALL``), the family is solved as a dense one: the
-stack holds dense rows, a sparse point is solved as a dense-stored view
+each of those matrices is combined from the rows entry by entry, as
+``combine`` combines matrices (``core._combination``): an iterate
+sum_j w_j D_j, a residual sum_j m_j D_j - (sum m) x, a bracket
+beta (1 + 10 tol) x - D_j, where x are the iterate's stored values (not
+its weights, whose exact combination the stored iterate only rounds).
+Each is exactly symmetric, and skips canonicalization. When every
+pencil of a family resolves to the dense backend, whatever the iterate
+(``eigen._resolve_backend``; ``auto`` does so at order at most
+``eigen._SMALL``), the family is solved as a dense one: the stack holds
+dense rows, a sparse point is solved as a dense-stored view
 of its row, and each iterate is dense-stored and certified once by a
 dense factor that all k reductions of its round borrow (``core._reduce``).
 Only the returned mean of sparse points goes back to CSR. Otherwise a
@@ -88,14 +86,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import iadd
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .core import SpdMatrix, _check_dims, _factor_in, fro_norm
+from .core import SpdMatrix, _check_dims, _combination, _factor_in, fro_norm
 from .eigen import EigenOptions, _bounded, _resolve_backend, extreme_pair
 from .errors import (
     FixedPointStalled,
@@ -196,19 +192,16 @@ class _Stack:
 
     When every member is sparse and ``dense`` is false, ``values`` is a
     members x nnz array over the union of their patterns, in sorted CSR
-    order (``indices``, ``indptr``, and each entry's row in ``rows``), and
-    a combination of members, or their quadratic forms on given vectors,
-    is one product with it.
-    Otherwise the stack is dense: ``values`` is the list of the members'
-    full arrays, the stored ones of dense members, so no dense value is
-    copied, and a combination takes one axpy per member.
-    Every combination of members lies on the stack's pattern and is
-    exactly symmetric, a sparse one because each entry takes the value of
-    its lower-triangle twin, so it needs no canonicalization. Every
-    factorization goes through ``core._factor_in``: the first sparse one
-    hands SuperLU the combination's own arrays and picks the
-    fill-reducing order q, which depends only on the pattern; every later
-    one factors X[q][:, q] in that order, with no ordering step.
+    order (``indices``, ``indptr``). Otherwise the stack is dense:
+    ``values`` is the list of the members' full arrays, the stored ones of
+    dense members, so no dense value is copied. Either way a combination
+    of members is summed entry by entry (``core._combination``), lies on
+    the stack's pattern and is exactly symmetric, so it needs no
+    canonicalization. Every factorization goes through
+    ``core._factor_in``: the first sparse one hands SuperLU the
+    combination's own arrays and picks the fill-reducing order q, which
+    depends only on the pattern; every later one factors X[q][:, q] in
+    that order, with no ordering step.
     """
 
     def __init__(self, members, dense=False):
@@ -228,28 +221,12 @@ class _Stack:
         for row, key, M in zip(self.values, keys, mats):
             row[np.searchsorted(union, key)] = M.data
         index = np.int32 if union.size < 2**31 else np.int64
-        rows, cols = np.divmod(union, n)
-        self.rows, self.indices = rows.astype(index), cols.astype(index)
+        self.indices = (union % n).astype(index)
         self.indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n).astype(index)
-        # each entry's lower-triangle twin, itself on and below the diagonal
-        # (the union of symmetric patterns is symmetric)
-        self._lower = np.searchsorted(union, np.maximum(rows, cols) * n + np.minimum(rows, cols))
 
     def combination(self, c):
-        """Values of sum_j c_j M_j over the first len(c) members, exactly
-        symmetric: a product does not round the entries (i, j) and (j, i)
-        alike, so each entry takes the value of its lower-triangle twin."""
-        rows = self.values[:len(c)]
-        if self.indptr is None:  # entry by entry, so (i, j) and (j, i) round alike
-            return reduce(iadd, (cj * M for cj, M in zip(c, rows)))
-        return (np.asarray(c) @ rows)[self._lower]
-
-    def forms(self, V, count):
-        """The quadratic forms v.M_i v of the rows v of V, an array of the
-        first ``count`` members by the rows of V."""
-        if self.indptr is None:
-            return np.array([np.einsum("ij,ij->i", V @ M, V) for M in self.values[:count]])
-        return self.values[:count] @ (V[:, self.rows] * V[:, self.indices]).T
+        """Values of sum_j c_j M_j over the first len(c) members."""
+        return _combination(zip(c, self.values))
 
     def raw(self, x):
         """The matrix with values x: an ndarray, or a CSR matrix on the pattern."""
@@ -314,20 +291,21 @@ def _m_partials(alpha, beta, m):
     return (m - 1.0 / alpha) / (beta - alpha), (1.0 / beta - m) / (beta - alpha)
 
 
-def _jacobian(stack, w, exts, m):
-    """J_F at the iterate with weights w, from its pencils' extremes ``exts``
-    (values and vectors) and m, their m_j.
+def _jacobian(points, w, exts, m):
+    """J_F at the iterate with weights w of the points as solved, from its
+    pencils' extremes ``exts`` (values and vectors) and m, their m_j.
 
     A simple extreme lam of (Y_j, X), X = sum_i w_i Y_i, with vector v
     moves as d lam / d w_i = -lam v.Y_i v / v.X v (Lancaster, Numer. Math.
-    6, 1964); the forms v.Y_i v of the 2k vectors are one product with
-    the stack (``_Stack.forms``), and v.X v = sum_i w_i v.Y_i v. Chained
+    6, 1964); the forms v.Y_i v of the 2k vectors are one product of the
+    vectors with each point, and v.X v = sum_i w_i v.Y_i v. Chained
     through ``_m_partials`` they give M = dm/dw, and F = m / sum m has
     J_F = (M - F 1^T M) / sum m, so 1^T J_F = 0, and J_F w = 0 because F
     is homogeneous of degree 0.
     """
     k = len(m)
-    forms = stack.forms(np.array([v for e in exts for v in e.vectors]), k)
+    V = np.array([v for e in exts for v in e.vectors])
+    forms = np.array([np.einsum("ij,ij->i", V @ P.raw(), V) for P in points])
     lams = np.array([(e.alpha, e.beta) for e in exts])
     dm = np.array([_m_partials(e.alpha, e.beta, mj) for e, mj in zip(exts, m)])
     # forms[i, l] d m / d lam_l scaled by -lam_l / v_l.X v_l, l = 2 j + (0 alpha, 1 beta)
@@ -336,7 +314,7 @@ def _jacobian(stack, w, exts, m):
     return (M - np.outer(m / total, M.sum(axis=0))) / total
 
 
-def _newton(stack, w, exts, m):
+def _newton(points, w, exts, m):
     """Weights of one Newton step on G(w) = F(w) - w from w, or the plain
     F weights m / sum m when the step is singular, not finite or leaves
     the open simplex.
@@ -347,7 +325,7 @@ def _newton(stack, w, exts, m):
     """
     g = m / m.sum()
     with np.errstate(all="ignore"):  # a non-finite step falls back below
-        delta, info = _gesv(_jacobian(stack, w, exts, m) - np.eye(len(m)), w - g)[2:]
+        delta, info = _gesv(_jacobian(points, w, exts, m) - np.eye(len(m)), w - g)[2:]
         step = w + delta
     if info == 0 and np.all(step > 0) and np.all(np.isfinite(step)):
         return step / step.sum()
@@ -458,7 +436,7 @@ def _fixed_point(points, init, opts, max_rounds=_FP_MAX_ROUNDS):
         if w is None:
             w_next, disp = m / m.sum(), math.inf
         else:
-            w_next = _newton(stack, w, exts, m)
+            w_next = _newton(points, w, exts, m)
             ratio = w_next / w
             disp = math.log(ratio.max() / ratio.min())
         w = w_next

@@ -616,9 +616,10 @@ class TestStack:
            scale=st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** 1000]),
            raw=st.lists(st.floats(1e-3, 1.0), min_size=5, max_size=5))
     def test_every_combination_is_exactly_symmetric(self, kind, seed, scale, raw):
-        # a product does not round (i, j) and (j, i) alike; each entry takes
-        # its lower twin's value, so every combination is symmetric bit for
-        # bit, and stays finite near the largest float
+        # the stack sums its rows entry by entry, as combine sums matrices:
+        # every combination is what scipy's sum of the points gives, bit for
+        # bit, so it is exactly symmetric, and stays finite near the largest
+        # float
         rng = np.random.default_rng(seed)
         if kind == "random":
             pts = [random_sparse_spd(100, 0.03, rng) for _ in range(5)]
@@ -631,8 +632,7 @@ class TestStack:
             A = stack.raw(stack.combination(c))
             assert np.isfinite(A.data).all() and (A != A.T).nnz == 0
             ref = sum(cj * p.raw() for cj, p in zip(c, pts))
-            np.testing.assert_allclose(A.toarray(), ref.toarray(), rtol=0,
-                                       atol=1e-15 * abs(ref).max())
+            np.testing.assert_array_equal(A.toarray(), ref.toarray())
 
 
 class TestOneDenseFactorPerIterate:
@@ -834,7 +834,7 @@ class TestLooseRounds:
 
 
 def jacobian_case(kind):
-    """(stack, F, w, exts, m) for a k = 4 family: F(w) maps weights to
+    """(pts, F, w, exts, m) for a k = 4 family: F(w) maps weights to
     (F weights, extremes, m) by fresh solves, and w, exts and m are one
     interior point's."""
     rng = np.random.default_rng(1)
@@ -842,6 +842,9 @@ def jacobian_case(kind):
         pts, opts = [random_spd(30, rng) for _ in range(4)], EigenOptions()
     elif kind == "sparse":  # auto solves it dense, on a sparse stack
         pts, opts = [random_sparse_spd(100, 0.03, rng) for _ in range(4)], EigenOptions()
+    elif kind == "mixed":  # a dense stack, and forms of both storages
+        pts = [random_sparse_spd(100, 0.03, rng) for _ in range(4)]
+        pts[2], opts = random_spd(100, rng), EigenOptions()
     else:
         pts = [random_sparse_spd(300, 0.02, rng) for _ in range(4)]
         opts = EigenOptions(backend="iterative", tol=1e-13)
@@ -857,24 +860,24 @@ def jacobian_case(kind):
 
     w = rng.uniform(0.5, 1.5, 4)
     w /= w.sum()
-    return (stack, F, w) + F(w)[1:]
+    return (pts, F, w) + F(w)[1:]
 
 
 class TestNewton:
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "iterative"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "mixed", "iterative"])
     def test_jacobian_matches_central_differences(self, kind):
-        stack, F, w, exts, m = jacobian_case(kind)
-        J = _jacobian(stack, w, exts, m)
+        pts, F, w, exts, m = jacobian_case(kind)
+        J = _jacobian(pts, w, exts, m)
         h = 1e-6
         diffs = np.column_stack([(F(w + h * e)[0] - F(w - h * e)[0]) / (2 * h)
                                  for e in np.eye(len(w))])
         assert np.abs(J - diffs).max() <= 1e-8 * np.abs(J).max()
 
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "iterative"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "mixed", "iterative"])
     def test_jacobian_annihilates_the_weights(self, kind):
         # F is homogeneous of degree 0, and its weights always sum to 1
-        stack, _, w, exts, m = jacobian_case(kind)
-        J = _jacobian(stack, w, exts, m)
+        pts, _, w, exts, m = jacobian_case(kind)
+        J = _jacobian(pts, w, exts, m)
         scale = np.abs(J).max()
         assert np.abs(J @ w).max() <= 1e-14 * scale
         assert np.abs(J.sum(axis=0)).max() <= 1e-14 * scale
@@ -905,12 +908,12 @@ class TestNewton:
         bad = {"leaves the simplex": lambda k: (1.0 + 2.0**-52) * np.eye(k),
                "singular": np.eye,
                "not finite": lambda k: np.full((k, k), np.nan)}[jacobian]
-        monkeypatch.setattr(spdcone.mean, "_jacobian", lambda stack, w, exts, m: bad(len(m)))
+        monkeypatch.setattr(spdcone.mean, "_jacobian", lambda points, w, exts, m: bad(len(m)))
         steps = []
         newton = spdcone.mean._newton
 
-        def spy(stack, w, exts, m):
-            steps.append((m, newton(stack, w, exts, m)))
+        def spy(points, w, exts, m):
+            steps.append((m, newton(points, w, exts, m)))
             return steps[-1][1]
 
         monkeypatch.setattr(spdcone.mean, "_newton", spy)
@@ -933,9 +936,9 @@ class TestNewton:
         starts = []
         newton = spdcone.mean._newton
 
-        def spy_newton(stack, w, exts, m):
+        def spy_newton(points, w, exts, m):
             starts.append((len(seen), w))
-            return newton(stack, w, exts, m)
+            return newton(points, w, exts, m)
 
         monkeypatch.setattr(spdcone.mean, "extreme_pair", spy_solve)
         monkeypatch.setattr(spdcone.mean, "_newton", spy_newton)
