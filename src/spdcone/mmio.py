@@ -14,21 +14,27 @@ prints: each line is one value, ``-?D+(\.D+)?([eE][-+]?D+)?`` with D a
 digit, or for a coordinate file two digit-only indices and that value,
 separated by single spaces; every line ends in ``\n``; no comment or
 blank line appears; and there are as many lines as the size line
-declares. A byte-pair check, then counts and three or five substring
-tests on what is left of the body without its digits, prove all of that,
-and then one call of scipy's C++ reader (scipy >= 1.12) parses it under a
-header written from the file's own, parsed here: a coordinate body as a
-``real general`` list of entries in file order, an array body as a
-``real`` array of the declared shape and symmetry, which scipy expands to
-the full matrix. Within that grammar it reads every value as Python's
-``float`` does, bit for bit, except that it drops the sign of ``-0.0`` in
-array bodies, which is put back from the token, at both mirrored
-positions of a symmetric array. Anything else, and any surprise of the
-fast route (an error from scipy, an index out of range, a non-finite
-value), goes to the strict route, which parses line by line with
-Python's ``int`` and ``float`` and names the offending line. It alone
-reads foreign layouts: comment or blank lines between entries, ``\r\n``
-endings, tabs, ``+1`` or ``1_0``.
+declares. The body is proven so in blocks of whole lines, about 128 KiB
+each, so that every pass over a block finds it in a core's cache: a
+byte-pair check, then counts and pair tests on the block's marks, what is
+left of it without its digits; the blocks' counts are summed. Then one
+call of scipy's C++ reader (scipy >= 1.12) parses it as a coordinate
+body's ``real general`` list of entries in file order, or as an array
+body's ``real`` array of the declared shape and symmetry, which scipy
+expands to the full matrix. scipy reads the file's own bytes when its
+header and size line already say so in those words, as spdcone's and
+scipy's dense files do (``array real``, then the shape alone). Any other
+body is copied once behind such a header, written from the file's own as
+parsed here; the body is never copied more than once. Within that
+grammar scipy reads every value as Python's ``float`` does, bit for bit,
+except that it drops the sign of ``-0.0`` in array bodies. That sign is
+put back from the token, at both mirrored positions of a symmetric
+array; only the blocks that hold a zero entry's line are searched for
+it. Anything else, and any surprise of the fast route (an error from
+scipy, an index out of range, a non-finite value), goes to the strict
+route, which parses line by line with Python's ``int`` and ``float`` and
+names the offending line. It alone reads foreign layouts: comment or
+blank lines between entries, ``\r\n`` endings, tabs, ``+1`` or ``1_0``.
 """
 
 from __future__ import annotations
@@ -77,6 +83,11 @@ def read_matrix(path):
     offending line number, also for a byte that is not UTF-8 text, for a
     non-finite value and for a skew-symmetric header, since such a matrix
     can never be positive definite.
+
+    A canonical file (see the module docstring) is read holding the
+    file's bytes, the matrix and about one 128 KiB block at a time, plus
+    one copy of the body if its header is not one scipy reads as it
+    stands. Any other file is decoded and split into lines first.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -182,31 +193,69 @@ _PAIRS = bytes(8 * a + b for a, successors in _FOLLOWS.items() for b in successo
 # which can only be an exponent's sign, with the exponent letter as "e";
 # an array body's marks drop "-" too
 _MARKS = bytes.maketrans(b"E", b"e")
+# the class pairs an array body's marks may hold: all but "..", "e." and "ee"
+_ARRAY_MARK_PAIRS = bytes(p for p in range(64)
+                          if p not in (8 * _POINT + _POINT, 8 * _EXP + _POINT, 8 * _EXP + _EXP))
+# the body is checked, and its "-0" tokens found, in blocks of whole lines
+# of at least this many bytes: a block's class bytes, byte pairs and marks
+# then stay in a core's L2 cache from one pass to the next, where passes
+# over the whole body would each stream it through memory
+_BLOCK = 1 << 17
 
 
-def _canonical(text, coordinate, expected):
-    """Whether ``text``, the newline that ends the size line and the body
-    after it, is a canonical body of ``expected`` lines (see the module
-    docstring)."""
-    c = np.frombuffer(text.translate(_CLASSES), np.uint8)
+def _blocks(text, start):
+    """The blocks of the body of ``text`` that opens on the newline at
+    offset ``start``, as offsets (s, e) of ``text[s:e]``. A block opens on
+    a newline and closes on the first newline at least ``_BLOCK`` bytes
+    after it, or at the end of ``text``; the next block opens on that
+    newline, so that every byte pair and every line falls inside one
+    block."""
+    while True:
+        e = text.find(b"\n", start + _BLOCK) + 1 or len(text)
+        yield start, e
+        if e == len(text):
+            return
+        start = e - 1
+
+
+def _pairs_allowed(block, allowed):
+    """Whether every byte pair of ``block``, read as classes ``8 a + b``,
+    is one of the bytes ``allowed``."""
+    c = np.frombuffer(block.translate(_CLASSES), np.uint8)
     pairs = c[:-1] << 3
     pairs += c[1:]
-    if pairs.tobytes().translate(None, _PAIRS):  # a byte that may not follow the one before it
+    return not pairs.tobytes().translate(None, allowed)
+
+
+def _canonical(text, coordinate, expected, start=0):
+    """Whether ``text`` from offset ``start``, the newline that ends the
+    size line and the body after it, is a canonical body of ``expected``
+    lines (see the module docstring). Each block is checked on its own,
+    and the blocks' counts are summed."""
+    if not text.endswith(b"\n"):
         return False
-    # each byte now follows one it may follow: a "-" opens a value, or an
-    # index (which the count of "\n  " rules out) or follows "e" as the
-    # exponent's sign, and a value's marks are "-?\.?(e-?)?" once no line
-    # holds two points, two exponents or a point after its exponent; a
-    # coordinate line's marks start with its two spaces. An array body has
-    # no spaces, so its marks drop "-", and "e-." and "e-e" read "e." and "ee"
-    marks = text.translate(_MARKS, b"0123456789+" if coordinate else b"0123456789+-")
-    if not (text.endswith(b"\n") and marks.count(b"\n") == expected + 1
-            and marks.count(b" ") == 2 * coordinate * expected):
-        return False
-    if coordinate:
-        return (marks.count(b"\n  ") == expected
-                and not any(s in marks for s in (b"..", b"e.", b"e-.", b"ee", b"e-e")))
-    return not any(s in marks for s in (b"..", b"e.", b"ee"))
+    lines = spaces = opens = 0
+    for s, e in _blocks(text, start):
+        block = text[s:e]
+        if not _pairs_allowed(block, _PAIRS):  # a byte that may not follow the one before it
+            return False
+        # each byte now follows one it may follow: a "-" opens a value, or an
+        # index (which the count of "\n  " rules out) or follows "e" as the
+        # exponent's sign, and a value's marks are "-?\.?(e-?)?" once no line
+        # holds two points, two exponents or a point after its exponent; a
+        # coordinate line's marks start with its two spaces. An array body has
+        # no spaces, so its marks drop "-", and "e-." and "e-e" read "e." and "ee"
+        marks = block.translate(_MARKS, b"0123456789+" if coordinate else b"0123456789+-")
+        lines += marks.count(b"\n") - 1  # the closing newline opens the next block
+        spaces += marks.count(b" ")
+        if coordinate:
+            opens += marks.count(b"\n  ")
+            if any(s in marks for s in (b"..", b"e.", b"e-.", b"ee", b"e-e")):
+                return False
+        elif not _pairs_allowed(marks, _ARRAY_MARK_PAIRS):
+            return False
+    return (lines == expected and spaces == 2 * coordinate * expected
+            and opens == coordinate * expected)
 
 
 def _read_canonical(path, data):
@@ -217,6 +266,7 @@ def _read_canonical(path, data):
     end = data.find(b"\n") + 1
     while end and data.startswith(b"%", end):
         end = data.find(b"\n", end) + 1
+    size = end
     end = end and data.find(b"\n", end) + 1
     if not end:
         return None
@@ -228,38 +278,70 @@ def _read_canonical(path, data):
         coordinate, symmetry, nrow, ncol, expected, _ = _parse_head(path, lines)
     except (UnicodeDecodeError, ParseError):
         return None
-    text = data[end - 1:]
     # an empty body has nothing to parse, and scipy's reader kills the
     # process (SIGFPE) on an array of no rows
-    if not expected or not _canonical(text, coordinate, expected):
+    if not expected or not _canonical(data, coordinate, expected, end - 1):
         return None
-    # the field is re-headed real, so that an integer body reads as float;
+    # the field is headed real, so that an integer body reads as float;
     # under a general header scipy keeps coordinate entries in file order,
-    # duplicates too, and it expands a symmetric array itself
-    head = (f"coordinate real general\n{nrow} {ncol} {expected}" if coordinate
-            else f"array real {symmetry}\n{nrow} {ncol}")
+    # duplicates too, and it expands a symmetric array itself. A file whose
+    # header and size line already read so, as spdcone's and scipy's arrays
+    # do, is parsed as it stands; any other body is copied once, behind them
+    header = (b"%%MatrixMarket matrix coordinate real general\n" if coordinate
+              else f"%%MatrixMarket matrix array real {symmetry}\n".encode())
+    shape = (f"{nrow} {ncol} {expected}" if coordinate else f"{nrow} {ncol}").encode()
+    if not (data.startswith(header) and data[size:end - 1] == shape):
+        data = header + shape + memoryview(data)[end - 1:]
+        end = len(header) + len(shape) + 1
     try:
-        M = mmread(io.BytesIO(f"%%MatrixMarket matrix {head}".encode() + text))
+        M = mmread(io.BytesIO(data))
     except (ValueError, OverflowError):  # an index out of range or beyond scipy's index type
         return None
     if coordinate:
         if not np.isfinite(M.data).all():
             return None
         return _assemble(coordinate, symmetry, nrow, ncol, M.row, M.col, M.data)
-    # put back the sign of -0.0, which scipy drops in array bodies: the token
-    # of entry (i, j) is j nrow + i, or for the lower triangle of a symmetric
-    # array, read column by column, j n - j (j - 1) / 2 + (i - j)
-    r, c = np.nonzero(M == 0)
+    # put back the sign of -0.0, which scipy drops in array bodies: the
+    # token of entry (i, j) is j nrow + i, or for the lower triangle of a
+    # symmetric array, read column by column, j n - j (j - 1) / 2 + (i - j).
+    # Both orders list the zeros by token: the upper triangle row by row is
+    # the lower one column by column
     if symmetry == "symmetric":
-        i, j = np.maximum(r, c), np.minimum(r, c)
+        j, i = np.nonzero(M == 0)
+        upper = i >= j
+        j, i = j[upper], i[upper]
         token = j * nrow - j * (j - 1) // 2 + (i - j)
     else:
-        token = c * nrow + r
+        j, i = np.nonzero(M.T == 0)
+        token = j * nrow + i
     if token.size:
-        t = np.frombuffer(text, np.uint8)  # token k opens after the body's newline k
-        minus = t[np.flatnonzero(t == ord("\n"))[token] + 1] == ord("-")
-        M[r[minus], c[minus]] = -0.0
+        minus = _opens_with_minus(data, end - 1, token)
+        i, j = i[minus], j[minus]
+        M[i, j] = -0.0
+        if symmetry == "symmetric":
+            M[j, i] = -0.0
     return M if np.isfinite(M).all() else None
+
+
+def _opens_with_minus(text, start, token):
+    """Whether each of the lines ``token`` opens with "-": the lines of the
+    canonical body that opens on the newline at offset ``start``, numbered
+    from 0 and in ascending order. The blocks up to the last such line are
+    scanned one at a time, and only those that hold one are indexed."""
+    minus = np.empty(token.size, bool)
+    first = lo = 0  # the number of the block's first line, and of its first token
+    for s, e in _blocks(text, start):
+        if lo == token.size:
+            break
+        b = np.frombuffer(text, np.uint8, e - s, s)
+        newline = b == ord("\n")
+        count = np.count_nonzero(newline) - 1  # the lines that open in the block
+        hi = token.searchsorted(first + count)
+        if lo < hi:
+            opens = np.flatnonzero(newline)[token[lo:hi] - first] + 1
+            minus[lo:hi] = b[opens] == ord("-")
+        first, lo = first + count, hi
+    return minus
 
 
 def _assemble(coordinate, symmetry, nrow, ncol, rows, cols, values):

@@ -1,6 +1,7 @@
 """Matrix Market round-trips and parse diagnostics."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,15 @@ def test_corrupted_value_line_number(tmp_path, case):
     assert exc.value.line_no == line_no
 
 
+@pytest.fixture(params=["real", "short"])
+def block(request, monkeypatch):
+    """The fast route's block length: the real one, or 3 bytes, so that
+    every body spans many blocks and most lines open one."""
+    if request.param == "short":
+        monkeypatch.setattr(mmio, "_BLOCK", 3)
+    return mmio._BLOCK
+
+
 def _digits(draw, lo, hi):
     return draw(st.text("0123456789", min_size=lo, max_size=hi))
 
@@ -387,7 +397,7 @@ def canonical_files(draw):
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(canonical_files())
-def test_fast_route_matches_the_strict_loop(tmp_path, text):
+def test_fast_route_matches_the_strict_loop(tmp_path, block, text):
     # the fast route reads what the strict loop reads, bit for bit, -0.0
     # too; it declines only a value that is not finite, which the strict
     # loop rejects
@@ -417,7 +427,7 @@ class TestArrayLayout:
     array."""
 
     @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
-    def test_negative_zero_matches_the_strict_loop(self, tmp_path, symmetry):
+    def test_negative_zero_matches_the_strict_loop(self, tmp_path, block, symmetry):
         if symmetry == "symmetric":  # the lower triangle, column by column
             size, tokens = "3 3", ["2.0", "-0.0", "-0", "3.0", "0.0", "-0e5"]
             expected = np.array([[2.0, -0.0, -0.0], [-0.0, 3.0, 0.0], [-0.0, 0.0, -0.0]])
@@ -432,6 +442,30 @@ class TestArrayLayout:
         assert fast is not None and fast.flags.c_contiguous
         for A in (fast, mmio._read_lines(p, data), read_matrix(p)):
             assert A.shape == expected.shape and np.array_equal(_bits(A), _bits(expected))
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+    def test_negative_zeros_in_many_blocks(self, tmp_path, symmetry):
+        # a body of several real blocks: -0 and 0 tokens in each of them,
+        # the first and last lines among them, and on both sides of a cut
+        n = 180
+        count = n * (n + 1) // 2 if symmetry == "symmetric" else n * n
+        rng = np.random.default_rng(9)
+        tokens = [repr(v) for v in rng.uniform(1.0, 2.0, count).tolist()]
+        header = f"%%MatrixMarket matrix array real {symmetry}\n%\n{n} {n}"
+        text = "\n".join([header, *tokens]) + "\n"
+        offset = text.index(f"\n{n} {n}\n") + len(f"\n{n} {n}")
+        cuts = [text.count("\n", offset, e - 1) for _, e in mmio._blocks(text.encode(), offset)]
+        assert len(cuts) >= 3
+        zeros = {0, count - 1, *cuts[:-1], *(k - 1 for k in cuts[:-1]), *range(5000, 5400, 97)}
+        for k in sorted(zeros):
+            tokens[k] = ["-0.0", "-0", "0.0", "-0e5", "0"][k % 5]
+        p = tmp_path / "z.mtx"
+        p.write_text("\n".join([header, *tokens]) + "\n")
+        data = p.read_bytes()
+        fast, strict = mmio._read_canonical(p, data), mmio._read_lines(p, data)
+        assert fast is not None and np.array_equal(_bits(fast), _bits(strict))
+        signs = np.signbit(strict[strict == 0])
+        assert signs.any() and not signs.all()
 
     def test_integer_symmetric_array_reads_as_float(self, tmp_path):
         p = tmp_path / "i.mtx"
@@ -487,10 +521,83 @@ def mutated_bodies(draw):
     return bytes(text), coordinate, expected
 
 
-@settings(max_examples=1500, deadline=None, derandomize=True)
+@settings(max_examples=1500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_bodies())
-def test_canonical_is_the_documented_grammar(case):
+def test_canonical_is_the_documented_grammar(block, case):
     # an array body's marks drop "-"; a coordinate body keeps it, since
     # there the count of "\n  " keeps a "-" out of an index
     text, coordinate, expected = case
     assert mmio._canonical(text, coordinate, expected) == _grammar(text, coordinate, expected)
+
+
+# a defect on the first line of a block, which opens on the newline that
+# closes the block before it
+_CUT_DEFECTS = {
+    "empty line": lambda line: "",
+    "opening point": lambda line: "." + line,
+    "opening plus": lambda line: "+" + line,
+    "second point": lambda line: line[:-1] + "." + line[-1],
+}
+
+
+class TestBlockCuts:
+    """The fast route's check reads the body in blocks of whole lines; a
+    defect just after a cut is caught as anywhere else."""
+
+    @staticmethod
+    def _body(coordinate):
+        line = "1 1 2.25" if coordinate else "2.25"
+        count = 2 * mmio._BLOCK // len(line) + 2
+        return "\n" + "\n".join([line] * count) + "\n"
+
+    @pytest.mark.parametrize("defect", list(_CUT_DEFECTS))
+    @pytest.mark.parametrize("coordinate", [False, True])
+    def test_defect_after_a_cut(self, block, coordinate, defect):
+        text = self._body(coordinate)
+        count = text.count("\n") - 1
+        assert mmio._canonical(text.encode(), coordinate, count)
+        _, e = next(mmio._blocks(text.encode(), 0))
+        assert e < len(text)  # a cut: the next block opens on text[e - 1]
+        close = text.index("\n", e)
+        text = text[:e] + _CUT_DEFECTS[defect](text[e:close]) + text[close:]
+        count = text.count("\n") - 1
+        assert not _grammar(text.encode(), coordinate, count)
+        assert not mmio._canonical(text.encode(), coordinate, count)
+
+    @pytest.mark.parametrize("coordinate", [False, True])
+    def test_last_line_without_its_newline(self, tmp_path, block, coordinate):
+        text = self._body(coordinate)
+        count = text.count("\n") - 1
+        assert not mmio._canonical(text[:-1].encode(), coordinate, count)
+        kind, size = ("coordinate", f"1 1 {count}") if coordinate else ("array", f"{count} 1")
+        p = tmp_path / "x.mtx"
+        p.write_text(f"%%MatrixMarket matrix {kind} real general\n{size}" + text[:-1])
+        data = p.read_bytes()
+        assert mmio._read_canonical(p, data) is None
+        A = read_matrix(p)
+        assert A.sum() == 2.25 * count
+
+
+@pytest.mark.parametrize("minus", [False, True])
+def test_dense_read_holds_one_copy_of_the_file(tmp_path, minus):
+    # the fast route holds the file's bytes and the matrix, and besides them
+    # a few blocks at a time: no copy of the body, whole or checked, and no
+    # index over all its lines to find a -0 token
+    rng = np.random.default_rng(4)
+    S = rng.standard_normal((400, 400))
+    S = S + S.T
+    if minus:
+        S[300, 17] = S[17, 300] = -0.0
+    p = tmp_path / "d.mtx"
+    write_symmetric(p, S)
+    assert p.read_bytes().count(b"\n-0\n") == minus
+    tracemalloc.start()
+    try:
+        A = read_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits(A), _bits(S))
+    assert peak <= p.stat().st_size + A.nbytes + 4 * mmio._BLOCK, peak
+
