@@ -29,7 +29,6 @@ from .geodesics import (
     star_geodesic,
 )
 from .mean import (
-    MeanOptions,
     MeanProblem,
     MeanResult,
     contraction_factor,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_DENSE_CEILING",
     "EigenOptions",
     "EigenStats",
-    "MeanOptions",
     "MeanProblem",
     "MeanResult",
     "PencilExtremes",

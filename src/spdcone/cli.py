@@ -21,8 +21,8 @@ import click
 from . import geodesics, metrics
 from .core import DEFAULT_DENSE_CEILING, spectrum_dense
 from .eigen import EigenOptions, EigenStats, extreme_pair
-from .errors import InvalidArgument, NumericalError, SpdConeError, require_positive_finite
-from .mean import MeanOptions, MeanProblem, inductive_mean
+from .errors import InvalidArgument, NumericalError, SpdConeError
+from .mean import MeanProblem, inductive_mean
 from .mmio import read_spd, write_matrix
 
 _VALUE = "%.16e"  # 17 significant digits
@@ -42,7 +42,6 @@ class _Run:
     """
 
     def __init__(self, params):
-        require_positive_finite("residual_tol", params["residual_tol"])
         self.options = {k: v for k, v in params.items() if k != "as_json"}
         self.as_json = params["as_json"]
         self.stats = EigenStats()
@@ -95,9 +94,7 @@ class _Group(click.Group):
 
 @click.group(cls=_Group, context_settings={"auto_envvar_prefix": "SPDCONE"})
 @click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="Eigensolver relative residual target.")
-@click.option("--residual-tol", type=float, default=1e-8, show_default=True,
-              help="Mean residual certificate threshold.")
+              help="Eigensolver relative residual target, and the mean's certificate.")
 @click.option("--backend", type=click.Choice(["auto", "dense", "iterative"]),
               default="auto", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -195,9 +192,8 @@ def geodesic(run, file_x, file_y, family, ts, outdir):
 @click.pass_obj
 def mean(run, files, out):
     """Inductive Thompson mean of one or more SPD matrices."""
-    opts = MeanOptions(residual_tol=run.options["residual_tol"], eigen=run.eigen)
     points = [read_spd(f) for f in files]
-    result = inductive_mean(MeanProblem(points, opts=opts))
+    result = inductive_mean(MeanProblem(points, opts=run.eigen))
     write_matrix(out, result.mean)
     outputs = {
         "mean_file": str(out),

@@ -91,6 +91,7 @@ from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs, hessenberg
 from .core import DEFAULT_DENSE_CEILING, SpdMatrix, _check_dims, _factor_in, _reduce, fro_norm
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvalidOption,
     NoConvergence,
     NotPositiveDefinite,
@@ -226,8 +227,11 @@ def pencil_residual(Y: SpdMatrix, X: SpdMatrix, lam: float, v: np.ndarray) -> fl
     The norms are scale-safe, and the ratio does not depend on the scale
     of v, so where a product or norm overflows it is taken again on
     v 2^-8. A zero or non-finite denominator gives inf, which fails every
-    acceptance test.
+    acceptance test. A v not of shape (n,) raises DimensionMismatch.
     """
+    if np.shape(v) != (Y.n,):
+        raise DimensionMismatch(Y.n, np.shape(v))
+
     def products(u):
         yv, xv = Y.matvec(u), X.matvec(u)
         return yv, xv, fro_norm(yv) + abs(lam) * fro_norm(xv)
@@ -722,7 +726,8 @@ def extreme_pair(
     loose rounds skip sweep and proof because their extremes only steer it.
     ``start`` optionally gives (alpha, beta) start vectors in the original
     coordinates, e.g. the ``vectors`` of a nearby pencil's result; the
-    dense backend ignores it. A given start not of shape (n,) raises
+    dense backend ignores it. A start that is not a pair raises
+    InvalidArgument, and a given vector not of shape (n,) raises
     DimensionMismatch. A warm start is not a proof of extremality: from a
     start close to an interior eigenvector, the iteration can return that
     eigenpair, which passes the residual test, and the guard's few steps
@@ -752,6 +757,8 @@ def extreme_pair(
     """
     opts = opts or EigenOptions()
     _check_dims(X, Y)
+    if len(start) != 2:
+        raise InvalidArgument(f"start must be an (alpha, beta) pair, not {len(start)} items")
     for v in start:
         if v is not None and np.shape(v) != (X.n,):
             raise DimensionMismatch(X.n, np.shape(v))

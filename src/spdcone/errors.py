@@ -35,8 +35,9 @@ class InvalidArgument(InputError, ValueError):
 
 
 def require_positive_finite(name, value):
-    """Raise InvalidOption unless 0 < value < inf; nan fails that test too."""
-    if not 0.0 < value < math.inf:
+    """Raise InvalidOption unless value is a real number with 0 < value < inf;
+    nan fails that test too."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise InvalidOption(name, value, "must be finite and positive")
 
 

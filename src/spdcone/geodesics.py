@@ -131,9 +131,13 @@ def _path(X, Y, t, point):
     except that t = 0 gives X and t = 1 gives Y as they stand, certified.
 
     point is called from this frame on both routes, so the warning's
-    stacklevel names the caller either way.
+    stacklevel names the caller either way. A t of more than one
+    dimension raises InvalidArgument.
     """
-    scalar = np.ndim(t) == 0
+    dims = np.ndim(t)
+    if dims > 1:
+        raise InvalidArgument(f"t must be a number or a sequence of numbers, not {dims}-D")
+    scalar = dims == 0
     points = []
     for s in [t] if scalar else t:
         if s == 0 or s == 1:

@@ -36,26 +36,26 @@ stopping rule.
 
 Only the round whose residual is returned vouches for the mean, so the
 rounds before it are inexact: round r solves its pencils to the forcing
-term max(eigen.tol, min(LOOSEST_TOL, ETA r_{r-1})), r_{r-1} the previous
+term max(opts.tol, min(LOOSEST_TOL, ETA r_{r-1})), r_{r-1} the previous
 round's residual (Eisenstat & Walker, SISC 17(1), 1996), and skips the
 eigensolver's guard sweep. A loose extreme and its vector only steer
 F: an inexact Newton step converges as long as its errors shrink with
 the residual (Dembo, Eisenstat & Steihaug, SINUM 19(2), 1982), and a
 wrong one can slow F, never certify. A loose round whose residual meets
-eigen.tol is solved again at eigen.tol at the same X, warm-started from
+opts.tol is solved again at opts.tol at the same X, warm-started from
 its own vectors. Dense solves are exact whatever the tolerance, so a
 dense round never repeats, nor does any round of a family whose pencils
 ``auto`` solves dense, as it does every small sparse one. The solves are
 warm-started from the previous round, and a warm start proves nothing
 about extremality, which the guard's few steps cannot repair either, so
-a round at eigen.tol guards only its cold solves, and certifies only
+a round at opts.tol guards only its cold solves, and certifies only
 once each extreme of a warm iterative solve is proven. A dense solve is, and so is one that the
 eigensolver finished by shift-invert (``PencilExtremes.proven``); any
 other is proven here by the same inertia bound: beta (1 + 10 tol) X - Y_j,
 or (1 + 10 tol) Y_j / alpha - X, must certify (Sylvester's law of
 inertia; Ericsson & Ruhe, Math. Comp. 35, 1980). A pencil with an
 extreme left unproven is solved again cold, under the guard. Every
-returned mean is thus certified by a round solved at eigen.tol whose
+returned mean is thus certified by a round solved at opts.tol whose
 every extreme is proven by inertia or comes from a cold guarded solve.
 The mean reads alpha, beta and the vectors, never the residuals, so its
 dense solves skip those.
@@ -93,54 +93,28 @@ from scipy.linalg import get_lapack_funcs
 
 from .core import SpdMatrix, _check_dims, _combination, _factor_in, fro_norm
 from .eigen import EigenOptions, _bounded, _resolve_backend, extreme_pair
-from .errors import (
-    FixedPointStalled,
-    InvalidArgument,
-    InvalidOption,
-    NonPositiveR,
-    require_positive_finite,
-)
+from .errors import FixedPointStalled, InvalidArgument, NonPositiveR
 from .geodesics import BRANCH_TOL, coefficient_derivatives, star_geodesic
 
 _FP_MAX_ROUNDS = 200
 # forcing term: a round solves its pencils to ETA times the previous
 # round's residual, never looser than LOOSEST_TOL (the first round's
-# tolerance) and never tighter than eigen.tol
+# tolerance) and never tighter than opts.tol
 ETA = 0.1
 LOOSEST_TOL = 1e-3
 
 _gesv, = get_lapack_funcs(("gesv",), (np.empty(0),))
 
 
-@dataclass(frozen=True)
-class MeanOptions:
-    """Options of ``inductive_mean``.
-
-    ``residual_tol`` is the certificate threshold on |E|_F / (k |X|_F).
-    F stops when its certificate is at most ``eigen.tol``, the pencil
-    solves' residual target, so ``residual_tol`` may not be below it: a
-    residual computed from solves at ``eigen.tol`` cannot vouch for less.
-    The options are validated at construction and frozen after it.
-    """
-
-    residual_tol: float = 1e-8
-    eigen: EigenOptions = field(default_factory=EigenOptions)
-
-    def __post_init__(self):
-        require_positive_finite("residual_tol", self.residual_tol)
-        if self.residual_tol < self.eigen.tol:
-            raise InvalidOption(
-                "residual_tol", self.residual_tol,
-                f"is below the eigensolver tol {self.eigen.tol!r}, "
-                "which bounds what the certificate can vouch for",
-            )
-
-
 @dataclass
 class MeanProblem:
+    """The points of a mean, an optional initialization and the options
+    of its pencil solves, whose ``tol`` is also the mean's certificate
+    threshold."""
+
     points: list
     init: SpdMatrix | None = None
-    opts: MeanOptions = field(default_factory=MeanOptions)
+    opts: EigenOptions = field(default_factory=EigenOptions)
 
 
 @dataclass(frozen=True)
@@ -153,9 +127,10 @@ class MeanResult:
     min_j(w'_j/w_j)) over the weights w -> w' of the F step into the
     returned mean: by the Loewner sandwich min(w'/w) X <= X' <= max(w'/w) X,
     an upper bound on that step's Hilbert displacement that needs no
-    solve. ``residual_norm`` is |E|_F / (k |X|_F) at the mean and
-    ``certified`` says it is at most ``residual_tol``; ``inductive_mean``
-    returns a mean of two or more points only when it is.
+    solve. ``residual_norm`` is |E|_F / (k |X|_F) at the mean, from the
+    solves of F's certifying round, and ``certified`` says it is at most
+    the options' ``tol``; ``inductive_mean`` returns a mean of two or more
+    points only when it is, so ``certified`` is always true.
     """
 
     mean: SpdMatrix
@@ -262,6 +237,8 @@ def residual(points, X: SpdMatrix, opts: EigenOptions | None = None):
     (ndarray or sparse): it is a tangent-space object, not SPD. Every
     pencil is solved cold.
     """
+    if not points:
+        raise InvalidArgument("residual of an empty family is undefined")
     stack = _Stack([*points, X])
     opts = opts or EigenOptions()
     exts = [extreme_pair(X, Yj, opts, (None, None), _vectors=False) for Yj in points]
@@ -452,35 +429,32 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
     Iterates F with Newton steps from ``problem.init`` (the arithmetic
     mean of the points when None; any initialization converges to the
     same limit) until the radially corrected iterate's residual is at
-    most ``eigen.tol``. If F stalls, its best iterate is returned when
-    a cold ``residual`` there is at most ``residual_tol``. The mean of one
+    most ``opts.tol``, the one threshold F stops on. The mean of one
     point is that point, certified by its ``chol()`` and then with
-    residual 0 and no solve. The mean of more
-    points is an iterate scaled by its radial correction, sparse-stored
-    when every point is, so it holds no factorization until its first
-    ``chol()``.
+    residual 0 and no solve. The mean of more points is an iterate
+    scaled by its radial correction, sparse-stored when every point is,
+    so it holds no factorization until its first ``chol()``.
 
     Parameters
     ----------
     problem : MeanProblem
         Points (k >= 1, equal dimensions), optional initialization of
-        their dimension (else DimensionMismatch), and MeanOptions
-        (certificate threshold, eigensolver options).
+        their dimension (else DimensionMismatch), and the EigenOptions
+        of the pencil solves, whose ``tol`` is the certificate threshold.
 
     Returns
     -------
     MeanResult
         The certified mean with its F-round count, the displacement of
         the step into it, the normalized residual norm, and the
-        ``certified`` verdict (residual_norm <= residual_tol).
+        ``certified`` verdict (residual_norm <= opts.tol).
 
     Raises
     ------
     FixedPointStalled
-        F did not certify within 200 rounds and its best iterate does not
-        meet ``residual_tol``; the payload carries that radially
-        corrected iterate, its residual (the cold one when F's own met
-        ``residual_tol``) and displacement. A pencil solve's own failure
+        F did not certify within 200 rounds; the payload carries its best
+        radially corrected iterate, F's own residual there and the
+        displacement of the step into it. A pencil solve's own failure
         propagates unchanged.
     """
     points = list(problem.points)
@@ -488,23 +462,16 @@ def inductive_mean(problem: MeanProblem) -> MeanResult:
         raise InvalidArgument("mean of an empty family is undefined")
     if problem.init is not None:
         _check_dims(points[0], problem.init)
-    opts = problem.opts
-    eigen = opts.eigen
     if len(points) == 1:
         # once Y certifies, the pencil (Y, Y) has alpha = beta = 1, so m = 1,
         # o = -1 and E = 0 exactly; chol() raises for a Y that does not
         points[0].chol()
         return MeanResult(points[0], 0, 0.0, 0.0, True)
 
-    X, rounds, disp, rnorm = _fixed_point(points, problem.init, eigen)
+    X, rounds, disp, rnorm = _fixed_point(points, problem.init, problem.opts)
     # the mean of sparse points is sparse-stored, on the union of their patterns
     if not X.is_sparse and all(p.is_sparse for p in points):
         X = SpdMatrix._canonical(sp.csr_matrix(X.raw()))
-    if rnorm > eigen.tol:
-        # F stalled: its best iterate came from warm, perhaps loose, solves,
-        # so only a cold residual there may vouch for it
-        if rnorm <= opts.residual_tol:
-            rnorm = residual(points, X, eigen)[1]
-        if not rnorm <= opts.residual_tol:
-            raise FixedPointStalled(best=X, displacement=disp, iterations=rounds, residual=rnorm)
+    if rnorm > problem.opts.tol:
+        raise FixedPointStalled(best=X, displacement=disp, iterations=rounds, residual=rnorm)
     return MeanResult(X, 0, disp, rnorm, True, rounds)

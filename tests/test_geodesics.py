@@ -433,6 +433,12 @@ class TestPaths:
         with pytest.raises(InvalidArgument, match=f"t = {t}"):
             family(X, Y, [0.5, t])
 
+    @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic, riemannian_geodesic])
+    def test_two_dimensional_t_rejected(self, rng, family):
+        X, Y = spd_pair(rng, 4)
+        with pytest.raises(InvalidArgument, match="2-D"):
+            family(X, Y, np.array([[0.25, 0.5], [0.5, 0.75]]))
+
     @pytest.mark.parametrize("family", [star_geodesic, diamond_geodesic])
     def test_overflowing_point_names_t(self, family, recwarn):
         # the coefficients at t = 200 are finite floats, but c * Y is not

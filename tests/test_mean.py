@@ -1,7 +1,7 @@
 """Inductive Thompson mean: steps, residual certificate, the F iteration."""
 
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from scipy.linalg import eigh
 from spdcone import (
     EigenOptions,
     EigenStats,
-    MeanOptions,
     MeanProblem,
     SpdMatrix,
     combine,
@@ -35,7 +34,7 @@ from spdcone.core import _reduce
 from spdcone.errors import (
     DimensionMismatch,
     FixedPointStalled,
-    InvalidOption,
+    InvalidArgument,
     NonPositiveR,
     NotPositiveDefinite,
     NumericalBreakdown,
@@ -53,7 +52,7 @@ def points(rng, k, n, spread=1.5):
 
 # the iterative mean, for tests whose subject is its loose rounds, brackets
 # or warm starts: auto solves small sparse families like these dense
-ITERATIVE = MeanOptions(eigen=EigenOptions(backend="iterative"))
+ITERATIVE = EigenOptions(backend="iterative")
 
 
 def random_family(seed, k=5, n=100):
@@ -296,13 +295,16 @@ class TestInductiveMean:
             inductive_mean(MeanProblem([]))
         assert isinstance(exc.value, SpdConeError)
 
+    def test_residual_of_empty_family_rejected(self, rng):
+        with pytest.raises(InvalidArgument, match="empty"):
+            residual([], random_spd(4, rng))
+
     def test_certificate_soundness(self, rng):
         pts = points(rng, 4, 6)
-        opts = MeanOptions(eigen=EigenOptions(tol=1e-10))
-        res = inductive_mean(MeanProblem(pts, opts=opts))
+        res = inductive_mean(MeanProblem(pts, opts=EigenOptions(tol=1e-10)))
         assert res.certified
         _, rn_tight = residual(pts, res.mean, EigenOptions(tol=5e-11))
-        assert rn_tight <= 2.0 * opts.residual_tol
+        assert rn_tight <= 2e-8
 
     def test_certificate_from_homogeneity(self, rng):
         # the reported residual reuses the radial correction's solves at X
@@ -310,7 +312,7 @@ class TestInductiveMean:
         pts = [random_sparse_spd(150, 0.03, rng) for _ in range(4)]
         res = inductive_mean(MeanProblem(pts))
         _, fresh = residual(pts, res.mean)
-        assert res.certified and fresh <= MeanOptions().residual_tol
+        assert res.certified and fresh <= 1e-8
         assert res.residual_norm == pytest.approx(fresh, abs=1e-10)
 
     def test_structure_preservation_toeplitz(self, rng):
@@ -356,24 +358,26 @@ class TestInductiveMean:
             assert dh_after <= factor * dh_before + 1e-6
 
 
-class TestMeanOptions:
-    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
-    def test_residual_tol_positive_finite(self, value):
-        with pytest.raises(InvalidOption):
-            MeanOptions(residual_tol=value)
-
-    def test_frozen(self):
-        with pytest.raises(FrozenInstanceError):
-            MeanOptions().residual_tol = 1.0
+class TestMeanTolerance:
+    """The solves' tol is the mean's one certificate threshold."""
 
     def test_certificate_no_finer_than_solves(self, rng):
-        # a residual from solves at eigen.tol cannot vouch for less
-        with pytest.raises(InvalidOption):
-            MeanOptions(eigen=EigenOptions(tol=1e-6))
         pts = [random_spd(8, rng) for _ in range(3)]
-        loose = MeanOptions(residual_tol=1e-6, eigen=EigenOptions(tol=1e-6))
-        res = inductive_mean(MeanProblem(pts, opts=loose))
+        res = inductive_mean(MeanProblem(pts, opts=EigenOptions(tol=1e-6)))
         assert res.certified and res.residual_norm <= 1e-6
+        assert res.rounds <= 10
+
+    @pytest.mark.parametrize("family", ["dense", "sparse-100", "sparse-300", "banded"])
+    def test_tight_tolerance_certifies(self, family):
+        # F reaches 1e-14 in a few Newton rounds, far inside its 200, so a
+        # mean at an attainable tol never stalls; these took 4, 4, 7 and 5
+        rng = np.random.default_rng(7)
+        families = {"dense": [random_spd(48, rng) for _ in range(3)],
+                    "sparse-100": [random_sparse_spd(100, 0.03, rng) for _ in range(5)],
+                    "sparse-300": [random_sparse_spd(300, 0.02, rng) for _ in range(4)],
+                    "banded": [banded_spd(300, 5, rng) for _ in range(4)]}
+        res = inductive_mean(MeanProblem(families[family], opts=EigenOptions(tol=1e-14)))
+        assert res.certified and res.residual_norm <= 1e-14
         assert res.rounds <= 10
 
 
@@ -406,7 +410,7 @@ class TestFixedPointRounds:
         # solved at eigen.tol with the guard, and 634 when the certifying
         # round still swept its warm solves with the guard
         stats = EigenStats()
-        opts = MeanOptions(eigen=EigenOptions(backend="iterative", stats=stats))
+        opts = EigenOptions(backend="iterative", stats=stats)
         res = inductive_mean(MeanProblem(random_family(0), opts=opts))
         assert res.certified and stats.solves == 2 * 5 * res.rounds
         assert stats.iterations <= 600
@@ -418,7 +422,7 @@ class TestFixedPointRounds:
         # at thick restarts only, charged for two factorizations and a
         # 40-vector basis, which took 6 rounds and 2,677 applies here
         stats = EigenStats()
-        opts = MeanOptions(eigen=EigenOptions(stats=stats))
+        opts = EigenOptions(stats=stats)
         res = inductive_mean(MeanProblem(toeplitz_family(1), opts=opts))
         assert res.certified and res.rounds <= 6
         assert stats.iterations <= 0.6 * 2677
@@ -432,9 +436,9 @@ class TestFixedPointRounds:
         I = sp.identity(m * m)
         pts = [SpdMatrix(L @ L + 0.1 * I), SpdMatrix(L + I), SpdMatrix(L + 2.0 * I)]
         stats = EigenStats()
-        res = inductive_mean(MeanProblem(pts, opts=MeanOptions(eigen=EigenOptions(stats=stats))))
+        res = inductive_mean(MeanProblem(pts, opts=EigenOptions(stats=stats)))
         assert res.certified and stats.iterations > 0
-        dense = MeanOptions(eigen=EigenOptions(backend="dense"))
+        dense = EigenOptions(backend="dense")
         ref = inductive_mean(MeanProblem(pts, opts=dense))
         assert ref.certified and thompson_distance(res.mean, ref.mean) <= 1e-7
         # an alpha side finish against the mean, sigma (L + I) - M, has the
@@ -506,8 +510,7 @@ class TestFixedPointRounds:
         assert len(seen) == len(pts) * res.rounds
         assert len({id(X) for X, *_ in seen}) == res.rounds
         assert res.mean.is_sparse and inside(res.mean, lower_union(pts))
-        ref = inductive_mean(MeanProblem(pts, opts=MeanOptions(
-            eigen=EigenOptions(backend="dense"))))
+        ref = inductive_mean(MeanProblem(pts, opts=EigenOptions(backend="dense")))
         assert (res.rounds, res.residual_norm) == (ref.rounds, ref.residual_norm)
         assert np.array_equal(res.mean.raw().toarray(), ref.mean.raw().toarray())
 
@@ -575,7 +578,7 @@ class TestStack:
         x = stack.combination(np.full(5, 0.2))
         X = stack.matrix(x)
         assert stack.q is not None
-        exts = [extreme_pair(X, Y, ITERATIVE.eigen) for Y in pts]
+        exts = [extreme_pair(X, Y, ITERATIVE) for Y in pts]
         warm = [e.vectors for e in exts]
         tol = EigenOptions().tol
         assert all(_trusted(stack, x, Y, e, start, tol)
@@ -647,8 +650,7 @@ class TestOneDenseFactorPerIterate:
         # iterate's dense factor
         pts = random_family(0)
         factor_calls.clear()
-        res = inductive_mean(MeanProblem(pts, opts=MeanOptions(
-            eigen=EigenOptions(backend=backend))))
+        res = inductive_mean(MeanProblem(pts, opts=EigenOptions(backend=backend)))
         assert res.certified and res.rounds == (4 if backend == "auto" else 5)
         if backend == "auto":
             assert factor_calls == ["_factor_dense"] * 4
@@ -736,11 +738,10 @@ class TestWarmStartBracket:
         # mean certified on it had a true residual near 1e-3
         rng = np.random.default_rng(3)
         pts = [random_sparse_spd(n, 0.03, rng) for _ in range(k)]
-        opts = ITERATIVE
-        res = inductive_mean(MeanProblem(pts, opts=opts))
+        res = inductive_mean(MeanProblem(pts, opts=ITERATIVE))
         assert res.certified
         _, rn = residual(pts, res.mean, EigenOptions(backend="dense"))
-        assert rn <= opts.residual_tol
+        assert rn <= 1e-8
 
 
 class TestLooseRounds:
@@ -750,7 +751,7 @@ class TestLooseRounds:
         # without the guard; each extreme is then proven by its solve or
         # by an inertia bracket
         pts = random_family(1)
-        k, tol = len(pts), MeanOptions().eigen.tol
+        k, tol = len(pts), EigenOptions().tol
         seen = spy_solves(monkeypatch)
         log = []  # the mean's solve results and bracket verdicts, in order
         for name in ("extreme_pair", "_bounded"):
@@ -773,7 +774,7 @@ class TestLooseRounds:
         # round r + 1 solves at max(eigen.tol, min(LOOSEST_TOL, ETA r_r)),
         # r_r the residual of round r; every pencil of a round shares it
         pts = random_family(0)
-        k, tol = len(pts), MeanOptions().eigen.tol
+        k, tol = len(pts), EigenOptions().tol
         seen = spy_solves(monkeypatch)
         rnorms = []
         field = spdcone.mean._residual_field
@@ -802,11 +803,11 @@ class TestLooseRounds:
         # all run the guard, is the same to the bit
         if family == "dense":
             rng = np.random.default_rng(0)
-            pts, opts = [random_spd(48, rng) for _ in range(3)], MeanOptions()
+            pts, opts = [random_spd(48, rng) for _ in range(3)], EigenOptions()
         else:
             pts, opts = random_family(0), ITERATIVE
         lean = inductive_mean(MeanProblem(pts, opts=opts))
-        tol = MeanOptions().eigen.tol
+        tol = EigenOptions().tol
         solve = spdcone.mean.extreme_pair
 
         def full(X, Y, opts, start, **_):
@@ -826,11 +827,10 @@ class TestLooseRounds:
             pts = [banded_spd(100, 5, rng) for _ in range(5)]
         else:
             pts = random_family(int(family.split("-")[1]))
-        opts = ITERATIVE
-        res = inductive_mean(MeanProblem(pts, opts=opts))
+        res = inductive_mean(MeanProblem(pts, opts=ITERATIVE))
         assert res.certified
         _, rn = residual(pts, res.mean, EigenOptions(backend="dense"))
-        assert rn <= opts.residual_tol
+        assert rn <= 1e-8
 
 
 def jacobian_case(kind):
@@ -949,7 +949,7 @@ class TestNewton:
         assert len(starts) == res.rounds - 2
 
 
-UNATTAINABLE = MeanOptions(residual_tol=1e-30, eigen=EigenOptions(tol=1e-30))
+UNATTAINABLE = EigenOptions(tol=1e-30)
 
 
 class TestFailurePayloads:
@@ -964,8 +964,10 @@ class TestFailurePayloads:
         _, rn = residual(pts, exc.value.best)
         assert rn <= 1e-8
 
-    def test_stalled_payload_carries_its_residual(self, rng):
+    def test_stalled_payload_carries_its_residual(self, rng, monkeypatch):
+        # the payload's residual is F's own: a stall solves nothing cold
         pts = points(rng, 3, 5)
+        monkeypatch.setattr(spdcone.mean, "residual", None)
         with pytest.raises(FixedPointStalled) as exc:
             inductive_mean(MeanProblem(pts, opts=UNATTAINABLE))
         _, rn = residual(pts, exc.value.best)
@@ -978,29 +980,12 @@ class TestFailurePayloads:
         _, rounds, displacement, _ = _fixed_point(pts, None, EigenOptions(tol=1e-30), max_rounds=1)
         assert (rounds, displacement) == (1, 0.0)
 
-    def test_hybrid_recovers_from_stall(self, rng):
-        # residual target 1e-30 is unattainable, so F stalls; its best
-        # iterate still meets residual_tol and is returned
-        pts = points(rng, 3, 5)
-        opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
-        res = inductive_mean(MeanProblem(pts, opts=opts))
-        assert res.certified
-
     def test_two_point_residual_is_measured_not_predicted(self, rng):
         # the residual of the stored iterate never reaches 1e-30; a residual
         # taken from the weights alone would, and would certify
         pts = list(spd_pair(rng, 5))
         with pytest.raises(FixedPointStalled):
             inductive_mean(MeanProblem(pts, opts=UNATTAINABLE))
-
-    def test_stalled_iterate_needs_a_cold_residual(self, rng, monkeypatch):
-        # F's best iterate comes from warm solves; the cold residual there decides
-        pts = points(rng, 3, 5)
-        opts = MeanOptions(eigen=EigenOptions(tol=1e-30))
-        monkeypatch.setattr(spdcone.mean, "residual", lambda *args: (None, 1.0))
-        with pytest.raises(FixedPointStalled) as exc:
-            inductive_mean(MeanProblem(pts, opts=opts))
-        assert exc.value.residual == 1.0
 
 
 class TestContractionFactor:
